@@ -411,10 +411,13 @@ def cmd_verify(args) -> int:
                 "samples": args.samples,
                 "corrupt": args.corrupt,
             },
+            # "vacuous" appears only on checks that tested nothing, so
+            # reports of runs without such checks keep their old bytes
             "checks": [
                 {
                     "name": r.name,
                     "ok": r.ok,
+                    **({"vacuous": True} if r.vacuous else {}),
                     "passed": r.passed,
                     "failed": r.failed,
                     "messages": list(r.messages),
@@ -432,13 +435,18 @@ def cmd_verify(args) -> int:
         f"dims={','.join(map(str, dims))}\n"
     )
     for r in results:
-        if r.ok:
+        if r.vacuous:
+            w(f"  VACUOUS {r.name} (no applicable cases)\n")
+        elif r.ok:
             w(f"  PASS {r.name} ({r.passed} cases)\n")
         else:
             w(f"  FAIL {r.name} ({r.failed}/{r.passed + r.failed} cases)\n")
             for msg in r.messages:
                 w(f"       {msg}\n")
+    vacuous = sum(r.vacuous for r in results)
     w(f"{len(results) - len(failed)}/{len(results)} checks passed ")
+    if vacuous:
+        w(f"({vacuous} vacuous) ")
     w(f"in {elapsed:.1f} s\n")
     return EXIT_OK if not failed else EXIT_FAIL
 

@@ -17,6 +17,8 @@ refinement.  The convention for P = identity (kernel {0}) is value 1.
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ from scipy.optimize import linprog
 from . import _backend
 from .errors import DimensionTooLargeError, PreconditionError, UnsupportedSpaceError
 from .operators import MarkovOperator, MarkovProjection, commutes, operator_norm
-from .spaces import StateSpace
+from .spaces import StateSpace, same_space
 
 KERNEL_TOL = 1e-10
 ENUMERATION_CAP = 12
@@ -68,15 +70,6 @@ def _resolve(T, P: MarkovProjection | None, space: StateSpace | None):
     if A.shape != (space.dim, space.dim):
         raise ValueError("matrix shape does not match the space dimension")
     return A, space
-
-
-def _norm_rows(W: np.ndarray, space: StateSpace) -> np.ndarray:
-    """Base norm of each row of W, vectorized per space kind."""
-    if space.is_lattice:
-        return np.abs(W).sum(axis=1)
-    inner = np.abs(W[:, 1:])
-    inner = inner.sum(axis=1) if space.inner_ball == "l1" else inner.max(axis=1)
-    return np.maximum(np.abs(W[:, 0]), inner)
 
 
 def _lex_rows(V: np.ndarray) -> np.ndarray:
@@ -143,6 +136,12 @@ def _rank_one_embedded(P: MarkovProjection) -> bool:
     return bool(np.abs(P.matrix - np.outer(y, space.f_coefficients)).max() <= 1e-8)
 
 
+# kernel vertices per projection, or per space for ker f; weak keys, so an
+# entry lives exactly as long as the P or space it was built for
+_KERNEL_VERTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_KERNEL_VERTICES_LOCK = threading.Lock()
+
+
 def kernel_ball_vertices(
     P: MarkovProjection | None, space: StateSpace | None = None
 ) -> np.ndarray:
@@ -152,13 +151,34 @@ def kernel_ball_vertices(
     Closed forms cover rank-one and block projections; explicit projections
     on simplex-like spaces go through support-pattern enumeration, capped
     at dim 12 (DimensionTooLargeError beyond, callers fall back to bounds).
+
+    The result is a shared read-only array: it is built once per P, or once
+    per space for ker f (P = None and every rank-one P), and later calls
+    return the same object until that P or space is garbage-collected.
     """
     if space is None:
         if P is None:
             raise ValueError("need a space when P is None")
         space = P.space
-    n = space.dim
+    if P is None or P.variant == "rank_one":
+        key = space
+    elif same_space(space, P.space):
+        key = P
+    else:  # P read on a foreign space: no entry to share
+        key = None
+    with _KERNEL_VERTICES_LOCK:
+        V = None if key is None else _KERNEL_VERTICES.get(key)
+    if V is None:
+        V = _kernel_ball_vertices(P, space)  # fresh, or the read-only ker f entry
+        V.flags.writeable = False
+        if key is not None:
+            with _KERNEL_VERTICES_LOCK:
+                V = _KERNEL_VERTICES.setdefault(key, V)
+    return V
 
+
+def _kernel_ball_vertices(P: MarkovProjection | None, space: StateSpace) -> np.ndarray:
+    n = space.dim
     if P is None or P.variant == "rank_one":
         if space.is_lattice:
             return _lex_rows(_pair_diff_vertices(space, [range(n)]))
@@ -189,7 +209,7 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
         # trivial kernel and P != identity cannot happen for our projections;
         # treat an empty vertex list as the zero kernel
         return CoefficientResult(0.0, method, None, True, 0.0)
-    vals = _norm_rows(V @ A.T, space)
+    vals = space.norm_rows(V @ A.T)
     i = int(np.argmax(vals))
     v = float(vals[i])
     return CoefficientResult(v, method, V[i].copy(), True, v)
@@ -339,6 +359,37 @@ def _mc_bracket(A, P, space, samples, seed) -> CoefficientResult:
     )
 
 
+# the last sample draw, weakly keyed on the space it was drawn for: at most
+# one draw is held, and it is freed with its space or before the next draw
+_SAMPLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_SAMPLES_LOCK = threading.Lock()
+
+
+def _unit_samples(space: StateSpace, seed: int, samples: int) -> np.ndarray:
+    """The seeded Gaussian sample directions, l1-normalized, read-only.
+
+    Unit l1 rows make MC_DEN_FLOOR a relative threshold; direction and
+    magnitude of the deflected image are independent for isotropic draws,
+    so the skipped rows cost no direction coverage.  Repeated calls on one
+    space with the same seed and sample count, as the power scans make,
+    share one draw.
+    """
+    key = (seed, samples)
+    with _SAMPLES_LOCK:
+        held = _SAMPLES.get(space)
+        if held is not None and held[0] == key:
+            return held[1]
+        _SAMPLES.clear()
+    Z = np.random.default_rng(seed).standard_normal((samples, space.dim))
+    row_l1 = np.abs(Z).sum(axis=1)
+    Z /= np.where(row_l1 > 0, row_l1, 1.0)[:, None]
+    Z.flags.writeable = False
+    with _SAMPLES_LOCK:
+        _SAMPLES.clear()
+        _SAMPLES[space] = (key, Z)
+    return Z
+
+
 def coefficient_lower_bound(
     T,
     P: MarkovProjection | None = None,
@@ -359,19 +410,14 @@ def coefficient_lower_bound(
     A, space = _resolve(T, P, space)
     if P is not None and P.is_identity():
         return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, 1.0)
-    rng = np.random.default_rng(seed)
     D = _deflector(P, space)
-    Z = rng.standard_normal((max(1, samples), space.dim))
-    # unit l1 rows, so MC_DEN_FLOOR below reads as a relative threshold;
-    # direction and magnitude of the deflected image are independent for
-    # isotropic draws, so the skipped rows cost no direction coverage
-    row_l1 = np.abs(Z).sum(axis=1)
-    Z /= np.where(row_l1 > 0, row_l1, 1.0)[:, None]
+    Z = _unit_samples(space, seed, max(1, samples))
 
     if space.is_lattice:
         TD = np.ascontiguousarray(A @ D)
         Dc = np.ascontiguousarray(D)
-        Zc = np.ascontiguousarray(Z)
+        # the compiled kernel's typed memoryviews reject read-only buffers
+        Zc = Z if _backend.BACKEND == "python" else Z.copy()
         best, idx = _backend.mc_max_ratio(TD, Dc, Zc, MC_DEN_FLOOR)
         if idx < 0:
             return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)
@@ -389,8 +435,8 @@ def coefficient_lower_bound(
                     best, best_z = val, z
     else:
         W = Z @ D.T
-        num = _norm_rows(W @ A.T, space)
-        den = _norm_rows(W, space)
+        num = space.norm_rows(W @ A.T)
+        den = space.norm_rows(W)
         good = den > MC_DEN_FLOOR
         if not good.any():
             return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)

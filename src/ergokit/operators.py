@@ -73,14 +73,16 @@ def markov_violations(
         raise ValueError(
             f"matrix shape {matrix.shape} does not match space dimension {space.dim}"
         )
-    out = []
-    for i, v in enumerate(space.base_vertices):
-        image = matrix @ v
-        cone_defect = space.cone_defect(image)
-        f_defect = abs(space.f(image) - 1.0)
-        if cone_defect > tol or f_defect > tol:
-            out.append(VertexViolation(i, cone_defect, f_defect))
-    return out
+    # a stacked matmul runs one matrix-vector product per vertex, so every
+    # image and f value is the same float the product T v alone gives
+    images = np.matmul(matrix, space.base_vertices[:, :, None])[:, :, 0]
+    cone_defects = space.cone_defect_rows(images)
+    f_defects = np.abs(np.matmul(space.f_coefficients, images[:, :, None])[:, 0] - 1.0)
+    bad = np.flatnonzero((cone_defects > tol) | (f_defects > tol))
+    return [
+        VertexViolation(int(i), float(cone_defects[i]), float(f_defects[i]))
+        for i in bad
+    ]
 
 
 def validate_markov(
@@ -104,9 +106,14 @@ def as_markov(matrix: np.ndarray, space: StateSpace) -> MarkovOperator:
 
 
 def operator_norm(matrix: np.ndarray, space: StateSpace) -> float:
-    """Induced operator norm, exact: the unit ball is conv(ball_vertices)."""
-    images = np.asarray(matrix, dtype=float) @ space.ball_vertices.T
-    return float(max(space.norm(images[:, j]) for j in range(images.shape[1])))
+    """Induced operator norm, exact: the unit ball is conv(ball_vertices).
+
+    The ball vertices are the base vertices and their negatives, and the
+    norm is even, so the maximum over the base vertices' images is the
+    maximum over the whole ball.
+    """
+    images = space.base_vertices @ np.asarray(matrix, dtype=float).T
+    return float(space.norm_rows(images).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,25 +73,36 @@ class StateSpace:
 
     def norm(self, x: np.ndarray) -> float:
         """Base norm of an arbitrary coordinate vector (closed form)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind in _LATTICE_KINDS:
-            return float(np.abs(x).sum())
-        return max(abs(float(x[0])), self._inner_norm(x[1:]))
+        return float(self.norm_rows(np.asarray(x, dtype=float)[None, :])[0])
 
-    def _inner_norm(self, v: np.ndarray) -> float:
-        if self.inner_ball == "l1":
-            return float(np.abs(v).sum())
-        return float(np.abs(v).max()) if v.size else 0.0
+    def norm_rows(self, W: np.ndarray) -> np.ndarray:
+        """Base norm of each row of W; the one norm implementation.
+
+        A C-ordered W is reduced along its contiguous axis, so each value is
+        the same float that ``norm`` gives for that row alone.
+        """
+        W = np.asarray(W, dtype=float)
+        if self.kind in _LATTICE_KINDS:
+            return np.abs(W).sum(axis=1)
+        return np.maximum(np.abs(W[:, 0]), self._inner_norm_rows(W[:, 1:]))
+
+    def _inner_norm_rows(self, V: np.ndarray) -> np.ndarray:
+        inner = np.abs(V)
+        return inner.sum(axis=1) if self.inner_ball == "l1" else inner.max(axis=1)
 
     def in_cone(self, x: np.ndarray, tol: float = CONE_TOL) -> bool:
         return self.cone_defect(x) <= tol
 
     def cone_defect(self, x: np.ndarray) -> float:
         """How far x is from the cone: 0 for members, positive otherwise."""
-        x = np.asarray(x, dtype=float)
+        return float(self.cone_defect_rows(np.asarray(x, dtype=float)[None, :])[0])
+
+    def cone_defect_rows(self, X: np.ndarray) -> np.ndarray:
+        """cone_defect of each row of X."""
+        X = np.asarray(X, dtype=float)
         if self.kind in _LATTICE_KINDS:
-            return max(0.0, -float(x.min()))
-        return max(0.0, self._inner_norm(x[1:]) - float(x[0]))
+            return np.maximum(0.0, -X.min(axis=1))
+        return np.maximum(0.0, self._inner_norm_rows(X[:, 1:]) - X[:, 0])
 
     def in_base(self, x: np.ndarray, tol: float = CONE_TOL) -> bool:
         return self.in_cone(x, tol) and abs(self.f(x) - 1.0) <= tol

@@ -72,7 +72,12 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0 and self.passed > 0
+        return self.failed == 0
+
+    @property
+    def vacuous(self) -> bool:
+        """No instance met the check's hypotheses, so nothing was tested."""
+        return self.passed == 0 and self.failed == 0
 
 
 @dataclass(frozen=True)

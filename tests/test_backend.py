@@ -69,13 +69,18 @@ def test_max_pair_half_l1_single_row():
 
 
 def test_pure_env_flag_selects_python(tmp_path):
-    # a fresh interpreter honours ERGOKIT_PURE=1 even with the extension built
+    # a fresh interpreter honours ERGOKIT_PURE=1 even with the extension built;
+    # it gets the directory this ergokit was imported from, so the test holds
+    # for a source checkout on PYTHONPATH as well as for an installed package
     import subprocess
     import sys
 
+    import ergokit
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ergokit.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", "from ergokit import BACKEND; print(BACKEND)"],
-        env={"ERGOKIT_PURE": "1", "PATH": "/usr/bin:/bin"},
+        env={"ERGOKIT_PURE": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
         capture_output=True,
         text=True,
     )

@@ -146,6 +146,39 @@ def test_verify_corrupt_hook_fails_named_check(capsys):
     assert "13/14 checks passed" in out
 
 
+def test_verify_check_without_cases_is_vacuous_not_failed(capsys):
+    # no instance has dim <= 6, so tensor-bound has no pair to test
+    argv = ["verify", "--count", "1", "--dims", "7", "--samples", "2000"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "VACUOUS tensor-bound (no applicable cases)" in out
+    assert "14/14 checks passed (1 vacuous)" in out
+    code, out, _ = run(capsys, argv + ["--format", "structured"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["tensor-bound"]["vacuous"] is True
+    assert checks["tensor-bound"]["ok"] is True
+    assert [name for name, c in checks.items() if "vacuous" in c] == ["tensor-bound"]
+
+
+def test_verify_default_dims_run_tensor_pairs(capsys):
+    code, out, _ = run(capsys, ["verify", "--count", "1", "--samples", "2000",
+                                "--format", "structured"])
+    assert code == 0
+    tensor = next(c for c in json.loads(out)["checks"] if c["name"] == "tensor-bound")
+    assert tensor["passed"] > 0
+    assert "vacuous" not in tensor
+
+
+@pytest.mark.parametrize("dims", ["2,3,4,5,6", "7"])
+def test_verify_corrupt_tensor_bound_still_fails(dims, capsys):
+    code, out, _ = run(capsys, ["verify", "--count", "1", "--dims", dims,
+                                "--samples", "2000", "--corrupt", "tensor-bound"])
+    assert code == 1
+    assert "FAIL tensor-bound" in out
+    assert "VACUOUS" not in out
+
+
 def test_missing_file_is_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", str(tmp_path / "nope.json")])
     assert code == 2

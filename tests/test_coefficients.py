@@ -7,7 +7,12 @@ vectors s of the LP max s.(Az), and for dims <= 5 all 2^n patterns are
 cheap to solve.
 """
 
+import gc
 import itertools
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from ergokit import (
     make_simplex,
     rank_one_projection,
 )
+from ergokit.coefficients import _SAMPLES, _unit_samples
 from ergokit.corpus import (
     block_fixture,
     build_corpus,
@@ -148,6 +154,90 @@ def test_kernel_vertices_are_kernel_unit_vectors(small_corpus):
         for v in V:
             assert s.norm(v) == pytest.approx(1.0, abs=1e-12)
             assert np.abs(np.asarray(inst.P.matrix) @ v).max() < 1e-10
+
+
+def test_kernel_vertices_are_shared_and_read_only(blocky):
+    V = kernel_ball_vertices(blocky.P)
+    assert V.flags.writeable is False
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
+    assert kernel_ball_vertices(blocky.P) is V
+    assert kernel_ball_vertices(blocky.P, blocky.T.space) is V
+
+
+def test_rank_one_projections_share_the_ker_f_entry(two_state):
+    s = two_state.P.space
+    V = kernel_ball_vertices(None, s)
+    assert kernel_ball_vertices(two_state.P) is V
+    other = rank_one_projection(s, np.array([0.5, 0.5]))
+    assert kernel_ball_vertices(other) is V
+
+
+def test_kernel_vertex_entries_die_with_their_key():
+    s = make_simplex(6)
+    P = block_projection(s, [[0, 1, 2], [3, 4, 5]])
+    by_P = weakref.ref(kernel_ball_vertices(P))
+    by_space = weakref.ref(kernel_ball_vertices(rank_one_projection(s, np.full(6, 1 / 6))))
+    gc.collect()
+    assert by_P() is not None and by_space() is not None
+    del P
+    gc.collect()
+    assert by_P() is None  # the space is still alive, the block entry is not
+    assert by_space() is not None
+    del s
+    gc.collect()
+    assert by_space() is None
+
+
+def test_kernel_vertex_cache_under_threads():
+    # all workers miss on the same projections at once; each must still get
+    # the one shared array, which an unlocked check-then-set would break
+    s = make_simplex(40)
+    projections = [block_projection(s, [list(range(k)), list(range(k, 40))])
+                   for k in range(10, 30, 4)]
+    workers = 8
+    barrier = threading.Barrier(workers, timeout=60)
+
+    def lookup_all(_):
+        barrier.wait()
+        return [(P, kernel_ball_vertices(P)) for P in projections]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(lookup_all, k) for k in range(workers)]
+            seen = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for lookups in seen:
+        for P, V in lookups:
+            assert V is kernel_ball_vertices(P)
+
+
+@pytest.mark.parametrize("space_kind", ["simplex", "embedded"])
+def test_lower_bound_same_with_warm_and_cleared_samples(space_kind, blocky, embedded):
+    inst = blocky if space_kind == "simplex" else embedded
+    s = inst.T.space
+    _SAMPLES.clear()
+    cold = coefficient_lower_bound(inst.T, inst.P, samples=5000, seed=9)
+    Z = _unit_samples(s, 9, 5000)
+    warm = coefficient_lower_bound(inst.T, inst.P, samples=5000, seed=9)
+    assert _unit_samples(s, 9, 5000) is Z  # the warm call reused the draw
+    assert Z.flags.writeable is False
+    assert warm.value == cold.value
+    assert np.array_equal(warm.witness, cold.witness)
+
+
+def test_sample_draw_is_released_with_its_space_or_the_next_draw():
+    s = make_simplex(5)
+    first = weakref.ref(_unit_samples(s, 1, 100))
+    second = weakref.ref(_unit_samples(s, 2, 100))
+    assert first() is None  # one draw is held at a time
+    del s
+    gc.collect()
+    assert second() is None
+    assert len(_SAMPLES) == 0
 
 
 def test_explicit_projection_enumeration_matches_block(rng):

@@ -88,6 +88,109 @@ def test_operator_norm_is_exact_on_column_sums(rng):
     assert operator_norm(A, s) == pytest.approx(np.abs(A).sum(axis=0).max())
 
 
+def loop_norm(x, space):
+    """The scalar closed-form base norm, written out independently."""
+    if space.is_lattice:
+        return float(np.abs(x).sum())
+    inner = np.abs(x[1:])
+    inner = inner.sum() if space.inner_ball == "l1" else inner.max()
+    return max(abs(float(x[0])), float(inner))
+
+
+def loop_operator_norm(matrix, space):
+    """The induced norm as a Python loop over every ball vertex."""
+    images = np.asarray(matrix, dtype=float) @ space.ball_vertices.T
+    return float(max(loop_norm(images[:, j], space) for j in range(images.shape[1])))
+
+
+def embedded_markov(m, inner_ball, rng):
+    """A Markov operator (alpha, x) -> (alpha, alpha c + A x) and its
+    rank-one projection: c and A each take at most half of the inner ball."""
+    s = make_embedded(m, inner_ball)
+    A = rng.standard_normal((m, m))
+    c = rng.standard_normal(m)
+    if inner_ball == "l1":
+        A *= 0.5 / np.abs(A).sum(axis=0).max()
+        c *= 0.5 / np.abs(c).sum()
+    else:
+        A *= 0.5 / np.abs(A).sum(axis=1).max()
+        c *= 0.5 / np.abs(c).max()
+    M = np.zeros((m + 1, m + 1))
+    M[0, 0] = 1.0
+    M[1:, 0] = c
+    M[1:, 1:] = A
+    y = np.linalg.solve(np.eye(m) - A, c)  # the fixed point (1, y) of T
+    return as_markov(M, s), rank_one_projection(s, np.concatenate([[1.0], y]))
+
+
+def simplex_markov(space, rng):
+    T = as_markov(random_stochastic(space.dim, rng), space)
+    return T, rank_one_projection(space, stationary_distribution(T.matrix))
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        lambda rng: simplex_markov(make_simplex(2), rng),
+        lambda rng: simplex_markov(make_simplex(9), rng),
+        lambda rng: simplex_markov(make_simplex(30), rng),
+        lambda rng: simplex_markov(tensor_space(make_simplex(3), make_simplex(4)), rng),
+        lambda rng: embedded_markov(20, "l1", rng),
+        lambda rng: embedded_markov(6, "linf", rng),
+        lambda rng: embedded_markov(12, "linf", rng),
+    ],
+    ids=["simplex-2", "simplex-9", "simplex-30", "tensor-3x4", "l1-20", "linf-6", "linf-12"],
+)
+def test_operator_norm_equals_ball_vertex_loop_bit_for_bit(make_case, rng):
+    for _ in range(3):
+        T, P = make_case(rng)
+        s = T.space
+        A, Pm = np.asarray(T.matrix), np.asarray(P.matrix)
+        U = as_markov(random_stochastic(s.dim, rng), s).matrix if s.is_lattice else A @ A
+        for M in (A, A - Pm, A @ Pm - Pm @ A, A @ A - Pm, A - U, rng.standard_normal(A.shape)):
+            assert operator_norm(M, s) == loop_operator_norm(M, s)
+
+
+def loop_violations(matrix, space, tol=1e-10):
+    """Markov validation as a loop of matrix-vector products, one per vertex."""
+    out = []
+    for i, v in enumerate(space.base_vertices):
+        image = matrix @ v
+        if space.is_lattice:
+            cone = max(0.0, -float(image.min()))
+        else:
+            inner = np.abs(image[1:])
+            inner = inner.sum() if space.inner_ball == "l1" else inner.max()
+            cone = max(0.0, float(inner) - float(image[0]))
+        f_defect = abs(float(np.dot(space.f_coefficients, image)) - 1.0)
+        if cone > tol or f_defect > tol:
+            out.append((i, cone, f_defect))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        lambda rng: simplex_markov(make_simplex(7), rng),
+        lambda rng: embedded_markov(5, "l1", rng),
+        lambda rng: embedded_markov(8, "linf", rng),
+    ],
+    ids=["simplex-7", "l1-5", "linf-8"],
+)
+def test_markov_violations_match_vertex_loop(make_case, rng):
+    for _ in range(3):
+        T, _ = make_case(rng)
+        s = T.space
+        A = np.asarray(T.matrix)
+        noise = rng.standard_normal(A.shape)
+        for M in (A, A + 1e-3 * noise, A * 1.01, noise, 3.0 * A - 2.0 * np.eye(s.dim)):
+            got = [(v.vertex_index, v.cone_defect, v.f_defect)
+                   for v in markov_violations(M, s)]
+            assert got == loop_violations(M, s)
+            if M is not A:
+                assert got  # every perturbed matrix escapes somewhere
+
+
 def test_power_matches_matrix_power(rng):
     s = make_simplex(3)
     T = as_markov(random_stochastic(3, rng), s)
