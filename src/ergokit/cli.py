@@ -377,6 +377,22 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+# lowest legal value of each integer flag; subcommands without a flag skip it
+FLAG_FLOORS = (
+    ("max_power", "--max-power", 1),
+    ("n0_cap", "--n0-cap", 1),
+    ("samples", "--samples", 1),
+    ("count", "--count", 0),
+)
+
+
+def _check_flag_ranges(args) -> None:
+    for dest, flag, low in FLAG_FLOORS:
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            raise ParseError(f"must be an integer >= {low}, got {value}", flag)
+
+
 def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
     if args.count == 0:
@@ -510,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flag_ranges(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -414,19 +414,12 @@ def coefficient_lower_bound(
     Z = _unit_samples(space, seed, max(1, samples))
 
     if space.is_lattice:
-        TD = np.ascontiguousarray(A @ D)
-        Dc = np.ascontiguousarray(D)
-        # the compiled kernel's typed memoryviews reject read-only buffers
-        Zc = Z if _backend.BACKEND == "python" else Z.copy()
-        best, idx = _backend.mc_max_ratio(TD, Dc, Zc, MC_DEN_FLOOR)
+        best, idx, ratios = _backend.mc_max_ratio(A @ D, D, Z, MC_DEN_FLOOR)
         if idx < 0:
             return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)
         best_z = D @ Z[idx]
         best_z /= np.abs(best_z).sum()
         if polish:
-            den = np.abs(Z @ Dc.T).sum(axis=1)
-            num = np.abs(Z @ TD.T).sum(axis=1)
-            ratios = np.where(den > MC_DEN_FLOOR, num / np.maximum(den, MC_DEN_FLOOR), -1.0)
             starts = np.argsort(ratios)[::-1][:polish_starts]
             E = _kernel_equalities(P, space)
             for k in starts:

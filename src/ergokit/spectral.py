@@ -259,6 +259,15 @@ def best_rate(T: MarkovOperator, P: MarkovProjection, tol: float = 1e-8) -> floa
         raise PreconditionError(
             "best_rate is only meaningful for uniformly ergodic instances"
         )
+    return report_rate(report, tol)
+
+
+def report_rate(report: SpectralReport, tol: float = 1e-8) -> float:
+    """The rate read off a spectral report of a uniformly ergodic instance.
+
+    The subdominant eigenvalue modulus of T and the spectral radius of
+    T - P must agree within tol; EigenSolverError reports a mismatch.
+    """
     a, b = report.subdominant_radius, report.residual_radius
     if abs(a - b) > tol:
         raise EigenSolverError(

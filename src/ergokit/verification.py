@@ -56,6 +56,7 @@ from .spectral import (
     classify,
     gelfand_trail,
     multiplicativity_test,
+    report_rate,
     spectrum_shift_check,
     tensor_rate_bound,
 )
@@ -408,7 +409,7 @@ def instance_theorems(
         out.append(("eigenvalue-bound", rep.ok, f"max excess {rep.max_excess:.2e}"))
     except ErgokitError as exc:
         out.append(("eigenvalue-bound", False, str(exc)))
-    verdict, _ = classify(T, P)
+    verdict, report = classify(T, P)
     out.append(
         (
             "classification-consistent",
@@ -434,7 +435,7 @@ def instance_theorems(
         )
     if verdict.uniform is True:
         try:
-            r = best_rate(T, P)
+            r = report_rate(report)
             out.append(("rate-identity", 0.0 <= r < 1.0, f"rate {r:.6g}"))
         except ErgokitError as exc:
             out.append(("rate-identity", False, str(exc)))

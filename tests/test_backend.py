@@ -1,45 +1,23 @@
-"""The compiled kernels and the numpy fallback must be interchangeable."""
-
-import os
+"""Contracts of the two NumPy kernels in ergokit._backend."""
 
 import numpy as np
 import pytest
 
-from ergokit import BACKEND
-from ergokit import _kernels_py
-
-compiled = pytest.importorskip(
-    "ergokit._kernels", reason="compiled extension not built"
-)
+from ergokit import BACKEND, _backend, coefficients, make_simplex
 
 
-@pytest.mark.skipif(
-    bool(os.environ.get("ERGOKIT_PURE")), reason="fallback forced via environment"
-)
-def test_backend_reports_compiled_when_extension_present():
-    assert BACKEND == "compiled"
-
-
-@pytest.mark.parametrize("n,m", [(2, 100), (5, 1000), (9, 500)])
-def test_mc_max_ratio_agrees(n, m, rng):
-    T = rng.dirichlet(np.ones(n), size=n).T
-    P = np.full((n, n), 1.0 / n)
-    K = np.eye(n) - P
-    Z = rng.standard_normal((m, n))
-    args = (np.ascontiguousarray(T @ K), np.ascontiguousarray(K), Z)
-    rp, ip = _kernels_py.mc_max_ratio(*args)
-    rc, ic = compiled.mc_max_ratio(*args)
-    assert ip == ic
-    assert rp == pytest.approx(rc, abs=1e-12)
+def test_backend_is_numpy():
+    assert BACKEND == "python"
 
 
 def test_mc_max_ratio_all_degenerate():
-    # every direction lands in the kernel's kernel: both backends must
-    # signal it with the (-1.0, -1) sentinel instead of dividing by zero
+    # every direction lands in the kernel's kernel: the kernel must signal
+    # it with the (-1.0, -1) sentinel instead of dividing by zero
     Z = np.zeros((4, 3))
     K = np.eye(3)
-    assert _kernels_py.mc_max_ratio(K, K, Z) == (-1.0, -1)
-    assert compiled.mc_max_ratio(K, K, Z) == (-1.0, -1)
+    best, idx, ratios = _backend.mc_max_ratio(K, K, Z)
+    assert (best, idx) == (-1.0, -1)
+    assert (ratios == -1.0).all()
 
 
 def test_mc_max_ratio_min_den_skips_small_rows():
@@ -47,41 +25,34 @@ def test_mc_max_ratio_min_den_skips_small_rows():
     TK = np.array([[2.0, 0.0], [0.0, 1.0]])
     K = np.eye(2)
     Z = np.array([[1e-6, 0.0], [0.0, 1.0]])
-    for fn in (_kernels_py.mc_max_ratio, compiled.mc_max_ratio):
-        assert fn(TK, K, Z) == (2.0, 0)
-        assert fn(TK, K, Z, 1e-4) == (1.0, 1)
-        assert fn(TK, K, Z, 10.0) == (-1.0, -1)
+    assert _backend.mc_max_ratio(TK, K, Z)[:2] == (2.0, 0)
+    best, idx, ratios = _backend.mc_max_ratio(TK, K, Z, 1e-4)
+    assert (best, idx) == (1.0, 1)
+    assert ratios.tolist() == [-1.0, 1.0]
+    assert _backend.mc_max_ratio(TK, K, Z, 10.0)[:2] == (-1.0, -1)
 
 
-@pytest.mark.parametrize("k,n", [(2, 3), (7, 4), (40, 6)])
-def test_max_pair_half_l1_agrees(k, n, rng):
-    R = rng.standard_normal((k, n))
-    vp, ip, jp = _kernels_py.max_pair_half_l1(R)
-    vc, ic, jc = compiled.max_pair_half_l1(np.ascontiguousarray(R))
-    assert (ip, jp) == (ic, jc)
-    assert vp == pytest.approx(vc, abs=1e-12)
+@pytest.mark.parametrize("n,m", [(2, 100), (5, 1000), (9, 500)])
+def test_mc_ratios_match_two_pass_reference(n, m, rng):
+    # the ratios the kernel returns, and the polish starts ranked from them,
+    # equal bit for bit the second pass the caller used to make after it
+    T = rng.dirichlet(np.ones(n), size=n).T
+    Z = rng.standard_normal((m, n))
+    Z /= np.abs(Z).sum(axis=1)[:, None]
+    D = coefficients._deflector(None, make_simplex(n))
+    TD = T @ D
+    floor = coefficients.MC_DEN_FLOOR
+    best, idx, ratios = _backend.mc_max_ratio(TD, D, Z, floor)
+
+    den = np.abs(Z @ D.T).sum(axis=1)
+    num = np.abs(Z @ TD.T).sum(axis=1)
+    reference = np.where(den > floor, num / np.maximum(den, floor), -1.0)
+    assert ratios.tobytes() == reference.tobytes()
+    assert (best, idx) == (float(reference.max()), int(np.argmax(reference)))
+    starts = np.argsort(ratios)[::-1][:4]
+    assert starts.tolist() == np.argsort(reference)[::-1][:4].tolist()
 
 
 def test_max_pair_half_l1_single_row():
-    R = np.ones((1, 4))
-    assert _kernels_py.max_pair_half_l1(R) == (0.0, -1, -1)
-    assert compiled.max_pair_half_l1(R) == (0.0, -1, -1)
+    assert _backend.max_pair_half_l1(np.ones((1, 4))) == (0.0, -1, -1)
 
-
-def test_pure_env_flag_selects_python(tmp_path):
-    # a fresh interpreter honours ERGOKIT_PURE=1 even with the extension built;
-    # it gets the directory this ergokit was imported from, so the test holds
-    # for a source checkout on PYTHONPATH as well as for an installed package
-    import subprocess
-    import sys
-
-    import ergokit
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ergokit.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", "from ergokit import BACKEND; print(BACKEND)"],
-        env={"ERGOKIT_PURE": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-        capture_output=True,
-        text=True,
-    )
-    assert out.stdout.strip() == "python"

@@ -201,6 +201,27 @@ def test_invalid_operator_is_validation_error(tmp_path, capsys):
     assert "validation error" in err
 
 
+# (flag, lowest legal value, leading argv without the value)
+FLAG_FLOORS = [
+    ("--max-power", 1, ["analyze"]),
+    ("--n0-cap", 1, ["doeblin"]),
+    ("--samples", 1, ["verify", "--count", "1", "--dims", "2"]),
+    ("--count", 0, ["verify"]),
+]
+
+
+@pytest.mark.parametrize("flag,low,argv", FLAG_FLOORS)
+def test_integer_flag_floor(flag, low, argv, tmp_path, capsys):
+    if argv[0] != "verify":
+        argv = argv + [write(tmp_path, "two.json", TWO_STATE)]
+    code, out, err = run(capsys, argv + [flag, str(low)])
+    assert (code, err) == (0, "")
+    assert out
+    code, out, err = run(capsys, argv + [flag, str(low - 1)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {flag}: must be an integer >= {low}")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

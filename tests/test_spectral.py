@@ -250,6 +250,25 @@ def test_best_rate_detects_route_mismatch():
     assert issubclass(EigenSolverError, Exception)
 
 
+def test_report_rate_raises_on_route_mismatch(two_state):
+    # best_rate and instance_theorems share this check; a report whose two
+    # radii disagree must raise with the message the rate-identity detail
+    # strings carry
+    from dataclasses import replace
+
+    from ergokit.spectral import report_rate
+
+    rep = spectral_report(two_state.T, two_state.P)
+    assert report_rate(rep) == rep.residual_radius
+    forged = replace(rep, subdominant_radius=0.5)
+    with pytest.raises(EigenSolverError) as exc:
+        report_rate(forged)
+    assert str(exc.value) == (
+        f"rate mismatch: subdominant modulus 0.5 vs residual radius "
+        f"{rep.residual_radius!r}"
+    )
+
+
 def test_spectral_report_counts_unit_eigenvalues(blocky):
     rep = spectral_report(blocky.T, blocky.P)
     # two diagonal blocks mean a double eigenvalue at 1 in T but not T - P
