@@ -146,7 +146,9 @@ def cmd_analyze(args) -> int:
     t_cert = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    theorems = instance_theorems(inst.operator, inst.projection, tol=args.tolerance)
+    theorems = instance_theorems(
+        inst.operator, inst.projection, verdict, spectral, tol=args.tolerance
+    )
     t_theorems = time.perf_counter() - t0
 
     if args.format == "structured":
@@ -468,19 +470,23 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a subcommand takes only the flags it reads; any other is a parse error
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="text for humans, structured for byte-deterministic JSON",
     )
-    common.add_argument("--tolerance", type=float, default=1e-9,
-                        help="tolerance for the theorem checks")
-    common.add_argument("--max-power", type=int, default=64, dest="max_power",
-                        help="power-trail length for classification")
-    common.add_argument("--n0-cap", type=int, default=200, dest="n0_cap",
-                        help="largest power searched for certificates")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampling fallbacks and corpus generation")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=1e-9,
+                           help="tolerance for the theorem checks")
+    max_power = argparse.ArgumentParser(add_help=False)
+    max_power.add_argument("--max-power", type=int, default=64, dest="max_power",
+                           help="power-trail length for classification")
+    n0_cap = argparse.ArgumentParser(add_help=False)
+    n0_cap.add_argument("--n0-cap", type=int, default=200, dest="n0_cap",
+                        help="largest power searched for certificates")
 
     parser = argparse.ArgumentParser(
         prog="ergokit",
@@ -490,19 +496,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, tolerance, max_power, n0_cap],
                        help="full report for one instance file")
     p.add_argument("path")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("doeblin", parents=[common],
+    p = sub.add_parser("doeblin", parents=[common, n0_cap],
                        help="search minorization and overlap certificates")
     p.add_argument("path")
     p.add_argument("--which", choices=("DP", "DPstar", "both"), default="both",
                    help="which certificate family to search")
     p.set_defaults(func=cmd_doeblin)
 
-    p = sub.add_parser("tensor", parents=[common],
+    p = sub.add_parser("tensor", parents=[common, tolerance],
                        help="product-chain rate bound for two instances")
     p.add_argument("path_s")
     p.add_argument("path_t")

@@ -27,12 +27,11 @@ from .errors import PreconditionError, UnsupportedSpaceError
 from .operators import (
     MarkovOperator,
     MarkovProjection,
-    commutes,
-    fixes_projection,
+    membership,
     rank_one_projection,
     sub_projection,
 )
-from .spectral import classify
+from .spectral import powers
 
 TAU_FLOOR = 1e-6
 CONE_SLACK = 1e-10
@@ -87,9 +86,8 @@ def _require_simplex(space) -> None:
 
 
 def _require_membership(T: MarkovOperator, P: MarkovProjection) -> None:
-    ok_f, fd = fixes_projection(T, P)
-    ok_c, cd = commutes(T, P)
-    if not (ok_f and ok_c):
+    ok, fd, cd = membership(T, P)
+    if not ok:
         raise PreconditionError(
             f"need TP=PT=P (defects: fix {fd:.2e}, commute {cd:.2e})"
         )
@@ -102,7 +100,7 @@ def _gap(tau: float, Qm: np.ndarray, Tn: np.ndarray) -> float:
 
 
 def _max_tau_given_power(
-    Tn: np.ndarray, T: MarkovOperator, P: MarkovProjection, Q: MarkovProjection, n0: int
+    Tn: np.ndarray, delta: float, Q: MarkovProjection, n0: int
 ) -> MinorizationOutcome:
     Qm = np.asarray(Q.matrix)
     # Vertex reduction: for fixed tau, x -> norm((tau Qx - T^n0 x)_+) is convex
@@ -123,7 +121,6 @@ def _max_tau_given_power(
             else:
                 hi = mid
         tau = lo
-    delta = ergodicity_coefficient(Tn, P, space=T.space).value
     if tau <= TAU_FLOOR:
         return MinorizationOutcome(False, tau, None, 1.0, delta, True)
     phi = np.maximum(tau * Qm - Tn, 0.0).T  # row i: corrector at vertex i
@@ -147,7 +144,8 @@ def max_minorization_weight(
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     Tn = np.linalg.matrix_power(np.asarray(T.matrix), n0)
-    return _max_tau_given_power(Tn, T, P, Q, n0)
+    delta = ergodicity_coefficient(Tn, P, space=T.space).value
+    return _max_tau_given_power(Tn, delta, Q, n0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +207,7 @@ def verify_certificate(
 
 
 def _overlap_given_power(
-    Tn: np.ndarray, T: MarkovOperator, P: MarkovProjection, Q: MarkovProjection, n0: int
+    Tn: np.ndarray, delta: float, Q: MarkovProjection, n0: int
 ) -> OverlapOutcome:
     Qm = np.asarray(Q.matrix)
     # The best common minorant of T^n0 x and Qx in the lattice is their
@@ -218,7 +216,6 @@ def _overlap_given_power(
     # vertex and scanning columns is exact.
     U = np.minimum(Tn, Qm)
     lam = float(U.sum(axis=0).min())
-    delta = ergodicity_coefficient(Tn, P, space=T.space).value
     implied = 2.0 * (1.0 - lam)
     if lam > 0.5 + CONE_SLACK:
         cert = DStarCertificate(lam, n0, Q, U.T)
@@ -241,7 +238,8 @@ def overlap_certificate(
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     Tn = np.linalg.matrix_power(np.asarray(T.matrix), n0)
-    return _overlap_given_power(Tn, T, P, Q, n0)
+    delta = ergodicity_coefficient(Tn, P, space=T.space).value
+    return _overlap_given_power(Tn, delta, Q, n0)
 
 
 def certificate_from_convergence(
@@ -253,24 +251,21 @@ def certificate_from_convergence(
     columns (x -> norm(T^n0 x - Px) is convex, so the vertex max bounds the
     sup over K) and absorbs the deviation into phi_x, the negative part of
     T^n0 x - Px.
+    Only membership TP = PT = P is checked up front: for a member, the stop
+    norm(T^n0 - P) <= 1/4 gives norm(T^(k n0) - P) <= 4^-k, so reaching it
+    witnesses uniform ergodicity.
     """
     _require_simplex(T.space)
-    verdict, _ = classify(T, P)
-    if verdict.uniform is not True:
-        raise PreconditionError(
-            "certificate_from_convergence needs a uniformly ergodic instance"
-        )
-    A = np.asarray(T.matrix)
+    _require_membership(T, P)
     Pm = np.asarray(P.matrix)
-    Tn = A.copy()
-    for n0 in range(1, n0_cap + 1):
+    for n0, Tn in powers(np.asarray(T.matrix), n0_cap):
         resid = Tn - Pm
         if float(np.abs(resid).sum(axis=0).max()) <= 0.25:
             phi = np.maximum(-resid, 0.0).T
             return DoeblinCertificate(1.0, n0, P, phi, float(phi.sum(axis=1).max()))
-        Tn = Tn @ A
     raise PreconditionError(
-        f"power norms did not reach 1/4 within n0_cap={n0_cap}; raise the cap"
+        f"power norms did not reach 1/4 within n0_cap={n0_cap}: the instance is "
+        "not uniformly ergodic, or mixes too slowly for this cap (raise the cap)"
     )
 
 
@@ -320,20 +315,17 @@ def search_certificates(
     for Q in Q_candidates:
         if not sub_projection(Q, P):
             raise PreconditionError("a Q candidate is not a sub-projection of P")
-    A = np.asarray(T.matrix)
     best_min: MinorizationOutcome | None = None
     best_over: OverlapOutcome | None = None
-    Tn = A.copy()
-    for n0 in range(1, n0_cap + 1):
+    for n0, Tn in powers(np.asarray(T.matrix), n0_cap):
+        delta = ergodicity_coefficient(Tn, P, space=T.space).value
         for Q in Q_candidates:
-            m = _max_tau_given_power(Tn, T, P, Q, n0)
+            m = _max_tau_given_power(Tn, delta, Q, n0)
             if m.feasible and (best_min is None or m.tau > best_min.tau):
                 best_min = m
-            o = _overlap_given_power(Tn, T, P, Q, n0)
+            o = _overlap_given_power(Tn, delta, Q, n0)
             if o.feasible and (best_over is None or o.overlap > best_over.overlap):
                 best_over = o
-        if n0 < n0_cap:
-            Tn = Tn @ A
     if best_min is None:
         diagnostic = (
             f"no minorization certificate up to n0_cap={n0_cap}; the instance "

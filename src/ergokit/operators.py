@@ -305,3 +305,10 @@ def fixes_projection(
     """Whether TP = P, with the exact defect norm."""
     defect = operator_norm(T.matrix @ P.matrix - P.matrix, T.space)
     return defect <= tol, defect
+
+
+def membership(T: MarkovOperator, P: MarkovProjection) -> tuple[bool, float, float]:
+    """Whether TP = PT = P, with the defect norms ||TP - P|| and ||TP - PT||."""
+    ok_f, fix_defect = fixes_projection(T, P)
+    ok_c, commute_defect = commutes(T, P)
+    return ok_f and ok_c, fix_defect, commute_defect

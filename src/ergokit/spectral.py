@@ -25,10 +25,12 @@ from .errors import EigenSolverError, PreconditionError
 from .operators import (
     MarkovOperator,
     MarkovProjection,
+    VALIDATION_TOL,
     commutes,
     fixes_projection,
     kronecker,
     kronecker_projection,
+    membership,
     operator_norm,
 )
 
@@ -48,6 +50,41 @@ def eigenvalues(matrix) -> np.ndarray:
 def spectral_radius(matrix) -> float:
     e = eigenvalues(matrix)
     return float(np.abs(e).max()) if e.size else 0.0
+
+
+def powers(A: np.ndarray, N: int):
+    """Yield (n, A^n) for n = 1..N, each power the product A^(n-1) @ A.
+
+    The step-by-step power loops read this one scan, so all see the same
+    floats; a consumer that breaks off builds nothing past its last power.
+    """
+    Tn = A.copy()
+    for n in range(1, N + 1):
+        yield n, Tn
+        if n < N:
+            Tn = Tn @ A
+
+
+def _scaled_power_logs(E: np.ndarray, scale, N: int):
+    """Yield log scale(E^n) for n = 1..N, or None from the first zero power on.
+
+    The powers are normalized products E (E^(n-1) / s) with the positive
+    homogeneous scale s carried in logs, so magnitudes far below the float
+    resolution of the raw powers stay accurate.
+    """
+    Y = E.copy()
+    log_scale = 0.0
+    for n in range(1, N + 1):
+        s = scale(Y)
+        if s <= 0.0:
+            # nilpotent restriction: every later power is exactly zero too
+            for _ in range(n, N + 1):
+                yield None
+            return
+        yield log_scale + math.log(s)
+        if n < N:
+            Y = E @ (Y / s)
+            log_scale += math.log(s)
 
 
 @dataclass(frozen=True)
@@ -128,8 +165,7 @@ def classify(
     converged_n = None
     geometric_n = None
     dip_n = None
-    Tn = A.copy()
-    for n in range(1, max_power + 1):
+    for n, Tn in powers(A, max_power):
         nrm = operator_norm(Tn - Pm, space)
         norms.append(nrm)
         if converged_n is None and nrm <= tolerance:
@@ -141,8 +177,6 @@ def classify(
                 dip_n = n
         if converged_n is not None and (dip_n is not None or identity_P or not fixes_ok):
             break
-        if n < max_power:
-            Tn = Tn @ A
 
     need_extension = member and converged_n is None and (
         geometric_n is None or (dip_n is None and not identity_P)
@@ -293,33 +327,15 @@ def gelfand_trail(T: MarkovOperator, P: MarkovProjection, N: int = 30) -> Gelfan
     Membership TP = PT = P makes the normalized product equal T^n - P, so
     it is also the precondition here.
     """
-    ok_f, fd = fixes_projection(T, P)
-    ok_c, cd = commutes(T, P)
-    if not (ok_f and ok_c):
+    ok, fd, cd = membership(T, P)
+    if not ok:
         raise PreconditionError(
             f"gelfand_trail needs TP=P and PT=TP (defects {fd:.2e}, {cd:.2e})"
         )
-    A = np.asarray(T.matrix)
-    E = A - np.asarray(P.matrix)
+    E = np.asarray(T.matrix) - np.asarray(P.matrix)
     r = spectral_radius(E)
-    vals = []
-    Y = E.copy()
-    log_scale = 0.0
-    dead = False
-    for n in range(1, N + 1):
-        if dead:
-            vals.append(0.0)
-            continue
-        d = ergodicity_coefficient(Y, P, space=T.space).value
-        if d <= 0.0:
-            # nilpotent restriction: every later power is exactly zero too
-            vals.append(0.0)
-            dead = True
-            continue
-        vals.append(math.exp((log_scale + math.log(d)) / n))
-        if n < N:
-            Y = E @ (Y / d)
-            log_scale += math.log(d)
+    logs = _scaled_power_logs(E, lambda Y: ergodicity_coefficient(Y, P, space=T.space).value, N)
+    vals = [math.exp(v / n) if v is not None else 0.0 for n, v in enumerate(logs, start=1)]
     return GelfandTrail(tuple(vals), r, all(v >= r - 1e-9 for v in vals))
 
 
@@ -344,8 +360,7 @@ def spectrum_shift_check(
     coincide as multisets; matching is a min-cost assignment on pairwise
     distances in the complex plane, judged by the largest matched distance.
     """
-    _, fd = fixes_projection(T, P)
-    _, cd = commutes(T, P)
+    _, fd, cd = membership(T, P)
     a = eigenvalues(T.matrix)
     b = eigenvalues(np.asarray(T.matrix) - np.asarray(P.matrix))
 
@@ -390,16 +405,11 @@ def multiplicativity_test(
     reports whether they match, which the theory says they must.
     """
     A = np.asarray(T.matrix)
-    d1 = ergodicity_coefficient(T, P).value
+    ds = [ergodicity_coefficient(Tn, P, space=T.space).value for _, Tn in powers(A, N)]
+    d1 = ds[0]
     r = spectral_radius(A - np.asarray(P.matrix))
     left = abs(d1 - r) <= tol
-    worst = 0.0
-    Tn = A.copy()
-    for n in range(1, N + 1):
-        dn = ergodicity_coefficient(Tn, P, space=T.space).value
-        worst = max(worst, abs(dn - d1**n))
-        if n < N:
-            Tn = Tn @ A
+    worst = max(abs(dn - d1**n) for n, dn in enumerate(ds, start=1))
     right = worst <= tol
     return MultiplicativityReport(d1, r, left, right, left == right, worst)
 
@@ -425,25 +435,25 @@ def tensor_rate_bound(
     Requires both factors uniformly ergodic; the proof's annihilation
     identities ((S-Q)Q = Q(S-Q) = 0 and likewise for T, P) are rechecked
     here since they are exactly the membership conditions SQ=QS=Q and
-    TP=PT=P.
+    TP=PT=P.  Each factor's defects and rate come from its classification.
     """
+    rates = []
     for op, proj, tag in ((S, Q, "left"), (T, P, "right")):
-        verdict, _ = classify(op, proj)
+        verdict, report = classify(op, proj)
         if verdict.uniform is not True:
             raise PreconditionError(f"{tag} factor is not uniformly ergodic")
-        ok_f, fd = fixes_projection(op, proj)
-        ok_c, cd = commutes(op, proj)
+        fd, cd = verdict.fixes_defect, verdict.commute_defect
         rev = operator_norm(
             np.asarray(proj.matrix) @ np.asarray(op.matrix) - np.asarray(proj.matrix),
             op.space,
         )
-        if not (ok_f and ok_c) or rev > 1e-10:
+        if not (fd <= VALIDATION_TOL and cd <= VALIDATION_TOL) or rev > VALIDATION_TOL:
             raise PreconditionError(
                 f"{tag} factor breaks the annihilation identities "
                 f"(defects {fd:.2e}, {cd:.2e}, {rev:.2e})"
             )
-    rS = spectral_radius(np.asarray(S.matrix) - np.asarray(Q.matrix))
-    rT = spectral_radius(np.asarray(T.matrix) - np.asarray(P.matrix))
+        rates.append(report.residual_radius)
+    rS, rT = rates
     big = kronecker(S, T)
     bigP = kronecker_projection(Q, P)
     lhs = spectral_radius(np.asarray(big.matrix) - np.asarray(bigP.matrix))
@@ -463,40 +473,20 @@ def rate_profile(T: MarkovOperator, P: MarkovProjection, N: int = 40) -> RatePro
     """Empirical power-norm decay against the spectral rate prediction.
 
     Members (TP = PT = P) get their power norms from normalized products
-    of T - P with the scale tracked in logs, so magnitudes far below float
-    resolution of the raw powers stay accurate; non-members fall back to
-    direct powers of T since the product identity is unavailable.
+    of T - P with the scale tracked in logs (``_scaled_power_logs``);
+    non-members fall back to direct powers of T since the product identity
+    is unavailable.
     """
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
     E = A - Pm
     r = spectral_radius(E)
-    member = fixes_projection(T, P)[0] and commutes(T, P)[0]
-    log_norms: list[float | None] = []  # None encodes an exactly zero power
-    if member:
-        Y = E.copy()
-        log_scale = 0.0
-        dead = False
-        for n in range(1, N + 1):
-            if dead:
-                log_norms.append(None)
-                continue
-            m = operator_norm(Y, T.space)
-            if m <= 0.0:
-                log_norms.append(None)
-                dead = True
-                continue
-            log_norms.append(log_scale + math.log(m))
-            if n < N:
-                Y = E @ (Y / m)
-                log_scale += math.log(m)
+    # None encodes an exactly zero power
+    if membership(T, P)[0]:
+        log_norms = list(_scaled_power_logs(E, lambda Y: operator_norm(Y, T.space), N))
     else:
-        Tn = A.copy()
-        for n in range(1, N + 1):
-            m = operator_norm(Tn - Pm, T.space)
-            log_norms.append(math.log(m) if m > 0 else None)
-            if n < N:
-                Tn = Tn @ A
+        direct = (operator_norm(Tn - Pm, T.space) for _, Tn in powers(A, N))
+        log_norms = [math.log(m) if m > 0 else None for m in direct]
     norms = tuple(math.exp(v) if v is not None else 0.0 for v in log_norms)
     alphas = tuple(
         math.exp(v / n) - r if v is not None else -r

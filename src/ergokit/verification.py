@@ -44,18 +44,20 @@ from .errors import ErgokitError
 from .operators import (
     MarkovOperator,
     MarkovProjection,
-    commutes,
-    fixes_projection,
     markov_violations,
+    membership,
     operator_norm,
     rank_one_projection,
 )
 from .spaces import make_simplex
 from .spectral import (
+    ErgodicityVerdict,
+    SpectralReport,
     best_rate,
     classify,
     gelfand_trail,
     multiplicativity_test,
+    powers,
     report_rate,
     spectrum_shift_check,
     tensor_rate_bound,
@@ -112,9 +114,8 @@ def _validated(inst: Instance) -> str | None:
 
 
 def _membership(inst: Instance) -> str | None:
-    ok_f, fd = fixes_projection(inst.T, inst.P)
-    ok_c, cd = commutes(inst.T, inst.P)
-    if not (ok_f and ok_c):
+    ok, fd, cd = membership(inst.T, inst.P)
+    if not ok:
         return f"{inst.label}: membership defects fix={fd:.2e} commute={cd:.2e}"
     return None
 
@@ -281,18 +282,15 @@ def _check_power_norm_chain(instances, ctx) -> CheckResult:
         if bad:
             fails.append(bad)
             continue
-        A = np.asarray(inst.T.matrix)
         Pm = np.asarray(inst.P.matrix)
         eye = np.eye(inst.T.space.dim)
-        Tn = A.copy()
-        for n in range(1, 16):
+        for n, Tn in powers(np.asarray(inst.T.matrix), 15):
             gap = operator_norm(Tn @ (eye - Pm), inst.T.space)
             delta = ergodicity_coefficient(Tn, inst.P, space=inst.T.space).value
             resid = operator_norm(Tn - Pm, inst.T.space)
             if gap > 2 * delta + ctx.tol or delta > resid + ctx.tol:
                 fails.append(f"{inst.label}: chain broken at n={n}")
                 break
-            Tn = Tn @ A
     return _result("power-norm-chain", fails, len(instances))
 
 
@@ -388,10 +386,12 @@ def _check_certificate_audit(instances, ctx) -> CheckResult:
 
 
 def instance_theorems(
-    T: MarkovOperator, P: MarkovProjection, tol: float = 1e-9
+    T: MarkovOperator, P: MarkovProjection, verdict: ErgodicityVerdict,
+    report: SpectralReport, tol: float = 1e-9,
 ) -> list[tuple[str, bool, str]]:
     """Per-instance theorem scoreboard for analysis reports.
 
+    Scores the caller's ``classify(T, P)`` result, the one its report prints.
     Expectation-free: the classification entry judges internal clause
     agreement, not a generator promise, so it applies to arbitrary input.
     """
@@ -409,7 +409,6 @@ def instance_theorems(
         out.append(("eigenvalue-bound", rep.ok, f"max excess {rep.max_excess:.2e}"))
     except ErgokitError as exc:
         out.append(("eigenvalue-bound", False, str(exc)))
-    verdict, report = classify(T, P)
     out.append(
         (
             "classification-consistent",
@@ -417,9 +416,7 @@ def instance_theorems(
             f"clauses {[c.holds for c in verdict.clauses]}",
         )
     )
-    ok_f, _ = fixes_projection(T, P)
-    ok_c, _ = commutes(T, P)
-    if ok_f and ok_c:
+    if membership(T, P)[0]:
         srep = spectrum_shift_check(T, P)
         out.append(
             ("spectrum-shift", srep.ok, f"match distance {srep.max_match_distance:.2e}")

@@ -222,6 +222,47 @@ def test_integer_flag_floor(flag, low, argv, tmp_path, capsys):
     assert err.startswith(f"parse error: {flag}: must be an integer >= {low}")
 
 
+# (subcommand argv, one flag the subcommand does not read)
+IGNORED_FLAGS = [
+    (["tensor", "a.json", "b.json"], ["--max-power", "3"]),
+    (["doeblin", "a.json"], ["--tolerance", "0.5"]),
+    (["verify", "--count", "0"], ["--n0-cap", "5"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag", IGNORED_FLAGS, ids=lambda v: v[0])
+def test_subcommand_rejects_flags_it_does_not_read(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + flag)
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in cap.err
+
+
+def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
+    import sys
+
+    from ergokit import spectral
+
+    real = spectral.classify
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # rebind every copy the package holds, as a from-import makes one per module
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ergokit" and getattr(mod, "classify", None) is real:
+            monkeypatch.setattr(mod, "classify", counted)
+    p = write(tmp_path, "two.json", TWO_STATE)
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    assert json.loads(out)["certificate"]["audit_ok"] is True
+    assert len(calls) == 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -181,3 +181,39 @@ def test_n0_must_be_positive(two_state):
         max_minorization_weight(two_state.T, two_state.P, two_state.P, 0)
     with pytest.raises(ValueError):
         overlap_certificate(two_state.T, two_state.P, two_state.P, -2)
+
+
+def test_convergence_constructor_refuses_nonmember():
+    s = make_simplex(2)
+    from ergokit import as_markov
+
+    T = as_markov(np.array([[0.0, 1.0], [1.0, 0.0]]), s)
+    P = rank_one_projection(s, np.array([0.3, 0.7]))
+    with pytest.raises(PreconditionError, match="need TP=PT=P"):
+        certificate_from_convergence(T, P)
+
+
+def test_convergence_constructor_names_both_causes_at_the_cap():
+    perm = permutation_instance(3)
+    with pytest.raises(PreconditionError) as exc:
+        certificate_from_convergence(perm.T, perm.P, n0_cap=7)
+    msg = str(exc.value)
+    assert "n0_cap=7" in msg
+    assert "not uniformly ergodic" in msg and "mixes too slowly" in msg
+
+
+def test_search_computes_the_coefficient_once_per_power(blocky, monkeypatch):
+    from ergokit import doeblin
+
+    calls = []
+    real = doeblin.ergodicity_coefficient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(doeblin, "ergodicity_coefficient", counted)
+    cands = default_q_candidates(blocky.P)
+    assert len(cands) == 3
+    search_certificates(blocky.T, blocky.P, n0_cap=7, Q_candidates=cands)
+    assert len(calls) == 7

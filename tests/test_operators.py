@@ -260,6 +260,20 @@ def test_membership_checks(two_state):
     assert fd < 1e-12 and cd < 1e-12
 
 
+def test_membership_combines_both_tests(two_state):
+    from ergokit.operators import membership
+
+    assert membership(two_state.T, two_state.P) == (
+        True,
+        fixes_projection(two_state.T, two_state.P)[1],
+        commutes(two_state.T, two_state.P)[1],
+    )
+    s = make_simplex(2)
+    T = as_markov(np.array([[0.0, 1.0], [1.0, 0.0]]), s)
+    ok, fd, cd = membership(T, rank_one_projection(s, np.array([0.3, 0.7])))
+    assert not ok and fd > 0.1 and cd > 0.1
+
+
 def test_membership_defects_reported():
     s = make_simplex(2)
     T = as_markov(np.array([[0.0, 1.0], [1.0, 0.0]]), s)  # period-2 swap

@@ -275,3 +275,55 @@ def test_spectral_report_counts_unit_eigenvalues(blocky):
     unit = [z for z in rep.eigenvalues if abs(z - 1.0) < 1e-9]
     assert len(unit) == 2
     assert rep.residual_radius == pytest.approx(0.8, abs=1e-12)
+
+
+def test_powers_equal_the_product_loop_bit_for_bit(blocky):
+    from ergokit.spectral import powers
+
+    A = np.asarray(blocky.T.matrix)
+    expect = []
+    Tn = A.copy()
+    for _ in range(12):
+        expect.append(Tn)
+        Tn = Tn @ A
+    got = list(powers(A, 12))
+    assert [n for n, _ in got] == list(range(1, 13))
+    for (_, Tn), ref in zip(got, expect):
+        assert Tn.tobytes() == ref.tobytes()
+    assert list(powers(A, 0)) == []
+
+
+class _CountingMatrix(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return super().__matmul__(other)
+
+
+def test_powers_build_nothing_past_the_consumer(two_state):
+    from ergokit.spectral import powers
+
+    A = np.asarray(two_state.T.matrix).copy().view(_CountingMatrix)
+    _CountingMatrix.products = 0
+    for n, _ in powers(A, 50):
+        if n == 3:
+            break
+    assert _CountingMatrix.products == 2
+    _CountingMatrix.products = 0
+    assert len(list(powers(A, 5))) == 5
+    assert _CountingMatrix.products == 4  # none after the last power
+
+
+def test_nilpotent_trail_reads_exact_zeros(two_state):
+    # T = P makes T - P the zero matrix: every power norm and every root
+    # coefficient is exactly 0, not a log of 0
+    P = two_state.P
+    T = as_markov(np.asarray(P.matrix), P.space)
+    prof = rate_profile(T, P, N=6)
+    assert prof.norms == (0.0,) * 6
+    assert prof.rate == 0.0
+    assert prof.fitted_C == 0.0
+    trail = gelfand_trail(T, P, N=6)
+    assert trail.values == (0.0,) * 6
+    assert trail.all_above

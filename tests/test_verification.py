@@ -18,7 +18,7 @@ def test_unknown_corruption_target_rejected():
         run_verification(count=1, dims=(2,), corrupt="no-such-check")
 
 
-@pytest.mark.parametrize("name", ["mc-lower-bound", "certificate-audit"])
+@pytest.mark.parametrize("name", CHECK_NAMES)
 def test_corruption_fails_exactly_the_named_check(name):
     results = run_verification(count=1, dims=(2, 3), samples=2000, corrupt=name)
     broken = [r.name for r in results if r.failed]
