@@ -217,19 +217,24 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
 
 def _admissible_pair_groups(P: MarkovProjection | None, space: StateSpace):
     k = len(space.base_vertices)
-    if P is None or P.variant == "rank_one" or (
-        P.variant == "explicit" and not space.is_lattice and _rank_one_embedded(P)
-    ):
+    if P is None or P.variant == "rank_one":
         return [list(range(k))]
     if P.variant == "block":
         return [list(b) for b in P.blocks]
-    # explicit: test each pair for membership of the difference in ker P
-    groups = []
+    # explicit: test each pair for membership of the difference in ker P;
+    # unless those differences span ker P, their maximum is only a lower bound
+    groups, diffs = [], []
     for i in range(k):
         for j in range(i + 1, k):
-            d = P.matrix @ (space.base_vertices[i] - space.base_vertices[j])
-            if np.abs(d).max() <= KERNEL_TOL:
+            diff = space.base_vertices[i] - space.base_vertices[j]
+            if np.abs(P.matrix @ diff).max() <= KERNEL_TOL:
                 groups.append([i, j])
+                diffs.append(diff)
+    spanned = np.linalg.matrix_rank(np.array(diffs)) if diffs else 0
+    if spanned != space.dim - P.rank():
+        raise UnsupportedSpaceError(
+            f"pair differences span {spanned} of {space.dim - P.rank()} kernel dimensions"
+        )
     return groups
 
 
@@ -272,7 +277,7 @@ def ergodicity_coefficient(
     T may be a MarkovOperator or a raw matrix (the functional extends to
     arbitrary operators, which property checks on differences need).
     method: "auto" (exact when possible, Monte-Carlo bracket otherwise),
-    "vertices", "pairs", or "mc".  P = identity returns 1 by convention.
+    "vertices", or "pairs".  P = identity returns 1 by convention.
     """
     A, space = _resolve(T, P, space)
     if P is not None and P.is_identity():
@@ -280,8 +285,6 @@ def ergodicity_coefficient(
 
     if method == "pairs":
         return _pair_route(A, P, space)
-    if method == "mc":
-        return _mc_bracket(A, P, space, samples, seed)
     if method not in ("auto", "vertices"):
         raise ValueError(f"unknown method {method!r}")
     try:
@@ -289,7 +292,10 @@ def ergodicity_coefficient(
     except (DimensionTooLargeError, UnsupportedSpaceError):
         if method == "vertices":
             raise
-        return _mc_bracket(A, P, space, samples, seed)
+        # a bracket: ker P lies in ker f, so the classical coefficient bounds it
+        lower = coefficient_lower_bound(A, P, space=space, samples=samples, seed=seed)
+        upper = ergodicity_coefficient(A, None, space=space).value
+        return CoefficientResult(lower.value, lower.method, lower.witness, False, upper)
     return _exact_from_vertices(A, V, space, "kernel-vertex-enumeration")
 
 
@@ -307,7 +313,7 @@ def _kernel_equalities(P: MarkovProjection | None, space: StateSpace) -> np.ndar
     )
 
 
-def _lp_polish(A, E, D, z0, n_iter: int = 30):
+def _lp_polish(A, E, D, z0):
     """Sign-relinearized ascent of z -> l1(A z) over {E z = 0, l1(z) <= 1}.
 
     Each LP maximizes s.(A z) for the current sign pattern s; the previous
@@ -325,7 +331,7 @@ def _lp_polish(A, E, D, z0, n_iter: int = 30):
     A_eq = np.hstack([E, -E])
     b_eq = np.zeros(E.shape[0])
     A_ub = np.ones((1, 2 * n))
-    for _ in range(n_iter):
+    for _ in range(30):
         s = np.sign(A @ best_z)
         s[s == 0] = 1.0
         c = -np.concatenate([A.T @ s, -(A.T @ s)])
@@ -341,22 +347,6 @@ def _lp_polish(A, E, D, z0, n_iter: int = 30):
             break
         best_val, best_z = val, z / nz
     return best_val, best_z
-
-
-def _mc_bracket(A, P, space, samples, seed) -> CoefficientResult:
-    lower = coefficient_lower_bound(
-        A, P, space=space, samples=samples, seed=seed
-    )
-    if P is None:
-        return lower
-    upper = ergodicity_coefficient(A, None, space=space)
-    return CoefficientResult(
-        lower.value,
-        "monte-carlo-lower-bound",
-        lower.witness,
-        False,
-        upper.value,
-    )
 
 
 # the last sample draw, weakly keyed on the space it was drawn for: at most
@@ -397,8 +387,6 @@ def coefficient_lower_bound(
     space: StateSpace | None = None,
     samples: int = 100_000,
     seed: int = 0,
-    polish: bool = True,
-    polish_starts: int = 4,
 ) -> CoefficientResult:
     """Monte-Carlo lower bound for the coefficient, independent of enumeration.
 
@@ -419,13 +407,11 @@ def coefficient_lower_bound(
             return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)
         best_z = D @ Z[idx]
         best_z /= np.abs(best_z).sum()
-        if polish:
-            starts = np.argsort(ratios)[::-1][:polish_starts]
-            E = _kernel_equalities(P, space)
-            for k in starts:
-                val, z = _lp_polish(A, E, D, D @ Z[k])
-                if val > best:
-                    best, best_z = val, z
+        E = _kernel_equalities(P, space)
+        for k in np.argsort(ratios)[::-1][:4]:  # the top four draws seed an ascent each
+            val, z = _lp_polish(A, E, D, D @ Z[k])
+            if val > best:
+                best, best_z = val, z
     else:
         W = Z @ D.T
         num = space.norm_rows(W @ A.T)
@@ -480,7 +466,7 @@ def coefficient_inequalities(
     H = np.asarray(H, dtype=float)
 
     dT = ergodicity_coefficient(T, P).value
-    dS = ergodicity_coefficient(S, P).value
+    dS = dT if S is T else ergodicity_coefficient(S, P).value
     out = []
 
     out.append(

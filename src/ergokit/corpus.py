@@ -179,13 +179,13 @@ def build_corpus(
     seed: int = 0,
     dims=(2, 3, 4, 5, 6),
     chains_per_dim: int = 3,
-    include_negatives: bool = True,
 ) -> list[Instance]:
     """The standard verification corpus; deterministic in the seed.
 
     Per dimension the generator cycles through reversible rank-one,
     block-projected, and generic non-reversible chains so both structured
-    projection families and complex spectra all stay covered.
+    projection families and complex spectra all stay covered; two
+    permutation and two reducible chains close it as non-ergodic cases.
     """
     rng = np.random.default_rng(seed)
     out: list[Instance] = []
@@ -200,12 +200,11 @@ def build_corpus(
                 out.append(dirichlet_instance(d, rng, f"dirichlet-{d}-{c}"))
             else:
                 out.append(rank_one_instance(d, rng, f"mh-{d}-{c}"))
-    if include_negatives:
-        out.append(permutation_instance(min(dims)))
-        out.append(permutation_instance(max(dims)))
-        rngn = np.random.default_rng(seed + 1)
-        out.append(reducible_instance([2, 2], rngn, "reducible-2+2"))
-        out.append(reducible_instance([2, 3], rngn, "reducible-2+3"))
+    out.append(permutation_instance(min(dims)))
+    out.append(permutation_instance(max(dims)))
+    rngn = np.random.default_rng(seed + 1)
+    out.append(reducible_instance([2, 2], rngn, "reducible-2+2"))
+    out.append(reducible_instance([2, 3], rngn, "reducible-2+3"))
     return out
 
 

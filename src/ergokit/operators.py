@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import StateSpace, same_space, tensor_space
+from .spaces import StateSpace, _frozen, same_space, tensor_space
 
 VALIDATION_TOL = 1e-10
 
@@ -92,9 +92,7 @@ def validate_markov(
     bad = markov_violations(matrix, space, tol)
     if bad:
         return ViolationReport(tuple(bad))
-    m = np.ascontiguousarray(matrix, dtype=float).copy()
-    m.flags.writeable = False
-    return MarkovOperator(m, space)
+    return MarkovOperator(_frozen(matrix), space)
 
 
 def as_markov(matrix: np.ndarray, space: StateSpace) -> MarkovOperator:
@@ -223,12 +221,6 @@ def explicit_projection(
         raise ValueError("projection matrix has the wrong shape")
     _check_projection(matrix, space, max(tol, 1e-9))
     return MarkovProjection(_frozen(matrix), space, "explicit")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float).copy()
-    a.flags.writeable = False
-    return a
 
 
 def power(T: MarkovOperator, n: int) -> MarkovOperator:

@@ -39,7 +39,8 @@ _LATTICE_KINDS = (SIMPLEX, TENSOR)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only contiguous float copy; the caller's array stays writable."""
+    a = np.ascontiguousarray(a, dtype=float).copy()
     a.flags.writeable = False
     return a
 

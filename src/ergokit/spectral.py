@@ -115,6 +115,11 @@ class ErgodicityVerdict:
     fixes_defect: float  # norm of TP - P
     commute_defect: float  # norm of TP - PT
 
+    @property
+    def member(self) -> bool:
+        """TP = PT = P, read off the two defects as ``membership`` decides it."""
+        return self.fixes_defect <= VALIDATION_TOL and self.commute_defect <= VALIDATION_TOL
+
 
 def spectral_report(T: MarkovOperator, P: MarkovProjection) -> SpectralReport:
     A = np.asarray(T.matrix)
@@ -312,20 +317,35 @@ def report_rate(report: SpectralReport, tol: float = 1e-8) -> float:
 
 @dataclass(frozen=True)
 class GelfandTrail:
-    values: tuple         # delta_P(T^n)^(1/n) for n = 1..N
+    """The one trail of d_n = delta_P(T^n): Gelfand reads its roots,
+    multiplicativity reads d_n against d_1^n."""
+
+    coefficients: tuple   # d_n = delta_P(T^n) for n = 1..N
+    values: tuple         # d_n^(1/n) for n = 1..N
     residual_radius: float
-    all_above: bool       # every term >= r - 1e-9 (r is also the infimum)
+    all_above: bool       # every root >= r - 1e-9 (r is also the infimum)
+
+    def multiplicativity(self, N: int | None = None, tol: float = 1e-8) -> MultiplicativityReport:
+        """d_n = d_1^n for n <= N (default: all) iff d_1 = r(T - P); both
+        sides are read independently, and ``agree`` says whether they match."""
+        ds = self.coefficients[:N]
+        d1, r = ds[0], self.residual_radius
+        left = abs(d1 - r) <= tol
+        worst = max(abs(dn - d1**n) for n, dn in enumerate(ds, start=1))
+        right = worst <= tol
+        return MultiplicativityReport(d1, r, left, right, left == right, worst)
 
 
 def gelfand_trail(T: MarkovOperator, P: MarkovProjection, N: int = 30) -> GelfandTrail:
-    """Root-coefficient trail delta_P(T^n)^(1/n), which decreases to r(T-P).
+    """The trail d_n = delta_P(T^n), n = 1..N, whose roots decrease to r(T-P).
 
     The powers are accumulated as normalized products of T - P with the
     scale carried in logs: raw powers of a fast-mixing chain reach their
     float fixed point (all columns bitwise equal) long before n = 30, and
     the trail would then read an exact 0 far above the true magnitude.
-    Membership TP = PT = P makes the normalized product equal T^n - P, so
-    it is also the precondition here.
+    Membership TP = PT = P makes the normalized product equal T^n - P,
+    which agrees with T^n on ker P, so it is also the precondition here
+    (PreconditionError otherwise).
     """
     ok, fd, cd = membership(T, P)
     if not ok:
@@ -334,9 +354,12 @@ def gelfand_trail(T: MarkovOperator, P: MarkovProjection, N: int = 30) -> Gelfan
         )
     E = np.asarray(T.matrix) - np.asarray(P.matrix)
     r = spectral_radius(E)
-    logs = _scaled_power_logs(E, lambda Y: ergodicity_coefficient(Y, P, space=T.space).value, N)
-    vals = [math.exp(v / n) if v is not None else 0.0 for n, v in enumerate(logs, start=1)]
-    return GelfandTrail(tuple(vals), r, all(v >= r - 1e-9 for v in vals))
+    logs = list(
+        _scaled_power_logs(E, lambda Y: ergodicity_coefficient(Y, P, space=T.space).value, N)
+    )
+    ds = tuple(math.exp(v) if v is not None else 0.0 for v in logs)
+    vals = tuple(math.exp(v / n) if v is not None else 0.0 for n, v in enumerate(logs, start=1))
+    return GelfandTrail(ds, vals, r, all(v >= r - 1e-9 for v in vals))
 
 
 @dataclass(frozen=True)
@@ -401,17 +424,10 @@ def multiplicativity_test(
 ) -> MultiplicativityReport:
     """The coefficient powers multiply exactly iff the coefficient equals r(T-P).
 
-    Both sides of that equivalence are evaluated independently; ``agree``
-    reports whether they match, which the theory says they must.
+    Reads ``gelfand_trail(T, P, N)``, so it needs TP = PT = P and raises
+    PreconditionError otherwise; see ``GelfandTrail.multiplicativity``.
     """
-    A = np.asarray(T.matrix)
-    ds = [ergodicity_coefficient(Tn, P, space=T.space).value for _, Tn in powers(A, N)]
-    d1 = ds[0]
-    r = spectral_radius(A - np.asarray(P.matrix))
-    left = abs(d1 - r) <= tol
-    worst = max(abs(dn - d1**n) for n, dn in enumerate(ds, start=1))
-    right = worst <= tol
-    return MultiplicativityReport(d1, r, left, right, left == right, worst)
+    return gelfand_trail(T, P, N).multiplicativity(tol=tol)
 
 
 @dataclass(frozen=True)
@@ -447,7 +463,7 @@ def tensor_rate_bound(
             np.asarray(proj.matrix) @ np.asarray(op.matrix) - np.asarray(proj.matrix),
             op.space,
         )
-        if not (fd <= VALIDATION_TOL and cd <= VALIDATION_TOL) or rev > VALIDATION_TOL:
+        if not verdict.member or rev > VALIDATION_TOL:
             raise PreconditionError(
                 f"{tag} factor breaks the annihilation identities "
                 f"(defects {fd:.2e}, {cd:.2e}, {rev:.2e})"

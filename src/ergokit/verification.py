@@ -391,9 +391,10 @@ def instance_theorems(
 ) -> list[tuple[str, bool, str]]:
     """Per-instance theorem scoreboard for analysis reports.
 
-    Scores the caller's ``classify(T, P)`` result, the one its report prints.
-    Expectation-free: the classification entry judges internal clause
-    agreement, not a generator promise, so it applies to arbitrary input.
+    Scores the caller's ``classify(T, P)`` result, the one its report prints,
+    and reads membership off its two defects.  Expectation-free: the
+    classification entry judges internal clause agreement, not a generator
+    promise, so it applies to arbitrary input.
     """
     out: list[tuple[str, bool, str]] = []
     space = T.space
@@ -416,12 +417,16 @@ def instance_theorems(
             f"clauses {[c.holds for c in verdict.clauses]}",
         )
     )
-    if membership(T, P)[0]:
+    # one delta_P(T^n) trail serves both trail theorems; a uniform
+    # non-member still asks for it below, and gets PreconditionError
+    trail = None
+    if verdict.member:
         srep = spectrum_shift_check(T, P)
         out.append(
             ("spectrum-shift", srep.ok, f"match distance {srep.max_match_distance:.2e}")
         )
-        mrep = multiplicativity_test(T, P)
+        trail = gelfand_trail(T, P, N=15 if verdict.uniform is True else 10)
+        mrep = trail.multiplicativity(N=10)
         out.append(
             (
                 "multiplicativity",
@@ -436,7 +441,7 @@ def instance_theorems(
             out.append(("rate-identity", 0.0 <= r < 1.0, f"rate {r:.6g}"))
         except ErgokitError as exc:
             out.append(("rate-identity", False, str(exc)))
-        trail = gelfand_trail(T, P, N=15)
+        trail = trail or gelfand_trail(T, P, N=15)
         out.append(
             ("gelfand-trail", trail.all_above, f"residual radius {trail.residual_radius:.6g}")
         )

@@ -263,6 +263,30 @@ def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_builds_one_trail(tmp_path, capsys, monkeypatch):
+    import sys
+
+    from ergokit import spectral
+
+    calls = {"gelfand_trail": 0, "multiplicativity_test": 0}
+    for fname in calls:
+        real = getattr(spectral, fname)
+
+        def counted(*args, _real=real, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "ergokit" and getattr(mod, fname, None) is real:
+                monkeypatch.setattr(mod, fname, counted)
+    p = write(tmp_path, "two.json", TWO_STATE)
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    names = [t["name"] for t in json.loads(out)["theorems"]]
+    assert "multiplicativity" in names and "gelfand-trail" in names
+    assert calls == {"gelfand_trail": 1, "multiplicativity_test": 0}
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

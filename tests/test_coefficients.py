@@ -23,6 +23,8 @@ from scipy.optimize import linprog
 
 from ergokit import (
     DimensionTooLargeError,
+    UnsupportedSpaceError,
+    as_markov,
     block_projection,
     coefficient_inequalities,
     coefficient_lower_bound,
@@ -30,6 +32,7 @@ from ergokit import (
     ergodicity_coefficient,
     explicit_projection,
     kernel_ball_vertices,
+    make_embedded,
     make_simplex,
     rank_one_projection,
 )
@@ -240,19 +243,53 @@ def test_sample_draw_is_released_with_its_space_or_the_next_draw():
     assert len(_SAMPLES) == 0
 
 
-def test_explicit_projection_enumeration_matches_block(rng):
+@pytest.mark.parametrize("n", [4, 12])
+def test_explicit_projection_enumeration_matches_block(rng, n):
     # dual route: the same matrix as a structured block projection (closed
-    # form) and as an unstructured explicit one (support-pattern search)
-    s = make_simplex(4)
-    T = np.zeros((4, 4))
-    T[:2, :2] = metropolis_matrix(smoothed_target(2, rng), rng)
-    T[2:, 2:] = metropolis_matrix(smoothed_target(2, rng), rng)
-    P = block_projection(s, [[0, 1], [2, 3]])
+    # form) and as an unstructured explicit one (support-pattern search);
+    # n = 12 is the enumeration cap, the last dimension still exact
+    h = n // 2
+    s = make_simplex(n)
+    T = np.zeros((n, n))
+    T[:h, :h] = metropolis_matrix(smoothed_target(h, rng), rng)
+    T[h:, h:] = metropolis_matrix(smoothed_target(n - h, rng), rng)
+    P = block_projection(s, [list(range(h)), list(range(h, n))])
     E = explicit_projection(s, np.asarray(P.matrix))
     a = ergodicity_coefficient(T, P, space=s)
     b = ergodicity_coefficient(T, E, space=s)
     assert b.certified_exact
+    assert b.method == "kernel-vertex-enumeration"
     assert a.value == pytest.approx(b.value, abs=1e-12)
+    c = ergodicity_coefficient(T, E, space=s, method="pairs")
+    assert c.value == pytest.approx(b.value, abs=1e-12)
+
+
+def test_pair_route_refuses_a_kernel_no_pair_spans():
+    # P sends state 2 half to state 0 and half to state 1, so ker P is
+    # spanned by e2 - (e0 + e1)/2 and no difference e_i - e_j lies in it:
+    # the pair maximum would be an empty 0, not the coefficient 0.4
+    s = make_simplex(3)
+    E = explicit_projection(s, np.array([[1, 0, 0.5], [0, 1, 0.5], [0, 0, 0]]))
+    T = np.array([[1, 0, 0.3], [0, 1, 0.3], [0, 0, 0.4]])
+    exact = ergodicity_coefficient(T, E, space=s, method="vertices")
+    assert exact.value == pytest.approx(0.4, abs=1e-12)
+    assert ergodicity_coefficient(T, E, space=s).value == exact.value
+    with pytest.raises(UnsupportedSpaceError):
+        ergodicity_coefficient(T, E, space=s, method="pairs")
+
+
+def test_pair_route_on_explicit_rank_one_embedded():
+    # a rank-one P written as a matrix on an embedded space: every base
+    # vertex pair is admissible, and the pair route matches the vertices
+    s = make_embedded(2, "linf")
+    T = as_markov(np.array([[1, 0, 0], [0.1, 0.5, 0.2], [0, -0.1, 0.3]]), s)
+    R = rank_one_projection(s, np.array([1.0, 0.2, -0.1]))
+    E = explicit_projection(s, np.asarray(R.matrix))
+    a = ergodicity_coefficient(T, E, method="vertices")
+    b = ergodicity_coefficient(T, E, method="pairs")
+    assert a.certified_exact and b.certified_exact
+    assert b.value == pytest.approx(a.value, abs=1e-12)
+    assert a.value == pytest.approx(ergodicity_coefficient(T, R).value, abs=1e-12)
 
 
 def test_explicit_enumeration_cap():

@@ -150,6 +150,8 @@ def test_gelfand_trail_requires_membership():
     P = rank_one_projection(s, np.array([0.3, 0.7]))
     with pytest.raises(PreconditionError):
         gelfand_trail(T, P)
+    with pytest.raises(PreconditionError):  # it reads the same trail
+        multiplicativity_test(T, P)
 
 
 def test_gelfand_trail_survives_underflow(fast_two_state):
@@ -195,6 +197,31 @@ def test_multiplicativity_agrees_on_corpus(small_corpus):
     for inst in small_corpus:
         rep = multiplicativity_test(inst.T, inst.P)
         assert rep.agree, inst.label
+
+
+def _raw_power_multiplicativity(T, P, N=10, tol=1e-8):
+    # reference: delta_P of the raw powers T^n, one product at a time
+    A = np.asarray(T.matrix)
+    ds, Tn = [], A.copy()
+    for _ in range(N):
+        ds.append(ergodicity_coefficient(Tn, P, space=T.space).value)
+        Tn = Tn @ A
+    d1 = ds[0]
+    r = spectral_radius(A - np.asarray(P.matrix))
+    worst = max(abs(dn - d1**n) for n, dn in enumerate(ds, start=1))
+    return d1, abs(d1 - r) <= tol, worst <= tol, worst
+
+
+def test_multiplicativity_matches_raw_powers(small_corpus):
+    # the trail's normalized products of T - P give the same d_n as raw powers
+    for inst in small_corpus + [recorded_nonmultiplicative_instance()]:
+        rep = multiplicativity_test(inst.T, inst.P)
+        d1, left, right, worst = _raw_power_multiplicativity(inst.T, inst.P)
+        assert rep.coefficient_equals_radius is left, inst.label
+        assert rep.powers_multiplicative is right, inst.label
+        assert rep.agree is (left == right), inst.label
+        assert rep.coefficient == pytest.approx(d1, abs=1e-12), inst.label
+        assert rep.worst_power_gap == pytest.approx(worst, abs=1e-12), inst.label
 
 
 def test_tensor_bound_fixture(two_state, fast_two_state):
