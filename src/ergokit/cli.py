@@ -147,7 +147,7 @@ def cmd_analyze(args) -> int:
 
     t0 = time.perf_counter()
     theorems = instance_theorems(
-        inst.operator, inst.projection, verdict, spectral, tol=args.tolerance
+        inst.operator, inst.projection, verdict, spectral, kernel.value, tol=args.tolerance
     )
     t_theorems = time.perf_counter() - t0
 
@@ -369,11 +369,16 @@ def cmd_tensor(args) -> int:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        dims = tuple(range(int(lo), int(hi) + 1))
-    else:
-        dims = tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            dims = tuple(range(int(lo), int(hi) + 1))
+        else:
+            dims = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ParseError(
+            f"expected a comma list or lo..hi range of integers, got {text!r}", "--dims"
+        ) from None
     if not dims or any(d < 2 for d in dims):
         raise ParseError("dims must be integers >= 2", "--dims")
     return dims

@@ -457,15 +457,24 @@ def coefficient_inequalities(
     (submultiplicative) S Markov commuting with P implies
     c(TS) <= c(T) c(S).  H defaults to I - P, which satisfies the
     hypotheses of both factor checks.  Checks whose hypothesis fails are
-    reported with applicable=False rather than skipped silently.
+    reported with applicable=False rather than skipped silently; with
+    P = I (kernel {0}, coefficient 1 by convention) all five are.
     """
+    return _inequalities_given_delta(T, S, P, ergodicity_coefficient(T, P).value, H, tol)
+
+
+def _inequalities_given_delta(T, S, P, dT, H=None, tol=1e-9) -> list[PropertyCheck]:
+    if P.is_identity():
+        names = ("range", "difference-lipschitz", "commuting-factor",
+                 "annihilated-factor", "submultiplicative")
+        detail = {"convention": "identity-convention: ker P = {0}, so each inequality is vacuous"}
+        return [PropertyCheck(name, False, True, detail) for name in names]
     space = T.space
     Pm = np.asarray(P.matrix)
     if H is None:
         H = np.eye(space.dim) - Pm
     H = np.asarray(H, dtype=float)
 
-    dT = ergodicity_coefficient(T, P).value
     dS = dT if S is T else ergodicity_coefficient(S, P).value
     out = []
 
@@ -479,7 +488,8 @@ def coefficient_inequalities(
     )
 
     diff = T.matrix - S.matrix
-    d_diff = ergodicity_coefficient(diff, P, space=space).value
+    # T - T = 0 has coefficient 0 on every route once P != I
+    d_diff = 0.0 if S is T else ergodicity_coefficient(diff, P, space=space).value
     nrm_diff = operator_norm(diff, space)
     out.append(
         PropertyCheck(
@@ -546,6 +556,10 @@ def eigenvalue_bound_check(
     the restriction is compressed with an orthonormal kernel basis from the
     SVD of I - P, so its eigenvalues are exactly those of S on ker P.
     """
+    return _eigenvalue_bound_given_delta(S, P, ergodicity_coefficient(S, P).value, tol)
+
+
+def _eigenvalue_bound_given_delta(S, P, delta, tol=1e-9) -> EigenBoundReport:
     ok_c, defect = commutes(S, P)
     if not ok_c:
         raise PreconditionError(
@@ -555,12 +569,9 @@ def eigenvalue_bound_check(
     comp = np.eye(n) - np.asarray(P.matrix)
     U, sv, _ = np.linalg.svd(comp)
     r = int((sv > 1e-10 * max(1.0, float(sv[0]) if sv.size else 1.0)).sum())
-    if r == 0:
-        return EigenBoundReport((), ergodicity_coefficient(S, P).value, 0, -np.inf, True)
-    B = U[:, :r]
+    B = U[:, :r]  # r = 0 (P = I) leaves no eigenvalue to bound
     M = B.T @ S.matrix @ B
     eigs = np.linalg.eigvals(M)
-    delta = ergodicity_coefficient(S, P).value
     non_unit = [z for z in eigs if abs(z - 1.0) > 1e-8]
     max_excess = max((abs(z) - delta for z in non_unit), default=-np.inf)
     return EigenBoundReport(

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coefficients import (
+    _eigenvalue_bound_given_delta,
+    _inequalities_given_delta,
     coefficient_inequalities,
     coefficient_lower_bound,
     eigenvalue_bound_check,
@@ -56,7 +58,6 @@ from .spectral import (
     best_rate,
     classify,
     gelfand_trail,
-    multiplicativity_test,
     powers,
     report_rate,
     spectrum_shift_check,
@@ -89,6 +90,28 @@ class VerifyContext:
     n0_cap: int = 200
     negative_cap: int = 25
     tol: float = 1e-9
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def shared(self, kind: str, inst: Instance):
+        """This run's ``_SHARED[kind]`` for inst, or the error it raised, which
+        every reader gets; keyed on the Instance object, so a fresh poison
+        instance shares none.  The first caller computes, the others wait."""
+        held = Future()
+        if self._memo.setdefault((kind, inst), held) is held:
+            try:
+                held.set_result(_SHARED[kind](self, inst))
+            except BaseException as exc:  # as an executor does; result() raises it
+                held.set_exception(exc)
+        return self._memo[kind, inst].result()
+
+
+# per-instance results several checks read; an N = 20 trail starts with the N = 10 one
+_SHARED = {
+    "trail": lambda ctx, i: gelfand_trail(i.T, i.P, N=20 if i.expect_uniform else 10),
+    "certificate": lambda ctx, i: certificate_from_convergence(i.T, i.P, n0_cap=ctx.n0_cap),
+    "search": lambda ctx, i: search_certificates(i.T, i.P, n0_cap=ctx.negative_cap),
+    "classify": lambda ctx, i: classify(i.T, i.P),
+}
 
 
 def _result(name, fails: list[str], total: int) -> CheckResult:
@@ -198,7 +221,7 @@ def _check_eigenvalue_bound(instances, ctx) -> CheckResult:
 def _check_classification(instances, ctx) -> CheckResult:
     fails = []
     for inst in instances:
-        verdict, _ = classify(inst.T, inst.P)
+        verdict, _ = ctx.shared("classify", inst)
         if not verdict.consistent:
             fails.append(f"{inst.label}: clauses disagree")
         elif verdict.uniform is not inst.expect_uniform:
@@ -233,7 +256,7 @@ def _check_gelfand_trail(instances, ctx) -> CheckResult:
             continue
         total += 1
         try:
-            trail = gelfand_trail(inst.T, inst.P, N=20)
+            trail = ctx.shared("trail", inst)
         except ErgokitError as exc:
             fails.append(f"{inst.label}: {exc}")
             continue
@@ -265,7 +288,7 @@ def _check_multiplicativity(instances, ctx) -> CheckResult:
         if bad:
             fails.append(bad)
             continue
-        rep = multiplicativity_test(inst.T, inst.P)
+        rep = ctx.shared("trail", inst).multiplicativity(N=10)
         if not rep.agree:
             fails.append(
                 f"{inst.label}: equality {rep.coefficient_equals_radius} but "
@@ -318,7 +341,7 @@ def _check_doeblin_equivalence(instances, ctx) -> CheckResult:
     def one(inst):
         if inst.expect_uniform:
             try:
-                cert = certificate_from_convergence(inst.T, inst.P, n0_cap=ctx.n0_cap)
+                cert = ctx.shared("certificate", inst)
             except ErgokitError as exc:
                 return f"{inst.label}: {exc}"
             report = verify_certificate(cert, inst.T, inst.P)
@@ -327,7 +350,7 @@ def _check_doeblin_equivalence(instances, ctx) -> CheckResult:
             if not report.bound_holds:
                 return f"{inst.label}: implied bound fails"
         else:
-            out = search_certificates(inst.T, inst.P, n0_cap=ctx.negative_cap)
+            out = ctx.shared("search", inst)
             if not out.exhausted_minorization:
                 return f"{inst.label}: non-ergodic chain got a certificate"
         return None
@@ -342,18 +365,18 @@ def _check_overlap_soundness(instances, ctx) -> CheckResult:
     def one(inst):
         if inst.expect_uniform:
             try:
-                n0 = certificate_from_convergence(inst.T, inst.P, n0_cap=ctx.n0_cap).n0
+                n0 = ctx.shared("certificate", inst).n0
                 out = overlap_certificate(inst.T, inst.P, inst.P, n0)
             except ErgokitError as exc:
                 return f"{inst.label}: {exc}"
             # columns within 1/4 of the projection overlap by >= 7/8
             if not out.feasible or out.overlap < 0.875 - 1e-12:
                 return f"{inst.label}: expected overlap at n0={n0}"
-            verdict, _ = classify(inst.T, inst.P)
+            verdict, _ = ctx.shared("classify", inst)
             if verdict.uniform is not True:
                 return f"{inst.label}: certificate issued but not ergodic"
         else:
-            out = search_certificates(inst.T, inst.P, n0_cap=ctx.negative_cap)
+            out = ctx.shared("search", inst)
             if not out.exhausted_overlap:
                 return f"{inst.label}: overlap certificate on a non-mixing chain"
         return None
@@ -370,7 +393,7 @@ def _check_certificate_audit(instances, ctx) -> CheckResult:
             continue
         total += 1
         try:
-            cert = certificate_from_convergence(inst.T, inst.P, n0_cap=ctx.n0_cap)
+            cert = ctx.shared("certificate", inst)
         except ErgokitError as exc:
             fails.append(f"{inst.label}: {exc}")
             continue
@@ -387,26 +410,26 @@ def _check_certificate_audit(instances, ctx) -> CheckResult:
 
 def instance_theorems(
     T: MarkovOperator, P: MarkovProjection, verdict: ErgodicityVerdict,
-    report: SpectralReport, tol: float = 1e-9,
+    report: SpectralReport, delta: float, tol: float = 1e-9,
 ) -> list[tuple[str, bool, str]]:
     """Per-instance theorem scoreboard for analysis reports.
 
-    Scores the caller's ``classify(T, P)`` result, the one its report prints,
-    and reads membership off its two defects.  Expectation-free: the
-    classification entry judges internal clause agreement, not a generator
-    promise, so it applies to arbitrary input.
+    Scores the caller's ``classify(T, P)`` and ``ergodicity_coefficient(T, P).value``
+    (``delta``), the ones its report prints, and reads membership off the verdict's
+    two defects.  Expectation-free: the classification entry judges internal clause
+    agreement, not a generator promise, so it applies to arbitrary input.
     """
     out: list[tuple[str, bool, str]] = []
     space = T.space
-    for chk in coefficient_inequalities(T, T, P, tol=tol):
+    for chk in _inequalities_given_delta(T, T, P, delta, tol=tol):
         detail = chk.details if chk.applicable else f"not applicable: {chk.details}"
         out.append((f"coefficient-{chk.name}", chk.ok, detail))
     if P.variant in ("rank_one", "block") and space.is_lattice:
-        a = ergodicity_coefficient(T, P, method="vertices").value
+        a = delta  # the vertex route, which these variants always take
         b = ergodicity_coefficient(T, P, method="pairs").value
         out.append(("pair-formula", abs(a - b) <= 1e-12, f"gap {abs(a - b):.2e}"))
     try:
-        rep = eigenvalue_bound_check(T, P, tol=tol)
+        rep = _eigenvalue_bound_given_delta(T, P, delta, tol=tol)
         out.append(("eigenvalue-bound", rep.ok, f"max excess {rep.max_excess:.2e}"))
     except ErgokitError as exc:
         out.append(("eigenvalue-bound", False, str(exc)))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,36 @@ def small_corpus():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(*names)`` counts calls to the named package functions.
+
+    A from-import copies a function into each module that imports it, so
+    every ``ergokit.*`` binding of each name is rebound to one counting
+    wrapper.  Returns ``{name: calls}``, one ``(caller, args, kwargs)`` entry
+    per call; ``caller`` is the name of the calling function.
+    """
+    import ergokit.cli  # noqa: F401  (cli is not imported by the package)
+
+    def install(*names):
+        calls = {}
+        mods = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "ergokit"]
+        for name in names:
+            real = next(
+                getattr(m, name) for m in mods
+                if getattr(getattr(m, name, None), "__module__", None) == m.__name__
+            )
+            log = calls[name] = []
+
+            def counted(*args, _real=real, _log=log, **kwargs):
+                _log.append((sys._getframe(1).f_code.co_name, args, kwargs))
+                return _real(*args, **kwargs)
+
+            for mod in mods:
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install

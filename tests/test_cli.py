@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ergokit import __version__, cli
@@ -201,6 +202,14 @@ def test_invalid_operator_is_validation_error(tmp_path, capsys):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize("dims", ["x", "2..y", "1e2"])
+def test_malformed_dims_is_parse_error(dims, capsys):
+    code, out, err = run(capsys, ["verify", "--count", "1", "--dims", dims])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: --dims: ")
+    assert repr(dims) in err
+
+
 # (flag, lowest legal value, leading argv without the value)
 FLAG_FLOORS = [
     ("--max-power", 1, ["analyze"]),
@@ -240,51 +249,96 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in cap.err
 
 
-def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
-    import sys
-
-    from ergokit import spectral
-
-    real = spectral.classify
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    # rebind every copy the package holds, as a from-import makes one per module
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "ergokit" and getattr(mod, "classify", None) is real:
-            monkeypatch.setattr(mod, "classify", counted)
+def test_analyze_classifies_once(tmp_path, capsys, count_calls):
+    calls = count_calls("classify")
     p = write(tmp_path, "two.json", TWO_STATE)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     assert code == 0
     assert json.loads(out)["certificate"]["audit_ok"] is True
-    assert len(calls) == 1
+    assert len(calls["classify"]) == 1
 
 
-def test_analyze_builds_one_trail(tmp_path, capsys, monkeypatch):
-    import sys
-
-    from ergokit import spectral
-
-    calls = {"gelfand_trail": 0, "multiplicativity_test": 0}
-    for fname in calls:
-        real = getattr(spectral, fname)
-
-        def counted(*args, _real=real, _name=fname, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "ergokit" and getattr(mod, fname, None) is real:
-                monkeypatch.setattr(mod, fname, counted)
+def test_analyze_builds_one_trail(tmp_path, capsys, count_calls):
+    calls = count_calls("gelfand_trail", "multiplicativity_test")
     p = write(tmp_path, "two.json", TWO_STATE)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     assert code == 0
     names = [t["name"] for t in json.loads(out)["theorems"]]
     assert "multiplicativity" in names and "gelfand-trail" in names
-    assert calls == {"gelfand_trail": 1, "multiplicativity_test": 0}
+    assert {k: len(v) for k, v in calls.items()} == {
+        "gelfand_trail": 1, "multiplicativity_test": 0,
+    }
+
+
+def test_analyze_computes_the_kernel_coefficient_once(tmp_path, capsys, count_calls):
+    # the theorems read the delta_P(T) that analyze prints, and T - T = 0
+    # has no coefficient to compute
+    calls = count_calls("ergodicity_coefficient")
+    p = write(tmp_path, "two.json", TWO_STATE)
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    assert any(t["name"] == "pair-formula" for t in json.loads(out)["theorems"])
+    T = np.array(TWO_STATE["operator"])
+    own_delta = []
+    for caller, args, kwargs in calls["ergodicity_coefficient"]:
+        A = np.asarray(getattr(args[0], "matrix", args[0]))
+        assert A.any(), f"{caller} asked for the coefficient of the zero matrix"
+        assert caller not in ("coefficient_inequalities", "eigenvalue_bound_check")
+        if caller == "instance_theorems":
+            assert kwargs.get("method") == "pairs"
+        P = args[1] if len(args) > 1 else kwargs.get("P")
+        if P is not None and np.array_equal(A, T) and kwargs.get("method") != "pairs":
+            own_delta.append(caller)
+    # classify's own n = 1 term is the other one
+    assert sorted(own_delta) == ["classify", "cmd_analyze"]
+
+
+def test_analyze_identity_projection_scores_every_theorem_ok(tmp_path, capsys):
+    # ker P = {0}: the coefficient inequalities are vacuous, not failed
+    doc = {
+        "space": {"type": "simplex", "dim": 3},
+        "operator": [[0.5, 0.2, 0.1], [0.3, 0.6, 0.2], [0.2, 0.2, 0.7]],
+        "projection": {"type": "matrix", "entries": np.eye(3).tolist()},
+    }
+    p = write(tmp_path, "identity.json", doc)
+    code, out, _ = run(capsys, ["analyze", p])
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.count("not applicable: {'convention': 'identity-convention") == 5
+
+
+def _past_cap_doc():
+    # 13 states, past the enumeration cap: two 6-state blocks and a transient
+    # state absorbed half and half, with P written as a matrix.  delta_P(T)
+    # is a Monte-Carlo bracket whose polished value differs at seeds 0 and 5.
+    from ergokit import corpus
+
+    rng = np.random.default_rng(5)
+    T, P = np.zeros((13, 13)), np.zeros((13, 13))
+    for idx in (np.arange(6), np.arange(6, 12)):
+        pi = corpus.smoothed_target(6, rng)
+        T[np.ix_(idx, idx)] = corpus.metropolis_matrix(pi, rng)
+        P[np.ix_(idx, idx)] = pi[:, None]
+        P[idx, 12] = 0.5 * pi
+    T[12, 12] = 0.3
+    T[:6, 12] = 0.35 * rng.dirichlet(np.ones(6))
+    T[6:12, 12] = 0.35 * rng.dirichlet(np.ones(6))
+    return {
+        "space": {"type": "simplex", "dim": 13},
+        "operator": T.tolist(),
+        "projection": {"type": "matrix", "entries": P.tolist()},
+    }
+
+
+def test_analyze_theorems_read_the_seeded_kernel_coefficient(tmp_path, capsys):
+    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+    code, out, _ = run(capsys, ["analyze", "--seed", "5", "--format", "structured", p])
+    assert code == 0
+    doc = json.loads(out)
+    kernel = doc["coefficients"]["kernel"]
+    assert kernel["certified_exact"] is False
+    rng = next(t for t in doc["theorems"] if t["name"] == "coefficient-range")
+    assert kernel["value"] == rng["detail"]["value_T"]
 
 
 def test_version_flag(capsys):

@@ -150,6 +150,18 @@ def test_identity_projection_convention():
     assert res.method == "identity-convention"
 
 
+def test_identity_projection_makes_every_inequality_vacuous(two_state):
+    # delta_P = 1 by convention while T - T and T(I - P) are zero; with
+    # ker P = {0} no inequality has anything to constrain
+    s = two_state.T.space
+    P = explicit_projection(s, np.eye(2))
+    checks = coefficient_inequalities(two_state.T, two_state.T, P)
+    assert len(checks) == 5
+    for c in checks:
+        assert not c.applicable and c.ok, c.name
+        assert "identity-convention" in c.details["convention"]
+
+
 def test_kernel_vertices_are_kernel_unit_vectors(small_corpus):
     for inst in small_corpus:
         V = kernel_ball_vertices(inst.P)

@@ -1,5 +1,6 @@
 """Self-check battery: every named check runs, and corruption is caught."""
 
+import numpy as np
 import pytest
 
 from ergokit import CHECK_NAMES, run_verification
@@ -25,3 +26,85 @@ def test_corruption_fails_exactly_the_named_check(name):
     assert broken == [name]
     bad = next(r for r in results if r.name == name)
     assert bad.messages
+
+
+def test_checks_share_each_instance_result(count_calls):
+    # the trail, the convergence certificate, the negative search and the
+    # classification are each computed once per instance and run
+    from ergokit.corpus import build_corpus, recorded_nonmultiplicative_instance
+    from ergokit.operators import membership
+
+    calls = count_calls(
+        "gelfand_trail", "certificate_from_convergence", "search_certificates", "classify"
+    )
+    results = run_verification(count=1, dims=(2, 3, 4), samples=2000)
+    assert all(r.ok for r in results)
+    corpus = build_corpus(0, dims=(2, 3, 4), chains_per_dim=1)
+    corpus.append(recorded_nonmultiplicative_instance())
+    lattice = [i for i in corpus if i.T.space.is_lattice]
+    negatives = [i for i in lattice if not i.expect_uniform]
+    assert negatives
+
+    def per_instance(group):
+        # (calls, distinct operators called on)
+        seen = [np.asarray(args[0].matrix).tobytes() for _, args, _ in group]
+        return len(seen), len(set(seen))
+
+    uniform = len(lattice) - len(negatives)
+    members = sum(1 for i in corpus if membership(i.T, i.P)[0])
+    own = [c for c in calls["classify"] if c[0] not in ("best_rate", "tensor_rate_bound")]
+    assert per_instance(calls["search_certificates"]) == (len(negatives),) * 2
+    assert per_instance(calls["certificate_from_convergence"]) == (uniform,) * 2
+    assert per_instance(calls["gelfand_trail"]) == (members,) * 2
+    assert per_instance(own) == (len(corpus),) * 2
+
+
+def test_shared_result_is_computed_once_under_contention(monkeypatch):
+    # many threads ask for one instance's result at once: one computes it,
+    # the others wait for it, and an error reaches every reader
+    import sys
+    import threading
+    import time
+
+    from ergokit import verification
+    from ergokit.corpus import two_state_fixture
+    from ergokit.errors import PreconditionError
+
+    computed = []
+
+    def slow(ctx, inst):
+        computed.append(inst)
+        time.sleep(0.01)
+        return object()
+
+    def failing(ctx, inst):
+        computed.append(inst)
+        raise PreconditionError("refused")
+
+    monkeypatch.setitem(verification._SHARED, "classify", slow)
+    monkeypatch.setitem(verification._SHARED, "search", failing)
+    ctx = verification.VerifyContext()
+    inst = two_state_fixture()
+    got, errors = [], []
+
+    def read():
+        got.append(ctx.shared("classify", inst))
+        try:
+            ctx.shared("search", inst)
+        except PreconditionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(computed) == 2
+    assert len(got) == 16 and all(g is got[0] for g in got)
+    assert len(errors) == 16 and all(e is errors[0] for e in errors)
