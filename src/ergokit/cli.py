@@ -171,7 +171,9 @@ def cmd_analyze(args) -> int:
             "verdict": _verdict_doc(verdict),
             "rate_profile": {
                 "rate": fnum(profile.rate),
-                "fitted_prefactor": fnum(profile.fitted_C),
+                "fitted_prefactor": (
+                    None if profile.fitted_C is None else fnum(profile.fitted_C)
+                ),
                 "norms": [fnum(v) for v in profile.norms],
                 "alphas": [fnum(v) for v in profile.alphas],
             },
@@ -207,10 +209,16 @@ def cmd_analyze(args) -> int:
     for c in verdict.clauses:
         state = "n/a" if not c.applicable else str(c.holds)
         w(f"  clause {c.name}: {state} ({c.detail})\n")
-    w(
-        f"rate profile: r = {profile.rate:.9g}, fitted prefactor = "
-        f"{profile.fitted_C:.6g}, alpha_40 = {profile.alphas[-1]:.3e}\n"
-    )
+    if profile.fitted_C is None:
+        w(
+            f"rate profile: TP = PT = P fails, so there is no spectral rate "
+            f"(r(T - P) = {profile.rate:.9g} is not one) and no fitted prefactor\n"
+        )
+    else:
+        w(
+            f"rate profile: r = {profile.rate:.9g}, fitted prefactor = "
+            f"{profile.fitted_C:.6g}, alpha_40 = {profile.alphas[-1]:.3e}\n"
+        )
     if cert is not None:
         w(
             f"certificate: tau = {cert.tau:g} at n0 = {cert.n0} "

@@ -11,7 +11,10 @@ over its vertices and can be computed exactly.
 Three independent routes are provided and cross-checked by the tests:
 vertex enumeration of the kernel ball, the half-distance formula over
 admissible base-vertex pairs, and a Monte-Carlo lower bound with LP
-refinement.  The convention for P = identity (kernel {0}) is value 1.
+refinement.  The refinement's LPs have a closed form (a half-range over
+each block) for P = None, rank-one and block projections, and go to
+HiGHS only for explicit projections.  The convention for P = identity
+(kernel {0}) is value 1.
 """
 
 from __future__ import annotations
@@ -307,38 +310,72 @@ def _deflector(P: MarkovProjection | None, space: StateSpace) -> np.ndarray:
     return np.eye(n) - np.asarray(P.matrix)
 
 
-def _kernel_equalities(P: MarkovProjection | None, space: StateSpace) -> np.ndarray:
-    return (
-        space.f_coefficients.reshape(1, -1) if P is None else np.asarray(P.matrix)
-    )
+def _polish_step(P: MarkovProjection | None, space: StateSpace):
+    """The polish's LP, c -> a maximizer of c.z over {P z = 0, l1(z) <= 1}.
 
-
-def _lp_polish(A, E, D, z0):
-    """Sign-relinearized ascent of z -> l1(A z) over {E z = 0, l1(z) <= 1}.
-
-    Each LP maximizes s.(A z) for the current sign pattern s; the previous
-    iterate is feasible and the relinearized objective underestimates
-    l1(A z), so the true objective never decreases.  LP solutions satisfy
-    E z = 0 only to solver tolerance (enough to let the ratio overshoot the
-    kernel sup by ~1e-11), so each iterate is pushed back through the exact
-    deflector D before its ratio is taken; that keeps the output a sound
-    lower bound.  Simplex-like spaces only (l1 geometry).
+    For P = None, rank-one and block P on a lattice space the kernel is
+    {z : z sums to 0 on each group of ``_admissible_pair_groups``}.  By LP
+    duality the optimum is then the largest half-range (max c - min c)/2
+    over the groups, reached at (e_i - e_j)/2 with i = argmax and
+    j = argmin of c on the best group: the dual form of Dobrushin's
+    coefficient (Seneta, Non-negative Matrices and Markov Chains, 2006,
+    ch. 3).  An explicit P has no closed form and goes to HiGHS; the step
+    returns None when the solver fails.
     """
-    n = A.shape[1]
+    n = space.dim
+    if P is None or P.variant != "explicit":
+        groups = [np.asarray(g) for g in _admissible_pair_groups(P, space)]
+
+        def half_range(c):
+            best, bi, bj = -1.0, 0, 0
+            for g in groups:
+                i, j = g[np.argmax(c[g])], g[np.argmin(c[g])]
+                if c[i] - c[j] > best:
+                    best, bi, bj = c[i] - c[j], i, j
+            z = np.zeros(n)
+            z[bi] += 0.5
+            z[bj] -= 0.5  # z = 0 when c is constant on every group
+            return z
+
+        return half_range
+
+    E = np.asarray(P.matrix)
+    A_eq = np.hstack([E, -E])
+    b_eq = np.zeros(n)
+    A_ub = np.ones((1, 2 * n))
+
+    def highs(c):
+        res = linprog(
+            -np.concatenate([c, -c]), A_ub=A_ub, b_ub=[1.0], A_eq=A_eq, b_eq=b_eq,
+            method="highs",
+        )
+        return res.x[:n] - res.x[n:] if res.success else None
+
+    return highs
+
+
+def _lp_polish(A, D, z0, step):
+    """Sign-relinearized ascent of z -> l1(A z) over {z in ker P, l1(z) <= 1}.
+
+    Each LP ``step`` maximizes s.(A z) for the current sign pattern s; the
+    previous iterate is feasible and the relinearized objective
+    underestimates l1(A z), so the true objective never decreases.  Each
+    LP maximizer is pushed through the exact deflector D before its ratio
+    is taken.  A HiGHS solution satisfies P z = 0 only to solver tolerance,
+    enough to let the ratio overshoot the kernel sup by ~1e-11, so this
+    keeps the output a sound lower bound.  Simplex-like spaces only (l1
+    geometry).
+    """
     z = z0 / np.abs(z0).sum()
     best_val = float(np.abs(A @ z).sum())
     best_z = z
-    A_eq = np.hstack([E, -E])
-    b_eq = np.zeros(E.shape[0])
-    A_ub = np.ones((1, 2 * n))
     for _ in range(30):
         s = np.sign(A @ best_z)
         s[s == 0] = 1.0
-        c = -np.concatenate([A.T @ s, -(A.T @ s)])
-        res = linprog(c, A_ub=A_ub, b_ub=[1.0], A_eq=A_eq, b_eq=b_eq, method="highs")
-        if not res.success:
+        x = step(A.T @ s)
+        if x is None:
             break
-        z = D @ (res.x[:n] - res.x[n:])
+        z = D @ x
         nz = float(np.abs(z).sum())
         if nz <= 1e-12:
             break
@@ -347,6 +384,13 @@ def _lp_polish(A, E, D, z0):
             break
         best_val, best_z = val, z / nz
     return best_val, best_z
+
+
+def _polish_starts(ratios: np.ndarray) -> np.ndarray:
+    """Rows of the four best ratios, best first, without sorting them all."""
+    k = min(4, len(ratios))
+    top = np.argpartition(ratios, len(ratios) - k)[len(ratios) - k:]
+    return top[np.argsort(ratios[top])[::-1]]
 
 
 # the last sample draw, weakly keyed on the space it was drawn for: at most
@@ -391,9 +435,11 @@ def coefficient_lower_bound(
     """Monte-Carlo lower bound for the coefficient, independent of enumeration.
 
     Random directions are deflected into the kernel and the best ratio
-    norm(T z)/norm(z) is kept.  On simplex-like spaces the top draws seed a
-    sign-relinearized LP ascent that sharpens the bound without leaving the
-    kernel, so the result stays a certified lower bound throughout.
+    norm(T z)/norm(z) is kept.  On simplex-like spaces the four top draws
+    seed a sign-relinearized LP ascent each (``_lp_polish``) that sharpens
+    the bound without leaving the kernel, so the result stays a certified
+    lower bound throughout.  Its LPs are solved in closed form for P = None,
+    rank-one and block P, and by HiGHS for an explicit P (``_polish_step``).
     """
     A, space = _resolve(T, P, space)
     if P is not None and P.is_identity():
@@ -407,9 +453,9 @@ def coefficient_lower_bound(
             return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)
         best_z = D @ Z[idx]
         best_z /= np.abs(best_z).sum()
-        E = _kernel_equalities(P, space)
-        for k in np.argsort(ratios)[::-1][:4]:  # the top four draws seed an ascent each
-            val, z = _lp_polish(A, E, D, D @ Z[k])
+        step = _polish_step(P, space)
+        for k in _polish_starts(ratios):  # the top four draws seed an ascent each
+            val, z = _lp_polish(A, D, D @ Z[k], step)
             if val > best:
                 best, best_z = val, z
     else:

@@ -480,25 +480,27 @@ def tensor_rate_bound(
 @dataclass(frozen=True)
 class RateProfile:
     norms: tuple    # norm(T^n - P) for n = 1..N
-    alphas: tuple   # norm(T^n - P)^(1/n) - rate, converging to 0
+    alphas: tuple   # norm(T^n - P)^(1/n) - rate, converging to 0 for members
     rate: float     # r(T - P)
-    fitted_C: float  # log-least-squares prefactor over the tail
+    fitted_C: float | None  # log-least-squares prefactor over the tail; None off members
 
 
 def rate_profile(T: MarkovOperator, P: MarkovProjection, N: int = 40) -> RateProfile:
     """Empirical power-norm decay against the spectral rate prediction.
 
     Members (TP = PT = P) get their power norms from normalized products
-    of T - P with the scale tracked in logs (``_scaled_power_logs``);
-    non-members fall back to direct powers of T since the product identity
-    is unavailable.
+    of T - P with the scale tracked in logs (``_scaled_power_logs``), and a
+    prefactor fitted to them against r(T - P).  For a non-member r(T - P)
+    is no rate of T^n - P (the product identity is unavailable), so the
+    norms come from direct powers of T and no prefactor is fitted.
     """
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
     E = A - Pm
     r = spectral_radius(E)
     # None encodes an exactly zero power
-    if membership(T, P)[0]:
+    member = membership(T, P)[0]
+    if member:
         log_norms = list(_scaled_power_logs(E, lambda Y: operator_norm(Y, T.space), N))
     else:
         direct = (operator_norm(Tn - Pm, T.space) for _, Tn in powers(A, N))
@@ -508,6 +510,8 @@ def rate_profile(T: MarkovOperator, P: MarkovProjection, N: int = 40) -> RatePro
         math.exp(v / n) - r if v is not None else -r
         for n, v in enumerate(log_norms, start=1)
     )
+    if not member:
+        return RateProfile(norms, alphas, r, None)
     tail = [
         v - n * math.log(r)
         for n, v in enumerate(log_norms, start=1)

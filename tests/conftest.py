@@ -43,8 +43,10 @@ def count_calls(monkeypatch):
 
     A from-import copies a function into each module that imports it, so
     every ``ergokit.*`` binding of each name is rebound to one counting
-    wrapper.  Returns ``{name: calls}``, one ``(caller, args, kwargs)`` entry
-    per call; ``caller`` is the name of the calling function.
+    wrapper; a name imported from outside the package, such as
+    ``coefficients.linprog``, is counted where the package binds it.
+    Returns ``{name: calls}``, one ``(caller, args, kwargs)`` entry per call;
+    ``caller`` is the name of the calling function.
     """
     import ergokit.cli  # noqa: F401  (cli is not imported by the package)
 
@@ -52,9 +54,9 @@ def count_calls(monkeypatch):
         calls = {}
         mods = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "ergokit"]
         for name in names:
+            bound = [(getattr(m, name), m.__name__) for m in mods if hasattr(m, name)]
             real = next(
-                getattr(m, name) for m in mods
-                if getattr(getattr(m, name, None), "__module__", None) == m.__name__
+                (f for f, mod in bound if getattr(f, "__module__", None) == mod), bound[0][0]
             )
             log = calls[name] = []
 

@@ -346,3 +346,31 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_analyze_fits_no_prefactor_off_members(tmp_path, capsys):
+    # doubly stochastic T with P = I: TP = T != P, and ||T^n - P|| never
+    # decays, so r(T - P) = 0.755 is no rate and no prefactor is fitted
+    doc = {
+        "space": {"type": "simplex", "dim": 3},
+        "operator": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+        "projection": {"type": "matrix", "entries": np.eye(3).tolist()},
+    }
+    p = write(tmp_path, "nonmember.json", doc)
+    code, out, _ = run(capsys, ["analyze", p])
+    assert code == 0
+    assert "rate profile: TP = PT = P fails, so there is no spectral rate" in out
+    assert "fitted prefactor =" not in out
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    profile = json.loads(out)["rate_profile"]
+    assert profile["fitted_prefactor"] is None
+    assert float(profile["rate"]) == pytest.approx(0.57 ** 0.5, abs=1e-12)
+
+
+def test_analyze_member_keeps_its_fitted_prefactor(tmp_path, capsys):
+    p = write(tmp_path, "two.json", TWO_STATE)
+    code, out, _ = run(capsys, ["analyze", p])
+    assert "rate profile: r = 0.6, fitted prefactor = 1.5, alpha_40" in out
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert float(json.loads(out)["rate_profile"]["fitted_prefactor"]) == pytest.approx(1.5)

@@ -36,9 +36,11 @@ from ergokit import (
     make_simplex,
     rank_one_projection,
 )
+from ergokit import _backend, coefficients
 from ergokit.coefficients import _SAMPLES, _unit_samples
 from ergokit.corpus import (
     block_fixture,
+    block_instance,
     build_corpus,
     metropolis_matrix,
     smoothed_target,
@@ -344,6 +346,126 @@ def test_lower_bound_close_after_polish(small_corpus):
 def test_lower_bound_witness_stays_in_kernel(two_state):
     low = coefficient_lower_bound(two_state.T, two_state.P, samples=1000, seed=5)
     assert np.abs(np.asarray(two_state.P.matrix) @ low.witness).max() < 1e-10
+
+
+def _highs_optimum(c, E):
+    """max c.z over {E z = 0, l1(z) <= 1}, by HiGHS."""
+    n = len(c)
+    res = linprog(
+        np.concatenate([-c, c]), A_ub=np.ones((1, 2 * n)), b_ub=[1.0],
+        A_eq=np.hstack([E, -E]), b_eq=np.zeros(len(E)), method="highs",
+    )
+    assert res.success
+    return -res.fun
+
+
+@pytest.mark.parametrize(
+    "sizes", [None, [7], [1, 3], [2, 1, 4], [1, 1, 2], [3, 3, 3]]
+)
+def test_closed_form_polish_step_matches_highs(sizes, rng):
+    # None: ker f (P omitted); [n]: rank-one; the rest blocks, with singletons
+    n = 6 if sizes is None else sum(sizes)
+    s = make_simplex(n)
+    if sizes is None:
+        P, E = None, np.ones((1, n))
+    elif len(sizes) == 1:
+        P = rank_one_projection(s, rng.dirichlet(np.ones(n)))
+        E = np.asarray(P.matrix)
+    else:
+        starts = np.cumsum([0] + sizes)
+        P = block_projection(s, [list(range(a, b)) for a, b in zip(starts, starts[1:])])
+        E = np.asarray(P.matrix)
+    step = coefficients._polish_step(P, s)
+    for trial in range(200):
+        c = rng.standard_normal(n)
+        if trial % 2:
+            c = np.round(2 * c)  # integers: ties in the max, the min, across blocks
+        z = step(c)
+        assert np.abs(z).sum() <= 1.0
+        assert np.abs(E @ z).max() <= 1e-15
+        assert c @ z == pytest.approx(_highs_optimum(c, E), abs=1e-12)
+
+
+def _highs_lower_bound(T, P, samples, seed):
+    """coefficient_lower_bound's lattice branch with its former HiGHS polish."""
+    A, space = np.asarray(T.matrix), T.space
+    n = space.dim
+    D = coefficients._deflector(P, space)
+    Z = _unit_samples(space, seed, samples)
+    best, idx, ratios = _backend.mc_max_ratio(A @ D, D, Z, coefficients.MC_DEN_FLOOR)
+    best_z = D @ Z[idx]
+    best_z /= np.abs(best_z).sum()
+    E = space.f_coefficients.reshape(1, -1) if P is None else np.asarray(P.matrix)
+    for k in np.argsort(ratios)[::-1][:4]:
+        z = D @ Z[k]
+        z_best = z / np.abs(z).sum()
+        val = float(np.abs(A @ z_best).sum())
+        for _ in range(30):
+            sgn = np.sign(A @ z_best)
+            sgn[sgn == 0] = 1.0
+            c = -np.concatenate([A.T @ sgn, -(A.T @ sgn)])
+            res = linprog(
+                c, A_ub=np.ones((1, 2 * n)), b_ub=[1.0], A_eq=np.hstack([E, -E]),
+                b_eq=np.zeros(E.shape[0]), method="highs",
+            )
+            if not res.success:
+                break
+            z = D @ (res.x[:n] - res.x[n:])
+            nz = float(np.abs(z).sum())
+            if nz <= 1e-12:
+                break
+            v = float(np.abs(A @ z).sum()) / nz
+            if v <= val + 1e-13:
+                break
+            val, z_best = v, z / nz
+        if val > best:
+            best, best_z = val, z_best
+    return best, best_z
+
+
+def test_closed_form_lower_bound_equals_the_highs_polish(small_corpus, rng):
+    blocks = [
+        block_instance(sizes, rng, "block")
+        for sizes in ([1, 3], [2, 2, 1], [4, 1, 3], [3, 3], [1, 1, 5])
+    ]
+    for inst in list(small_corpus) + blocks:
+        for P in (inst.P, None):
+            want, witness = _highs_lower_bound(inst.T, P, 2000, 7)
+            got = coefficient_lower_bound(inst.T, P, samples=2000, seed=7)
+            assert got.value == want, inst.label
+            assert got.witness.tobytes() == witness.tobytes(), inst.label
+
+
+def test_polish_calls_highs_only_for_explicit_projections(count_calls, blocky, two_state):
+    calls = count_calls("linprog")
+    for inst in (blocky, two_state):
+        for P in (inst.P, None):
+            coefficient_lower_bound(inst.T, P, samples=500, seed=1)
+    assert calls["linprog"] == []
+    E = explicit_projection(blocky.P.space, np.asarray(blocky.P.matrix))
+    coefficient_lower_bound(blocky.T, E, samples=500, seed=1)
+    assert calls["linprog"]
+    assert {caller for caller, _, _ in calls["linprog"]} == {"highs"}
+
+
+@pytest.mark.parametrize("space_kind", ["rank_one", "block"])
+def test_lower_bound_on_an_annihilated_kernel(space_kind, two_state, blocky):
+    # T = P: A z = 0 on the kernel, so every sign pattern gives a constant c
+    inst = two_state if space_kind == "rank_one" else blocky
+    T = as_markov(np.asarray(inst.P.matrix), inst.P.space)
+    exact = ergodicity_coefficient(T, inst.P).value
+    low = coefficient_lower_bound(T, inst.P, samples=1000, seed=2)
+    assert low.value <= exact + 1e-12
+
+
+def test_polish_starts_are_the_sorted_top_four(rng):
+    for m in (1, 3, 4, 5, 1000):
+        for _ in range(20):
+            ratios = np.where(rng.random(m) < 0.2, -1.0, rng.random(m))
+            want = np.argsort(ratios)[::-1][:4]
+            if len(set(np.sort(ratios)[::-1][:5])) < min(5, m):
+                continue  # the picks are only defined up to ties
+            assert coefficients._polish_starts(ratios).tolist() == want.tolist()
 
 
 def test_five_properties_on_corpus(small_corpus):

@@ -108,3 +108,28 @@ def test_shared_result_is_computed_once_under_contention(monkeypatch):
     assert len(computed) == 2
     assert len(got) == 16 and all(g is got[0] for g in got)
     assert len(errors) == 16 and all(e is errors[0] for e in errors)
+
+
+def test_each_honest_certificate_is_audited_once(count_calls):
+    # doeblin-equivalence and certificate-audit read one shared audit of the
+    # honest certificate; the forged and padded ones are audited on their own
+    calls = count_calls("verify_certificate")
+    results = run_verification(seed=36, dims=range(2, 11), count=2)
+    assert all(r.ok for r in results)
+    callers = [caller for caller, _, _ in calls["verify_certificate"]]
+    assert len(callers) == 57
+    assert callers.count("<lambda>") == 19  # the shared honest audits
+
+
+def test_shared_audit_raises_the_certificate_error_again():
+    from ergokit import verification
+    from ergokit.errors import ErgokitError
+    from ergokit.verification import _poison_false_positive
+
+    ctx = verification.VerifyContext()
+    inst = _poison_false_positive()
+    with pytest.raises(ErgokitError) as first:
+        ctx.shared("certificate", inst)
+    with pytest.raises(ErgokitError) as again:
+        ctx.shared("audit", inst)
+    assert again.value is first.value
