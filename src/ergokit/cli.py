@@ -38,7 +38,7 @@ from .instances import (
     load_instance,
 )
 from .operators import VALIDATION_TOL
-from .spectral import classify, rate_profile
+from .spectral import _rate_profile_given, classify
 from .verification import CHECK_NAMES, instance_theorems, run_verification
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def cmd_analyze(args) -> int:
         inst.operator, inst.projection,
         tolerance=args.tolerance, max_power=args.max_power,
     )
-    profile = rate_profile(inst.operator, inst.projection, N=40)
+    profile = _rate_profile_given(inst.operator, inst.projection, verdict, spectral, N=40)
     t_spectral = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -387,6 +387,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ParseError(
             f"expected a comma list or lo..hi range of integers, got {text!r}", "--dims"
         ) from None
+    if not dims and ".." in text:
+        raise ParseError(f"{text!r} is an empty range: lo must not exceed hi", "--dims")
     if not dims or any(d < 2 for d in dims):
         raise ParseError("dims must be integers >= 2", "--dims")
     return dims

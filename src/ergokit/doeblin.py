@@ -155,6 +155,7 @@ class CertificateReport:
     implied_bound: float
     actual_coefficient: float
     bound_holds: bool
+    power: np.ndarray  # the recomputed T^n0, which the audit read
 
 
 def verify_certificate(
@@ -202,7 +203,7 @@ def verify_certificate(
     if not bound_holds:
         violations.append("implied coefficient bound 1 - tau/2 fails")
     return CertificateReport(
-        not violations, tuple(violations), implied, delta, bound_holds
+        not violations, tuple(violations), implied, delta, bound_holds, Tn
     )
 
 

@@ -78,7 +78,8 @@ def markov_violations(
     images = np.matmul(matrix, space.base_vertices[:, :, None])[:, :, 0]
     cone_defects = space.cone_defect_rows(images)
     f_defects = np.abs(np.matmul(space.f_coefficients, images[:, :, None])[:, 0] - 1.0)
-    bad = np.flatnonzero((cone_defects > tol) | (f_defects > tol))
+    # not "> tol": a NaN defect compares False both ways and must fail
+    bad = np.flatnonzero(~((cone_defects <= tol) & (f_defects <= tol)))
     return [
         VertexViolation(int(i), float(cone_defects[i]), float(f_defects[i]))
         for i in bad

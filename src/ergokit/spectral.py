@@ -10,6 +10,12 @@ is what makes eigenvalues usable as convergence-rate predictions.
 Eigenvalues come from LAPACK's dense unsymmetric solver (balancing,
 Hessenberg reduction, shifted QR); failures surface as EigenSolverError,
 never silently.  Everything else is exact polytope-norm arithmetic.
+
+``classify`` gives an instance's one ``(verdict, report)``: the report
+holds the spectra of T and T - P, the verdict the membership defects.
+``rate_profile``, ``gelfand_trail``, ``spectrum_shift_check``, ``best_rate``
+and ``tensor_rate_bound`` read them through ``_given`` helpers, which a
+caller holding the classification calls directly.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .operators import (
     fixes_projection,
     kronecker,
     kronecker_projection,
-    membership,
     operator_norm,
 )
 
@@ -95,6 +100,8 @@ class SpectralReport:
     one_isolated: bool
     isolation_distance: float
     gap_norm: float  # norm of T(I - P)
+    spectrum_T: tuple  # eigenvalues of T, in LAPACK's order
+    spectrum_T_minus_P: tuple  # eigenvalues of T - P, in LAPACK's order
 
 
 @dataclass(frozen=True)
@@ -125,17 +132,20 @@ def spectral_report(T: MarkovOperator, P: MarkovProjection) -> SpectralReport:
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
     eigs = eigenvalues(A)
+    shifted = eigenvalues(A - Pm)
     away = eigs[np.abs(eigs - 1.0) > UNIT_EIG_TOL]
     sub = float(np.abs(away).max()) if away.size else 0.0
     iso = float(np.abs(away - 1.0).min()) if away.size else math.inf
     comp = np.eye(T.space.dim) - Pm
     return SpectralReport(
         eigenvalues=tuple(sorted(eigs, key=lambda z: (-abs(z), z.real, z.imag))),
-        residual_radius=spectral_radius(A - Pm),
+        residual_radius=float(np.abs(shifted).max()),
         subdominant_radius=sub,
         one_isolated=iso > UNIT_EIG_TOL,
         isolation_distance=iso,
         gap_norm=operator_norm(A @ comp, T.space),
+        spectrum_T=tuple(eigs),
+        spectrum_T_minus_P=tuple(shifted),
     )
 
 
@@ -293,7 +303,10 @@ def best_rate(T: MarkovOperator, P: MarkovProjection, tol: float = 1e-8) -> floa
     licenses reading rates off the spectrum).  Refuses instances that are
     not uniformly ergodic, where the quantity has no rate meaning.
     """
-    verdict, report = classify(T, P)
+    return _best_rate_given(*classify(T, P), tol)
+
+
+def _best_rate_given(verdict, report, tol=1e-8) -> float:
     if verdict.uniform is not True:
         raise PreconditionError(
             "best_rate is only meaningful for uniformly ergodic instances"
@@ -347,13 +360,17 @@ def gelfand_trail(T: MarkovOperator, P: MarkovProjection, N: int = 30) -> Gelfan
     which agrees with T^n on ker P, so it is also the precondition here
     (PreconditionError otherwise).
     """
-    ok, fd, cd = membership(T, P)
-    if not ok:
+    return _trail_given(T, P, *classify(T, P), N)
+
+
+def _trail_given(T, P, verdict, report, N=30) -> GelfandTrail:
+    fd, cd = verdict.fixes_defect, verdict.commute_defect
+    if not verdict.member:
         raise PreconditionError(
             f"gelfand_trail needs TP=P and PT=TP (defects {fd:.2e}, {cd:.2e})"
         )
     E = np.asarray(T.matrix) - np.asarray(P.matrix)
-    r = spectral_radius(E)
+    r = report.residual_radius
     logs = list(
         _scaled_power_logs(E, lambda Y: ergodicity_coefficient(Y, P, space=T.space).value, N)
     )
@@ -383,9 +400,13 @@ def spectrum_shift_check(
     coincide as multisets; matching is a min-cost assignment on pairwise
     distances in the complex plane, judged by the largest matched distance.
     """
-    _, fd, cd = membership(T, P)
-    a = eigenvalues(T.matrix)
-    b = eigenvalues(np.asarray(T.matrix) - np.asarray(P.matrix))
+    return _spectrum_shift_given(*classify(T, P), tol)
+
+
+def _spectrum_shift_given(verdict, report, tol=1e-7) -> SpectrumShiftReport:
+    fd, cd = verdict.fixes_defect, verdict.commute_defect
+    a = np.asarray(report.spectrum_T)
+    b = np.asarray(report.spectrum_T_minus_P)
 
     def keep(spec):
         return spec[(np.abs(spec) > tol) & (np.abs(spec - 1.0) > tol)]
@@ -453,9 +474,12 @@ def tensor_rate_bound(
     here since they are exactly the membership conditions SQ=QS=Q and
     TP=PT=P.  Each factor's defects and rate come from its classification.
     """
+    return _tensor_given(S, Q, T, P, classify(S, Q), classify(T, P), tol)
+
+
+def _tensor_given(S, Q, T, P, left, right, tol=1e-9) -> TensorRateReport:
     rates = []
-    for op, proj, tag in ((S, Q, "left"), (T, P, "right")):
-        verdict, report = classify(op, proj)
+    for op, proj, (verdict, report), tag in ((S, Q, left, "left"), (T, P, right, "right")):
         if verdict.uniform is not True:
             raise PreconditionError(f"{tag} factor is not uniformly ergodic")
         fd, cd = verdict.fixes_defect, verdict.commute_defect
@@ -494,12 +518,16 @@ def rate_profile(T: MarkovOperator, P: MarkovProjection, N: int = 40) -> RatePro
     is no rate of T^n - P (the product identity is unavailable), so the
     norms come from direct powers of T and no prefactor is fitted.
     """
+    return _rate_profile_given(T, P, *classify(T, P), N)
+
+
+def _rate_profile_given(T, P, verdict, report, N=40) -> RateProfile:
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
     E = A - Pm
-    r = spectral_radius(E)
+    r = report.residual_radius
     # None encodes an exactly zero power
-    member = membership(T, P)[0]
+    member = verdict.member
     if member:
         log_norms = list(_scaled_power_logs(E, lambda Y: operator_norm(Y, T.space), N))
     else:

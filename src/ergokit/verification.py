@@ -37,8 +37,8 @@ from .corpus import (
     recorded_nonmultiplicative_instance,
 )
 from .doeblin import (
+    _overlap_given_power,
     certificate_from_convergence,
-    overlap_certificate,
     search_certificates,
     verify_certificate,
 )
@@ -47,7 +47,6 @@ from .operators import (
     MarkovOperator,
     MarkovProjection,
     markov_violations,
-    membership,
     operator_norm,
     rank_one_projection,
 )
@@ -55,16 +54,19 @@ from .spaces import make_simplex
 from .spectral import (
     ErgodicityVerdict,
     SpectralReport,
-    best_rate,
+    _best_rate_given,
+    _spectrum_shift_given,
+    _tensor_given,
+    _trail_given,
     classify,
-    gelfand_trail,
     powers,
     report_rate,
-    spectrum_shift_check,
-    tensor_rate_bound,
 )
 
 MAX_MESSAGES = 8
+N0_CAP = 200  # power cap of the convergence certificates
+NEGATIVE_CAP = 25  # power cap of the search on chains expected not to mix
+TOL = 1e-9  # slack of the theorem inequalities
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class VerifyContext:
     samples: int = 20_000
-    n0_cap: int = 200
-    negative_cap: int = 25
-    tol: float = 1e-9
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def shared(self, kind: str, inst: Instance):
@@ -108,10 +107,12 @@ class VerifyContext:
 # per-instance results several checks read; an N = 20 trail starts with the N = 10
 # one, and the audit raises again any error the certificate raised
 _SHARED = {
-    "trail": lambda ctx, i: gelfand_trail(i.T, i.P, N=20 if i.expect_uniform else 10),
-    "certificate": lambda ctx, i: certificate_from_convergence(i.T, i.P, n0_cap=ctx.n0_cap),
+    "trail": lambda ctx, i: _trail_given(
+        i.T, i.P, *ctx.shared("classify", i), N=20 if i.expect_uniform else 10
+    ),
+    "certificate": lambda ctx, i: certificate_from_convergence(i.T, i.P, n0_cap=N0_CAP),
     "audit": lambda ctx, i: verify_certificate(ctx.shared("certificate", i), i.T, i.P),
-    "search": lambda ctx, i: search_certificates(i.T, i.P, n0_cap=ctx.negative_cap),
+    "search": lambda ctx, i: search_certificates(i.T, i.P, n0_cap=NEGATIVE_CAP),
     "classify": lambda ctx, i: classify(i.T, i.P),
 }
 
@@ -138,9 +139,9 @@ def _validated(inst: Instance) -> str | None:
     return None
 
 
-def _membership(inst: Instance) -> str | None:
-    ok, fd, cd = membership(inst.T, inst.P)
-    if not ok:
+def _membership_fault(inst: Instance, verdict: ErgodicityVerdict) -> str | None:
+    if not verdict.member:
+        fd, cd = verdict.fixes_defect, verdict.commute_defect
         return f"{inst.label}: membership defects fix={fd:.2e} commute={cd:.2e}"
     return None
 
@@ -157,7 +158,7 @@ def _check_coefficient_properties(instances, ctx) -> CheckResult:
             fails.append(bad)
             continue
         S = inst.S if inst.S is not None else inst.T
-        for chk in coefficient_inequalities(inst.T, S, inst.P, tol=ctx.tol):
+        for chk in coefficient_inequalities(inst.T, S, inst.P, tol=TOL):
             if not chk.ok:
                 fails.append(f"{inst.label}: {chk.name}: {chk.details}")
     return _result("coefficient-properties", fails, len(instances))
@@ -211,7 +212,7 @@ def _check_eigenvalue_bound(instances, ctx) -> CheckResult:
                 continue
             total += 1
             try:
-                rep = eigenvalue_bound_check(op, inst.P, tol=ctx.tol)
+                rep = eigenvalue_bound_check(op, inst.P, tol=TOL)
             except ErgokitError as exc:
                 fails.append(f"{inst.label}: {exc}")
                 continue
@@ -241,7 +242,7 @@ def _check_rate_identity(instances, ctx) -> CheckResult:
             continue
         total += 1
         try:
-            r = best_rate(inst.T, inst.P)
+            r = _best_rate_given(*ctx.shared("classify", inst))
         except ErgokitError as exc:
             fails.append(f"{inst.label}: {exc}")
             continue
@@ -271,11 +272,12 @@ def _check_gelfand_trail(instances, ctx) -> CheckResult:
 def _check_spectrum_shift(instances, ctx) -> CheckResult:
     fails = []
     for inst in instances:
-        bad = _membership(inst)
+        verdict, report = ctx.shared("classify", inst)
+        bad = _membership_fault(inst, verdict)
         if bad:
             fails.append(bad)
             continue
-        rep = spectrum_shift_check(inst.T, inst.P)
+        rep = _spectrum_shift_given(verdict, report)
         if not rep.ok:
             fails.append(
                 f"{inst.label}: spectra mismatch (distance {rep.max_match_distance:.2e})"
@@ -286,7 +288,7 @@ def _check_spectrum_shift(instances, ctx) -> CheckResult:
 def _check_multiplicativity(instances, ctx) -> CheckResult:
     fails = []
     for inst in instances:
-        bad = _membership(inst)
+        bad = _membership_fault(inst, ctx.shared("classify", inst)[0])
         if bad:
             fails.append(bad)
             continue
@@ -313,7 +315,7 @@ def _check_power_norm_chain(instances, ctx) -> CheckResult:
             gap = operator_norm(Tn @ (eye - Pm), inst.T.space)
             delta = ergodicity_coefficient(Tn, inst.P, space=inst.T.space).value
             resid = operator_norm(Tn - Pm, inst.T.space)
-            if gap > 2 * delta + ctx.tol or delta > resid + ctx.tol:
+            if gap > 2 * delta + TOL or delta > resid + TOL:
                 fails.append(f"{inst.label}: chain broken at n={n}")
                 break
     return _result("power-norm-chain", fails, len(instances))
@@ -325,7 +327,8 @@ def _check_tensor_bound(instances, ctx) -> CheckResult:
     pairs = list(zip(positives[:-1], positives[1:]))
     for left, right in pairs:
         try:
-            rep = tensor_rate_bound(left.T, left.P, right.T, right.P, tol=ctx.tol)
+            factors = ctx.shared("classify", left), ctx.shared("classify", right)
+            rep = _tensor_given(left.T, left.P, right.T, right.P, *factors, tol=TOL)
         except ErgokitError as exc:
             fails.append(f"{left.label} x {right.label}: {exc}")
             continue
@@ -365,11 +368,13 @@ def _check_overlap_soundness(instances, ctx) -> CheckResult:
 
     def one(inst):
         if inst.expect_uniform:
+            # the shared audit holds T^n0 and delta_P(T^n0) of this certificate
             try:
                 n0 = ctx.shared("certificate", inst).n0
-                out = overlap_certificate(inst.T, inst.P, inst.P, n0)
+                audit = ctx.shared("audit", inst)
             except ErgokitError as exc:
                 return f"{inst.label}: {exc}"
+            out = _overlap_given_power(audit.power, audit.actual_coefficient, inst.P, n0)
             # columns within 1/4 of the projection overlap by >= 7/8
             if not out.feasible or out.overlap < 0.875 - 1e-12:
                 return f"{inst.label}: expected overlap at n0={n0}"
@@ -446,11 +451,11 @@ def instance_theorems(
     # non-member still asks for it below, and gets PreconditionError
     trail = None
     if verdict.member:
-        srep = spectrum_shift_check(T, P)
+        srep = _spectrum_shift_given(verdict, report)
         out.append(
             ("spectrum-shift", srep.ok, f"match distance {srep.max_match_distance:.2e}")
         )
-        trail = gelfand_trail(T, P, N=15 if verdict.uniform is True else 10)
+        trail = _trail_given(T, P, verdict, report, N=15 if verdict.uniform is True else 10)
         mrep = trail.multiplicativity(N=10)
         out.append(
             (
@@ -466,7 +471,7 @@ def instance_theorems(
             out.append(("rate-identity", 0.0 <= r < 1.0, f"rate {r:.6g}"))
         except ErgokitError as exc:
             out.append(("rate-identity", False, str(exc)))
-        trail = trail or gelfand_trail(T, P, N=15)
+        trail = trail or _trail_given(T, P, verdict, report, N=15)
         out.append(
             ("gelfand-trail", trail.all_above, f"residual radius {trail.residual_radius:.6g}")
         )

@@ -202,7 +202,22 @@ def test_invalid_operator_is_validation_error(tmp_path, capsys):
     assert "validation error" in err
 
 
-@pytest.mark.parametrize("dims", ["x", "2..y", "1e2"])
+NAN_CASES = [
+    ("operator", [[float("nan"), 0.5], [float("nan"), 0.5]]),
+    ("projection", {"type": "matrix", "entries": [[float("nan"), 0.5], [0.5, 0.5]]}),
+]
+
+
+@pytest.mark.parametrize("key,value", NAN_CASES, ids=[k for k, _ in NAN_CASES])
+def test_nan_input_is_validation_error(key, value, tmp_path, capsys):
+    # a NaN defect is no defect <= tol, so the operator or projection is refused
+    p = write(tmp_path, "nan.json", dict(TWO_STATE, **{key: value}))
+    code, out, err = run(capsys, ["analyze", p])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"validation error: {key}")
+
+
+@pytest.mark.parametrize("dims", ["x", "2..y", "1e2", "5..3"])
 def test_malformed_dims_is_parse_error(dims, capsys):
     code, out, err = run(capsys, ["verify", "--count", "1", "--dims", dims])
     assert (code, out) == (2, "")
@@ -259,15 +274,30 @@ def test_analyze_classifies_once(tmp_path, capsys, count_calls):
 
 
 def test_analyze_builds_one_trail(tmp_path, capsys, count_calls):
-    calls = count_calls("gelfand_trail", "multiplicativity_test")
+    # the trail is built from analyze's classification, by the private helper
+    calls = count_calls("_trail_given", "multiplicativity_test")
     p = write(tmp_path, "two.json", TWO_STATE)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     assert code == 0
     names = [t["name"] for t in json.loads(out)["theorems"]]
     assert "multiplicativity" in names and "gelfand-trail" in names
     assert {k: len(v) for k, v in calls.items()} == {
-        "gelfand_trail": 1, "multiplicativity_test": 0,
+        "_trail_given": 1, "multiplicativity_test": 0,
     }
+
+
+def test_analyze_reads_spectra_and_defects_off_its_classification(
+    tmp_path, capsys, count_calls
+):
+    # classify's report holds the spectra of T and T - P, its verdict both
+    # membership defects; only the certificate's precondition tests membership
+    calls = count_calls("eigenvalues", "membership")
+    p = write(tmp_path, "two.json", TWO_STATE)
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    assert json.loads(out)["certificate"]["audit_ok"] is True
+    assert [caller for caller, _, _ in calls["eigenvalues"]] == ["spectral_report"] * 2
+    assert [caller for caller, _, _ in calls["membership"]] == ["_require_membership"]
 
 
 def test_analyze_computes_the_kernel_coefficient_once(tmp_path, capsys, count_calls):

@@ -191,6 +191,21 @@ def test_markov_violations_match_vertex_loop(make_case, rng):
                 assert got  # every perturbed matrix escapes somewhere
 
 
+def test_nan_entries_fail_markov_validation():
+    # NaN > tol is False, so a defect test must ask for defect <= tol instead
+    nan = float("nan")
+    for space in (make_simplex(2), make_embedded(1, "l1")):
+        rep = validate_markov(np.full((2, 2), nan), space)
+        assert isinstance(rep, ViolationReport)
+        assert [v.vertex_index for v in rep.violations] == list(range(len(space.base_vertices)))
+    s = make_simplex(2)
+    assert markov_violations(np.array([[nan, 0.5], [nan, 0.5]]), s)
+    with pytest.raises(ValueError, match="not Markov"):
+        block_projection(s, [[0, 1]], anchors=[np.array([nan, 0.5])])
+    with pytest.raises(ValueError, match="not Markov"):
+        explicit_projection(s, np.array([[nan, 0.5], [0.5, 0.5]]))
+
+
 def test_power_matches_matrix_power(rng):
     s = make_simplex(3)
     T = as_markov(random_stochastic(3, rng), s)

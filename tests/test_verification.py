@@ -30,12 +30,15 @@ def test_corruption_fails_exactly_the_named_check(name):
 
 def test_checks_share_each_instance_result(count_calls):
     # the trail, the convergence certificate, the negative search and the
-    # classification are each computed once per instance and run
+    # classification are each computed once per instance and run; every
+    # spectrum comes from the classification, and the overlap check reads the
+    # shared audit's power and coefficient
     from ergokit.corpus import build_corpus, recorded_nonmultiplicative_instance
     from ergokit.operators import membership
 
     calls = count_calls(
-        "gelfand_trail", "certificate_from_convergence", "search_certificates", "classify"
+        "_trail_given", "certificate_from_convergence", "search_certificates", "classify",
+        "eigenvalues", "overlap_certificate",
     )
     results = run_verification(count=1, dims=(2, 3, 4), samples=2000)
     assert all(r.ok for r in results)
@@ -52,11 +55,14 @@ def test_checks_share_each_instance_result(count_calls):
 
     uniform = len(lattice) - len(negatives)
     members = sum(1 for i in corpus if membership(i.T, i.P)[0])
-    own = [c for c in calls["classify"] if c[0] not in ("best_rate", "tensor_rate_bound")]
+    tensor_pairs = sum(1 for i in corpus if i.expect_uniform and i.T.space.dim <= 6) - 1
     assert per_instance(calls["search_certificates"]) == (len(negatives),) * 2
     assert per_instance(calls["certificate_from_convergence"]) == (uniform,) * 2
-    assert per_instance(calls["gelfand_trail"]) == (members,) * 2
-    assert per_instance(own) == (len(corpus),) * 2
+    assert per_instance(calls["_trail_given"]) == (members,) * 2
+    assert per_instance(calls["classify"]) == (len(corpus),) * 2
+    # T and T - P per instance, and the product chain of each tensor pair
+    assert len(calls["eigenvalues"]) == 2 * len(corpus) + tensor_pairs
+    assert calls["overlap_certificate"] == []
 
 
 def test_shared_result_is_computed_once_under_contention(monkeypatch):
