@@ -142,12 +142,13 @@ def cmd_analyze(args) -> int:
         cert = certificate_from_convergence(
             inst.operator, inst.projection, n0_cap=args.n0_cap
         )
-        audit = verify_certificate(cert, inst.operator, inst.projection)
+        audit = verify_certificate(cert, inst.operator, inst.projection, seed=args.seed)
     t_cert = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     theorems = instance_theorems(
-        inst.operator, inst.projection, verdict, spectral, kernel.value, tol=args.tolerance
+        inst.operator, inst.projection, verdict, spectral, kernel.value,
+        tol=args.tolerance, seed=args.seed,
     )
     t_theorems = time.perf_counter() - t0
 

@@ -509,7 +509,9 @@ def coefficient_inequalities(
     return _inequalities_given_delta(T, S, P, ergodicity_coefficient(T, P).value, H, tol)
 
 
-def _inequalities_given_delta(T, S, P, dT, H=None, tol=1e-9) -> list[PropertyCheck]:
+def _inequalities_given_delta(
+    T, S, P, dT, H=None, tol=1e-9, *, seed: int = 0
+) -> list[PropertyCheck]:
     if P.is_identity():
         names = ("range", "difference-lipschitz", "commuting-factor",
                  "annihilated-factor", "submultiplicative")
@@ -521,7 +523,7 @@ def _inequalities_given_delta(T, S, P, dT, H=None, tol=1e-9) -> list[PropertyChe
         H = np.eye(space.dim) - Pm
     H = np.asarray(H, dtype=float)
 
-    dS = dT if S is T else ergodicity_coefficient(S, P).value
+    dS = dT if S is T else ergodicity_coefficient(S, P, seed=seed).value
     out = []
 
     out.append(
@@ -535,7 +537,9 @@ def _inequalities_given_delta(T, S, P, dT, H=None, tol=1e-9) -> list[PropertyChe
 
     diff = T.matrix - S.matrix
     # T - T = 0 has coefficient 0 on every route once P != I
-    d_diff = 0.0 if S is T else ergodicity_coefficient(diff, P, space=space).value
+    d_diff = (
+        0.0 if S is T else ergodicity_coefficient(diff, P, space=space, seed=seed).value
+    )
     nrm_diff = operator_norm(diff, space)
     out.append(
         PropertyCheck(
@@ -549,7 +553,7 @@ def _inequalities_given_delta(T, S, P, dT, H=None, tol=1e-9) -> list[PropertyChe
     nH = operator_norm(H, space)
     commute_defect = operator_norm(H @ Pm - Pm @ H, space)
     applicable = commute_defect <= KERNEL_TOL
-    d_TH = ergodicity_coefficient(T.matrix @ H, P, space=space).value
+    d_TH = ergodicity_coefficient(T.matrix @ H, P, space=space, seed=seed).value
     out.append(
         PropertyCheck(
             "commuting-factor",
@@ -572,7 +576,7 @@ def _inequalities_given_delta(T, S, P, dT, H=None, tol=1e-9) -> list[PropertyChe
     )
 
     s_comm, s_defect = commutes(S, P)
-    d_TS = ergodicity_coefficient(T.matrix @ S.matrix, P, space=space).value
+    d_TS = ergodicity_coefficient(T.matrix @ S.matrix, P, space=space, seed=seed).value
     out.append(
         PropertyCheck(
             "submultiplicative",

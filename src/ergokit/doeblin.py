@@ -19,6 +19,7 @@ simplex-only and refuse embedded spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .spectral import powers
 
 TAU_FLOOR = 1e-6
 CONE_SLACK = 1e-10
+# entries per stacked (power, Q) array in one chunk of the certificate search
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,40 +96,84 @@ def _require_membership(T: MarkovOperator, P: MarkovProjection) -> None:
         )
 
 
-def _gap(tau: float, Qm: np.ndarray, Tn: np.ndarray) -> float:
-    """g(tau) = max over vertices of norm((tau Q e_i - T^n0 e_i)_+) - tau/4."""
-    excess = np.maximum(tau * Qm - Tn, 0.0)
-    return float(excess.sum(axis=0).max()) - 0.25 * tau
+def _gap(tau, Qm: np.ndarray, Tn: np.ndarray):
+    """g(tau) = max over vertices of norm((tau Q e_i - T^n0 e_i)_+) - tau/4.
+
+    Batched over leading axes: tau of shape S needs Qm and Tn broadcasting
+    to S + (n, n).  Every batch entry sums its columns over the same axis in
+    the same order, so it is the float a lone (n, n) call gives.
+    """
+    tau = np.asarray(tau, dtype=float)
+    excess = np.subtract(tau[..., None, None] * Qm, Tn)
+    return np.maximum(excess, 0.0, out=excess).sum(axis=-2).max(axis=-1) - 0.25 * tau
+
+
+def _max_tau(Tc: np.ndarray, Qm: np.ndarray) -> np.ndarray:
+    """Largest sound tau in [0, 1] for each (power, Q) pair, shape (c, K).
+
+    Tc stacks c powers and Qm stacks K candidates, each (n, n).
+    """
+    # Vertex reduction: for fixed tau, x -> norm((tau Qx - T^n0 x)_+) is convex
+    # on K (positive part of an affine image, summed), so its sup over K is
+    # attained at a base vertex and checking columns suffices.
+    #
+    # Column i's gap h(tau) = sum_j (tau q_j - t_j)_+ - tau/4 equals the max
+    # over subsets S of tau (q_S - 1/4) - t_S, so h <= 0 exactly when
+    # tau <= t_S / (q_S - 1/4) for every S with q_S > 1/4.  At any tau the
+    # maximizing S is {j : t_j / q_j < tau}, a prefix of the breakpoints
+    # t_j / q_j in sorted order (rows with q_j = 0 sort last), so the prefix
+    # constraints alone decide h <= 0: tau_i* = min over prefixes k with
+    # Q_k > 1/4 of T_k / (Q_k - 1/4), from the prefix sums Q_k and T_k.
+    # Then tau* = min(1, min_i tau_i*), with no bisection.
+    Tt = np.swapaxes(Tc, -1, -2)[:, None]  # row i: column i of the power
+    Qt = np.swapaxes(Qm, -1, -2)[None]
+    Tb, Qb = np.broadcast_arrays(Tt, Qt)
+    ratio = np.divide(Tb, Qb, out=np.full(Tb.shape, np.inf), where=Qb > 0.0)
+    order = np.argsort(ratio, axis=-1, kind="stable")
+    Tk = np.take_along_axis(Tb, order, axis=-1)
+    Qk = np.take_along_axis(Qb, order, axis=-1)
+    np.cumsum(Tk, axis=-1, out=Tk)
+    np.cumsum(Qk, axis=-1, out=Qk)
+    Qk -= 0.25
+    ratio.fill(np.inf)  # now the roots T_k / (Q_k - 1/4)
+    np.divide(Tk, Qk, out=ratio, where=Qk > 0.0)
+    tau = np.minimum(ratio.min(axis=(-2, -1)), 1.0)
+    tau[_gap(1.0, Qm, Tc[:, None]) <= 0.0] = 1.0
+    # The rounded root can sit a few ulps past the float boundary of g, so
+    # step each such tau down until g(tau) <= 0 holds as computed; after 16
+    # ulps the step doubles, and g(0) = 0 ends the walk in any case.
+    ci, ki = np.nonzero(_gap(tau, Qm, Tc[:, None]) > 0.0)
+    step = 0
+    while ci.size:
+        t = tau[ci, ki]
+        if step < 16:
+            t = np.nextafter(t, 0.0)
+        else:
+            t = np.maximum(t - np.spacing(t) * 2.0 ** (step - 15), 0.0)
+        tau[ci, ki] = t
+        keep = _gap(t, Qm[ki], Tc[ci]) > 0.0
+        ci, ki = ci[keep], ki[keep]
+        step += 1
+    return tau
+
+
+def _minorization_outcome(
+    Tn: np.ndarray, delta: float, Q: MarkovProjection, n0: int, tau: float
+) -> MinorizationOutcome:
+    if tau <= TAU_FLOOR:
+        return MinorizationOutcome(False, tau, None, 1.0, delta, True)
+    # row i: the corrector at vertex i
+    phi = np.maximum(tau * np.asarray(Q.matrix) - Tn, 0.0).T
+    cert = DoeblinCertificate(tau, n0, Q, phi, float(phi.sum(axis=1).max()))
+    implied = 1.0 - 0.5 * tau
+    return MinorizationOutcome(True, tau, cert, implied, delta, delta <= implied + 1e-9)
 
 
 def _max_tau_given_power(
     Tn: np.ndarray, delta: float, Q: MarkovProjection, n0: int
 ) -> MinorizationOutcome:
-    Qm = np.asarray(Q.matrix)
-    # Vertex reduction: for fixed tau, x -> norm((tau Qx - T^n0 x)_+) is convex
-    # on K (positive part of an affine image, summed), so its sup over K is
-    # attained at a base vertex and checking columns suffices.
-    #
-    # In tau, each entry tau -> (tau q - t)_+ is convex and g(0) = 0 because
-    # Markov columns are already in the cone; so {g <= 0} is an interval
-    # [0, tau*] and bisection against its boundary is exact.
-    if _gap(1.0, Qm, Tn) <= 0.0:
-        tau = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _gap(mid, Qm, Tn) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        tau = lo
-    if tau <= TAU_FLOOR:
-        return MinorizationOutcome(False, tau, None, 1.0, delta, True)
-    phi = np.maximum(tau * Qm - Tn, 0.0).T  # row i: corrector at vertex i
-    cert = DoeblinCertificate(tau, n0, Q, phi, float(phi.sum(axis=1).max()))
-    implied = 1.0 - 0.5 * tau
-    return MinorizationOutcome(True, tau, cert, implied, delta, delta <= implied + 1e-9)
+    tau = float(_max_tau(Tn[None], np.asarray(Q.matrix)[None])[0, 0])
+    return _minorization_outcome(Tn, delta, Q, n0, tau)
 
 
 def max_minorization_weight(
@@ -159,14 +206,14 @@ class CertificateReport:
 
 
 def verify_certificate(
-    cert: DoeblinCertificate, T: MarkovOperator, P: MarkovProjection
+    cert: DoeblinCertificate, T: MarkovOperator, P: MarkovProjection, *, seed: int = 0
 ) -> CertificateReport:
     """Re-verify a minorization certificate from scratch.
 
     Recomputes the power, the cone inequalities, the corrector budget and
     the sub-projection order independently of how the certificate was
     produced, and checks the implied coefficient bound against the exact
-    coefficient.
+    coefficient (``seed`` seeds its sampling fallback, past the exact routes).
     """
     _require_simplex(T.space)
     violations = []
@@ -197,7 +244,7 @@ def verify_certificate(
                 f"corrector budget exceeded: sup norm(phi) = {sup_phi:.3e} "
                 f"> tau/4 = {0.25 * cert.tau:.3e}"
             )
-    delta = ergodicity_coefficient(Tn, P, space=T.space).value
+    delta = ergodicity_coefficient(Tn, P, space=T.space, seed=seed).value
     implied = 1.0 - 0.5 * cert.tau
     bound_holds = delta <= implied + 1e-9
     if not bound_holds:
@@ -297,6 +344,15 @@ class SearchOutcome:
     diagnostic: str
 
 
+def _better(best, scores: np.ndarray, chunk: list) -> tuple:
+    """best, or the chunk's first top (power, Q) pair if it scores strictly higher."""
+    i, k = np.unravel_index(np.argmax(scores), scores.shape)
+    if scores[i, k] > best[0]:
+        n0, Tn = chunk[i]
+        return float(scores[i, k]), n0, int(k), Tn
+    return best
+
+
 def search_certificates(
     T: MarkovOperator,
     P: MarkovProjection,
@@ -308,6 +364,14 @@ def search_certificates(
     Returns the minorization outcome maximizing tau and the overlap outcome
     maximizing lambda; ties resolve to the smaller n0, then to the earlier
     Q candidate, so results are deterministic.
+
+    The powers are scanned in chunks of at most _CHUNK_ELEMENTS entries per
+    stacked (power, Q) array (and at least one power), each chunk in one
+    vectorized pass: lambda is the least column mass of min(T^n0, Q), and
+    tau comes from the breakpoint prefixes of ``_max_tau``.  Once a chunk
+    reaches tau = 1 no later power can beat it, since ties go to the
+    smaller n0, so later chunks solve lambda only.  delta_P(T^n0) is
+    computed for the winning powers alone, the only ones an outcome prints.
     """
     _require_simplex(T.space)
     _require_membership(T, P)
@@ -316,18 +380,33 @@ def search_certificates(
     for Q in Q_candidates:
         if not sub_projection(Q, P):
             raise PreconditionError("a Q candidate is not a sub-projection of P")
-    best_min: MinorizationOutcome | None = None
-    best_over: OverlapOutcome | None = None
-    for n0, Tn in powers(np.asarray(T.matrix), n0_cap):
-        delta = ergodicity_coefficient(Tn, P, space=T.space).value
-        for Q in Q_candidates:
-            m = _max_tau_given_power(Tn, delta, Q, n0)
-            if m.feasible and (best_min is None or m.tau > best_min.tau):
-                best_min = m
-            o = _overlap_given_power(Tn, delta, Q, n0)
-            if o.feasible and (best_over is None or o.overlap > best_over.overlap):
-                best_over = o
-    if best_min is None:
+    # the winners so far, as (score, n0, Q index, T^n0)
+    best_min = best_over = (-np.inf, 0, 0, None)
+    if Q_candidates:
+        Qm = np.stack([np.asarray(Q.matrix) for Q in Q_candidates])
+        per_chunk = max(1, _CHUNK_ELEMENTS // Qm.size)
+        scan = powers(np.asarray(T.matrix), n0_cap)
+        while chunk := list(islice(scan, per_chunk)):
+            Tc = np.stack([Tn for _, Tn in chunk])
+            lam = np.minimum(Tc[:, None], Qm).sum(axis=-2).min(axis=-1)
+            best_over = _better(best_over, lam, chunk)
+            if best_min[0] < 1.0:
+                best_min = _better(best_min, _max_tau(Tc, Qm), chunk)
+    deltas: dict[int, float] = {}
+
+    def delta(n0: int, Tn: np.ndarray) -> float:
+        if n0 not in deltas:
+            deltas[n0] = ergodicity_coefficient(Tn, P, space=T.space).value
+        return deltas[n0]
+
+    m = o = None
+    tau, n0, k, Tn = best_min
+    if tau > TAU_FLOOR:
+        m = _minorization_outcome(Tn, delta(n0, Tn), Q_candidates[k], n0, tau)
+    lam, n0, k, Tn = best_over
+    if lam > 0.5 + CONE_SLACK:
+        o = _overlap_given_power(Tn, delta(n0, Tn), Q_candidates[k], n0)
+    if m is None:
         diagnostic = (
             f"no minorization certificate up to n0_cap={n0_cap}; the instance "
             "is either not uniformly ergodic or mixes too slowly for this cap "
@@ -335,11 +414,5 @@ def search_certificates(
         )
     else:
         diagnostic = "ok"
-    return SearchOutcome(
-        best_min,
-        best_over,
-        best_min is None,
-        best_over is None,
-        n0_cap,
-        diagnostic,
-    )
+    return SearchOutcome(m, o, m is None, o is None, n0_cap, diagnostic)
+

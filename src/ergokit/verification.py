@@ -417,18 +417,19 @@ def _check_certificate_audit(instances, ctx) -> CheckResult:
 
 def instance_theorems(
     T: MarkovOperator, P: MarkovProjection, verdict: ErgodicityVerdict,
-    report: SpectralReport, delta: float, tol: float = 1e-9,
+    report: SpectralReport, delta: float, tol: float = 1e-9, *, seed: int = 0,
 ) -> list[tuple[str, bool, str]]:
     """Per-instance theorem scoreboard for analysis reports.
 
     Scores the caller's ``classify(T, P)`` and ``ergodicity_coefficient(T, P).value``
     (``delta``), the ones its report prints, and reads membership off the verdict's
     two defects.  Expectation-free: the classification entry judges internal clause
-    agreement, not a generator promise, so it applies to arbitrary input.
+    agreement, not a generator promise, so it applies to arbitrary input.  ``seed``
+    seeds the sampling fallback of the other coefficients, those of T(I - P) and T².
     """
     out: list[tuple[str, bool, str]] = []
     space = T.space
-    for chk in _inequalities_given_delta(T, T, P, delta, tol=tol):
+    for chk in _inequalities_given_delta(T, T, P, delta, tol=tol, seed=seed):
         detail = chk.details if chk.applicable else f"not applicable: {chk.details}"
         out.append((f"coefficient-{chk.name}", chk.ok, detail))
     if P.variant in ("rank_one", "block") and space.is_lattice:

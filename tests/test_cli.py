@@ -371,6 +371,22 @@ def test_analyze_theorems_read_the_seeded_kernel_coefficient(tmp_path, capsys):
     assert kernel["value"] == rng["detail"]["value_T"]
 
 
+def test_analyze_inequalities_draw_with_the_seed(tmp_path, capsys):
+    # T(I - P) equals T on ker P, so the commuting-factor lhs is the kernel
+    # coefficient again, and its bracket follows --seed as the kernel's does
+    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+    lhs = {}
+    for seed in (0, 5):
+        code, out, _ = run(capsys, ["analyze", "--seed", str(seed), "--format", "structured", p])
+        assert code == 0
+        doc = json.loads(out)
+        kernel = float(doc["coefficients"]["kernel"]["value"])
+        th = next(t for t in doc["theorems"] if t["name"] == "coefficient-commuting-factor")
+        lhs[seed] = float(th["detail"]["lhs"])
+        assert lhs[seed] == pytest.approx(kernel, abs=1e-15)
+    assert lhs[0] != lhs[5]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -10,6 +10,7 @@ from ergokit import (
     UnsupportedSpaceError,
     certificate_from_convergence,
     default_q_candidates,
+    ergodicity_coefficient,
     make_simplex,
     max_minorization_weight,
     overlap_certificate,
@@ -17,14 +18,17 @@ from ergokit import (
     search_certificates,
     verify_certificate,
 )
+from ergokit import corpus, doeblin
 from ergokit.corpus import permutation_instance
+from ergokit.operators import block_projection
+from ergokit.spectral import powers
 
 
 def test_minorization_fixture_value(two_state):
     # g(tau) = 0.5 tau - 0.3 for this chain at n0 = 1, so tau* = 0.6
     out = max_minorization_weight(two_state.T, two_state.P, two_state.P, 1)
     assert out.feasible
-    assert out.tau == pytest.approx(0.6, abs=1e-12)
+    assert out.tau == pytest.approx(0.6, abs=1e-15)
     assert out.implied_bound == pytest.approx(0.7, abs=1e-12)
     assert out.actual_coefficient == pytest.approx(0.6, abs=1e-12)
     assert out.bound_holds
@@ -202,18 +206,156 @@ def test_convergence_constructor_names_both_causes_at_the_cap():
     assert "not uniformly ergodic" in msg and "mixes too slowly" in msg
 
 
-def test_search_computes_the_coefficient_once_per_power(blocky, monkeypatch):
-    from ergokit import doeblin
-
+def test_search_computes_the_coefficient_once_per_winning_power(blocky, monkeypatch):
     calls = []
     real = doeblin.ergodicity_coefficient
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(doeblin, "ergodicity_coefficient", counted)
     cands = default_q_candidates(blocky.P)
     assert len(cands) == 3
-    search_certificates(blocky.T, blocky.P, n0_cap=7, Q_candidates=cands)
-    assert len(calls) == 7
+    out = search_certificates(blocky.T, blocky.P, n0_cap=7, Q_candidates=cands)
+    winners = {out.minorization.certificate.n0, out.overlap.certificate.n0}
+    assert len(calls) == len(winners) <= 2
+    Tn = dict(powers(np.asarray(blocky.T.matrix), 7))
+    assert all(any(np.array_equal(a, Tn[n0]) for a in calls) for n0 in winners)
+
+
+def _bisection_tau(Tn, Qm):
+    """The 60-step bisection against the boundary of {g <= 0}, for reference."""
+    if doeblin._gap(1.0, Qm, Tn) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if doeblin._gap(mid, Qm, Tn) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _random_qs(n, rng):
+    """A rank-one and a block projection with random anchors, as matrices."""
+    rank_one = np.outer(rng.dirichlet(np.ones(n)), np.ones(n))
+    blocks = corpus.random_partition(n, rng)
+    anchors = [rng.dirichlet(np.ones(len(b))) for b in blocks]
+    return [rank_one, np.asarray(block_projection(make_simplex(n), blocks, anchors).matrix)]
+
+
+def test_exact_tau_matches_the_bisection():
+    rng = np.random.default_rng(11)
+    below_one = 0
+    for n in range(2, 13):
+        for _ in range(10):
+            T = corpus.dirichlet_matrix(n, rng)
+            Tc = np.stack([Tn for _, Tn in powers(T, 3)])
+            Qm = np.stack(_random_qs(n, rng))
+            batch = doeblin._max_tau(Tc, Qm)
+            for c in range(3):
+                for k in range(2):
+                    tau = batch[c, k]
+                    # one pair alone gives the float the batch gives
+                    assert doeblin._max_tau(Tc[c:c + 1], Qm[k:k + 1])[0, 0] == tau
+                    assert doeblin._gap(tau, Qm[k], Tc[c]) <= 0.0
+                    assert abs(tau - _bisection_tau(Tc[c], Qm[k])) <= 1e-15
+                    below_one += tau < 1.0
+    assert below_one > 600  # most pairs are not at the clip
+
+
+def test_exact_tau_with_zero_entries_in_q():
+    # Q's last row is zero, so that row's breakpoint t/q is infinite and sorts last
+    T = np.array([[0.6, 0.1, 0.3], [0.3, 0.7, 0.2], [0.1, 0.2, 0.5]])
+    for y in ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]):
+        Qm = np.outer(y, np.ones(3))
+        tau = doeblin._max_tau(T[None], Qm[None])[0, 0]
+        assert 0.0 < tau < 1.0
+        assert doeblin._gap(tau, Qm, T) <= 0.0
+        assert abs(tau - _bisection_tau(T, Qm)) <= 1e-15
+    # block Q, zero off its blocks
+    anchors = [np.array([0.5, 0.5]), np.ones(1)]
+    Qm = np.asarray(block_projection(make_simplex(3), [[0, 1], [2]], anchors).matrix)
+    tau = doeblin._max_tau(T[None], Qm[None])[0, 0]
+    assert doeblin._gap(tau, Qm, T) <= 0.0
+    assert abs(tau - _bisection_tau(T, Qm)) <= 1e-15
+
+
+def test_exact_tau_is_one_when_the_gap_at_one_is_not_positive(two_state):
+    Pm = np.asarray(two_state.P.matrix)
+    # T^n0 = Q: g(1) = -1/4
+    assert doeblin._gap(1.0, Pm, Pm) <= 0.0
+    assert doeblin._max_tau(Pm[None], Pm[None])[0, 0] == 1.0
+    T3 = np.linalg.matrix_power(np.asarray(two_state.T.matrix), 3)
+    assert doeblin._gap(1.0, Pm, T3) <= 0.0
+    out = max_minorization_weight(two_state.T, two_state.P, two_state.P, 3)
+    assert out.tau == 1.0 and out.feasible
+    # a column whose root is exactly 1, where the rounded root T_1/(Q_1 - 1/4)
+    # lands 1 ulp below it but the computed g(1) is still <= 0
+    q, t = 0.32868146675533627, 0.07868146675533624
+    Qm = np.outer([q, 1.0 - q], np.ones(2))
+    Tn = np.outer([t, 1.0 - t], np.ones(2))
+    assert t / (q - 0.25) < 1.0 and doeblin._gap(1.0, Qm, Tn) <= 0.0
+    assert doeblin._max_tau(Tn[None], Qm[None])[0, 0] == 1.0
+
+
+def test_exact_tau_on_a_permutation_is_infeasible():
+    perm = permutation_instance(4)
+    for n0 in (1, 2, 3):
+        out = max_minorization_weight(perm.T, perm.P, perm.P, n0)
+        assert out.tau <= doeblin.TAU_FLOOR
+        assert not out.feasible and out.certificate is None
+
+
+def test_search_with_no_candidates_exhausts_both_halves(two_state):
+    out = search_certificates(two_state.T, two_state.P, n0_cap=5, Q_candidates=[])
+    assert out.exhausted_minorization and out.exhausted_overlap
+    assert out.minorization is None and out.overlap is None
+    assert "n0_cap=5" in out.diagnostic
+
+
+def _per_power_search(T, P, n0_cap):
+    """Reference: one (power, Q) pair at a time; (score, n0, Q index, T^n0) per half."""
+    best_min = best_over = None
+    for n0, Tn in powers(np.asarray(T.matrix), n0_cap):
+        for k, Q in enumerate(default_q_candidates(P)):
+            tau = doeblin._max_tau_given_power(Tn, 0.0, Q, n0).tau
+            lam = doeblin._overlap_given_power(Tn, 0.0, Q, n0).overlap
+            if tau > doeblin.TAU_FLOOR and (best_min is None or tau > best_min[0]):
+                best_min = (tau, n0, k, Tn)
+            if lam > 0.5 + doeblin.CONE_SLACK and (best_over is None or lam > best_over[0]):
+                best_over = (lam, n0, k, Tn)
+    return best_min, best_over
+
+
+def test_search_stops_solving_tau_after_the_chunk_that_reaches_one(monkeypatch):
+    inst = corpus.block_instance([25] * 4, np.random.default_rng(4), "b")
+    cands = default_q_candidates(inst.P)
+    ref_min, ref_over = _per_power_search(inst.T, inst.P, 200)
+
+    chunks = []
+    real = doeblin._max_tau
+
+    def counted(Tc, Qm):
+        chunks.append(len(Tc))
+        # the memory bound: a chunk holds one power, or fits the element budget
+        assert len(Tc) == 1 or Tc.shape[0] * Qm.size <= doeblin._CHUNK_ELEMENTS
+        return real(Tc, Qm)
+
+    monkeypatch.setattr(doeblin, "_max_tau", counted)
+    out = search_certificates(inst.T, inst.P, n0_cap=200)
+    m, o = out.minorization, out.overlap
+    assert m.tau == ref_min[0] == 1.0
+    assert (m.certificate.n0, o.certificate.n0) == (ref_min[1], ref_over[1])
+    assert np.array_equal(m.certificate.Q.matrix, cands[ref_min[2]].matrix)
+    assert np.array_equal(o.certificate.Q.matrix, cands[ref_over[2]].matrix)
+    assert o.overlap == ref_over[0]
+    for outcome, ref in ((m, ref_min), (o, ref_over)):
+        assert outcome.actual_coefficient == ergodicity_coefficient(ref[3], inst.P).value
+    # the tau solver saw powers 1..sum(chunks), and the last chunk held the winner
+    seen = sum(chunks)
+    assert seen - chunks[-1] < m.certificate.n0 <= seen < 200
+    # the overlap half still scans to the cap
+    assert o.certificate.n0 > seen
