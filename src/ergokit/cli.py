@@ -14,6 +14,7 @@ per-stage wall times.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -254,7 +255,8 @@ def cmd_doeblin(args) -> int:
 
         candidates = [inst.sub] + default_q_candidates(inst.projection)
     outcome = search_certificates(
-        inst.operator, inst.projection, n0_cap=args.n0_cap, Q_candidates=candidates
+        inst.operator, inst.projection, n0_cap=args.n0_cap, Q_candidates=candidates,
+        seed=args.seed,
     )
     elapsed = time.perf_counter() - t0
 
@@ -274,7 +276,9 @@ def cmd_doeblin(args) -> int:
             if m is None:
                 doc["minorization"] = {"feasible": False, "exhausted": True}
             else:
-                audit = verify_certificate(m.certificate, inst.operator, inst.projection)
+                audit = verify_certificate(
+                    m.certificate, inst.operator, inst.projection, seed=args.seed
+                )
                 doc["minorization"] = {
                     "feasible": True,
                     "certificate": _certificate_doc(m.certificate, audit),
@@ -305,7 +309,9 @@ def cmd_doeblin(args) -> int:
         if m is None:
             w(f"minorization: exhausted up to n0 = {args.n0_cap}\n")
         else:
-            audit = verify_certificate(m.certificate, inst.operator, inst.projection)
+            audit = verify_certificate(
+                m.certificate, inst.operator, inst.projection, seed=args.seed
+            )
             w(
                 f"minorization: tau = {m.tau:.12g} at n0 = {m.certificate.n0} "
                 f"(Q {m.certificate.Q.variant}; audit "
@@ -409,6 +415,9 @@ def _check_flag_ranges(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and value < low:
             raise ParseError(f"must be an integer >= {low}, got {value}", flag)
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ParseError(f"must be a finite number >= 0, got {tolerance}", "--tolerance")
 
 
 def cmd_verify(args) -> int:

@@ -358,6 +358,8 @@ def search_certificates(
     P: MarkovProjection,
     n0_cap: int = 200,
     Q_candidates: list[MarkovProjection] | None = None,
+    *,
+    seed: int = 0,
 ) -> SearchOutcome:
     """Grid search over powers and sub-projections for both certificates.
 
@@ -371,7 +373,8 @@ def search_certificates(
     tau comes from the breakpoint prefixes of ``_max_tau``.  Once a chunk
     reaches tau = 1 no later power can beat it, since ties go to the
     smaller n0, so later chunks solve lambda only.  delta_P(T^n0) is
-    computed for the winning powers alone, the only ones an outcome prints.
+    computed for the winning powers alone, the only ones an outcome prints;
+    ``seed`` seeds its sampling fallback, past the exact routes.
     """
     _require_simplex(T.space)
     _require_membership(T, P)
@@ -396,7 +399,7 @@ def search_certificates(
 
     def delta(n0: int, Tn: np.ndarray) -> float:
         if n0 not in deltas:
-            deltas[n0] = ergodicity_coefficient(Tn, P, space=T.space).value
+            deltas[n0] = ergodicity_coefficient(Tn, P, space=T.space, seed=seed).value
         return deltas[n0]
 
     m = o = None

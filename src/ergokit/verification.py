@@ -1,5 +1,14 @@
 """Named theorem checks over a seeded corpus, with a fault-injection hook.
 
+One loop, in ``_check``, runs every check over its cases.  A case is an
+instance (with its position, in mc-lower-bound), except in eigenvalue-bound,
+whose cases are (instance, operator) pairs, and tensor-bound, whose cases
+are adjacent (left, right) pairs of instances.  A check's verdict maps one
+case to nothing or to the detail of that case's one failure, and an
+ErgokitError raised for a case fails that case alone, so
+``passed + failed`` is the number of cases.  The checks named in
+``_POOLED`` run their cases on a thread pool.
+
 Each check validates its hypotheses before trusting any conclusion: the
 operator must pass Markov validation, commutation-based results insist on
 small membership defects, and kernel vertices are re-tested against the
@@ -16,6 +25,7 @@ import dataclasses
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -42,7 +52,7 @@ from .doeblin import (
     search_certificates,
     verify_certificate,
 )
-from .errors import ErgokitError
+from .errors import ErgokitError, PreconditionError, ValidationError
 from .operators import (
     MarkovOperator,
     MarkovProjection,
@@ -71,6 +81,8 @@ TOL = 1e-9  # slack of the theorem inequalities
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; ``passed`` and ``failed`` count its cases."""
+
     name: str
     passed: int
     failed: int
@@ -82,7 +94,7 @@ class CheckResult:
 
     @property
     def vacuous(self) -> bool:
-        """No instance met the check's hypotheses, so nothing was tested."""
+        """No case met the check's hypotheses, so nothing was tested."""
         return self.passed == 0 and self.failed == 0
 
 
@@ -117,12 +129,16 @@ _SHARED = {
 }
 
 
-def _result(name, fails: list[str], total: int) -> CheckResult:
-    return CheckResult(name, total - len(fails), len(fails), tuple(fails[:MAX_MESSAGES]))
+# The checks whose cases run on the thread pool.  Their cases are BLAS-bound
+# (Monte-Carlo products, certificate power scans and audits), which release
+# the GIL; the other checks are Python-bound and would contend for it.  On a
+# 2-CPU VM, pooling all 14 checks cut verify-corpus ops_per_s by 16-18%, and
+# pooling none by 23-26%.
+_POOLED = frozenset({"mc-lower-bound", "doeblin-equivalence", "overlap-soundness"})
 
 
 def _parallel_map(fn, items: list) -> list:
-    """Ordered map over independent instances on a small thread pool.
+    """Ordered map over independent cases on a small thread pool.
 
     BLAS and the LP solver release the GIL, so this buys real concurrency,
     and merging in submission order keeps reports deterministic.
@@ -133,286 +149,223 @@ def _parallel_map(fn, items: list) -> list:
         return list(pool.map(fn, items))
 
 
-def _validated(inst: Instance) -> str | None:
+def _label(case) -> str:
+    """An instance's label; a tuple case joins the labels of its instances."""
+    parts = case if isinstance(case, tuple) else (case,)
+    return " x ".join(p.label for p in parts if isinstance(p, Instance))
+
+
+def _check(name: str, cases=list):
+    """Make ``verdict(ctx, case)`` the check ``name`` over ``cases(instances)``.
+
+    A verdict returns nothing (None or "") when its case passes, else the
+    detail of the case's one failure; an ErgokitError it raises is that
+    detail.  The check labels each detail with its case, counts one verdict
+    per case and keeps the first MAX_MESSAGES messages.
+    """
+
+    def register(verdict):
+        def check(instances, ctx) -> CheckResult:
+            def one(case):
+                try:
+                    detail = verdict(ctx, case)
+                except ErgokitError as exc:
+                    detail = str(exc)
+                return f"{_label(case)}: {detail}" if detail else None
+
+            todo = cases(instances)
+            msgs = _parallel_map(one, todo) if name in _POOLED else map(one, todo)
+            fails = [m for m in msgs if m]
+            return CheckResult(
+                name, len(todo) - len(fails), len(fails), tuple(fails[:MAX_MESSAGES])
+            )
+
+        return check
+
+    return register
+
+
+def _require_markov(inst: Instance) -> None:
     if markov_violations(np.asarray(inst.T.matrix), inst.T.space):
-        return f"{inst.label}: operator fails Markov validation"
-    return None
+        raise ValidationError("operator fails Markov validation")
 
 
-def _membership_fault(inst: Instance, verdict: ErgodicityVerdict) -> str | None:
+def _require_member(verdict: ErgodicityVerdict) -> None:
     if not verdict.member:
         fd, cd = verdict.fixes_defect, verdict.commute_defect
-        return f"{inst.label}: membership defects fix={fd:.2e} commute={cd:.2e}"
-    return None
+        raise PreconditionError(f"membership defects fix={fd:.2e} commute={cd:.2e}")
+
+
+def _uniform(instances) -> list:
+    return [i for i in instances if i.expect_uniform]
+
+
+def _lattice(instances) -> list:
+    return [i for i in instances if i.T.space.is_lattice]
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
 
-def _check_coefficient_properties(instances, ctx) -> CheckResult:
-    fails = []
-    for inst in instances:
-        bad = _validated(inst)
-        if bad:
-            fails.append(bad)
-            continue
-        S = inst.S if inst.S is not None else inst.T
-        for chk in coefficient_inequalities(inst.T, S, inst.P, tol=TOL):
-            if not chk.ok:
-                fails.append(f"{inst.label}: {chk.name}: {chk.details}")
-    return _result("coefficient-properties", fails, len(instances))
+@_check("coefficient-properties")
+def _check_coefficient_properties(ctx, inst):
+    _require_markov(inst)
+    S = inst.S if inst.S is not None else inst.T
+    checks = coefficient_inequalities(inst.T, S, inst.P, tol=TOL)
+    return "; ".join(f"{chk.name}: {chk.details}" for chk in checks if not chk.ok)
 
 
-def _check_pair_formula(instances, ctx) -> CheckResult:
-    fails = []
-    total = 0
-    for inst in instances:
-        if inst.P.variant not in ("rank_one", "block") or not inst.T.space.is_lattice:
-            continue
-        total += 1
-        V = kernel_ball_vertices(inst.P, inst.T.space)
-        ann = float(np.abs(V @ np.asarray(inst.P.matrix).T).max()) if len(V) else 0.0
-        if ann > 1e-10:
-            fails.append(f"{inst.label}: kernel vertex not annihilated ({ann:.2e})")
-            continue
-        a = ergodicity_coefficient(inst.T, inst.P, method="vertices").value
-        b = ergodicity_coefficient(inst.T, inst.P, method="pairs").value
-        if abs(a - b) > 1e-12:
-            fails.append(f"{inst.label}: vertex {a!r} vs pair {b!r}")
-    return _result("pair-formula", fails, total)
+@_check("pair-formula", cases=lambda instances: [
+    i for i in _lattice(instances) if i.P.variant in ("rank_one", "block")
+])
+def _check_pair_formula(ctx, inst):
+    V = kernel_ball_vertices(inst.P, inst.T.space)
+    ann = float(np.abs(V @ np.asarray(inst.P.matrix).T).max()) if len(V) else 0.0
+    if ann > 1e-10:
+        return f"kernel vertex not annihilated ({ann:.2e})"
+    a = ergodicity_coefficient(inst.T, inst.P, method="vertices").value
+    b = ergodicity_coefficient(inst.T, inst.P, method="pairs").value
+    if abs(a - b) > 1e-12:
+        return f"vertex {a!r} vs pair {b!r}"
+    return None
 
 
-def _check_mc_lower_bound(instances, ctx) -> CheckResult:
-    def one(pair):
-        k, inst = pair
-        bad = _validated(inst)
-        if bad:
-            return bad
-        exact = ergodicity_coefficient(inst.T, inst.P).value
-        low = coefficient_lower_bound(
-            inst.T, inst.P, samples=ctx.samples, seed=1000 + k
-        ).value
-        if low > exact + 1e-12:
-            return f"{inst.label}: lower bound {low} exceeds exact {exact}"
-        if exact - low > 1e-4:
-            return f"{inst.label}: bound is slack by {exact - low:.2e}"
-        return None
-
-    msgs = _parallel_map(one, list(enumerate(instances)))
-    return _result("mc-lower-bound", [m for m in msgs if m], len(instances))
+# a case is (k, instance): the k-th instance samples with seed 1000 + k
+@_check("mc-lower-bound", cases=lambda instances: list(enumerate(instances)))
+def _check_mc_lower_bound(ctx, case):
+    k, inst = case
+    _require_markov(inst)
+    exact = ergodicity_coefficient(inst.T, inst.P).value
+    low = coefficient_lower_bound(inst.T, inst.P, samples=ctx.samples, seed=1000 + k).value
+    if low > exact + 1e-12:
+        return f"lower bound {low} exceeds exact {exact}"
+    if exact - low > 1e-4:
+        return f"bound is slack by {exact - low:.2e}"
+    return None
 
 
-def _check_eigenvalue_bound(instances, ctx) -> CheckResult:
-    fails = []
-    total = 0
-    for inst in instances:
-        for op in (inst.T, inst.S):
-            if op is None:
-                continue
-            total += 1
-            try:
-                rep = eigenvalue_bound_check(op, inst.P, tol=TOL)
-            except ErgokitError as exc:
-                fails.append(f"{inst.label}: {exc}")
-                continue
-            if not rep.ok:
-                fails.append(f"{inst.label}: excess {rep.max_excess:.2e}")
-    return _result("eigenvalue-bound", fails, total)
+# a case is (instance, operator), for T and, where given, S
+@_check("eigenvalue-bound", cases=lambda instances: [
+    (i, op) for i in instances for op in (i.T, i.S) if op is not None
+])
+def _check_eigenvalue_bound(ctx, case):
+    inst, op = case
+    rep = eigenvalue_bound_check(op, inst.P, tol=TOL)
+    return None if rep.ok else f"excess {rep.max_excess:.2e}"
 
 
-def _check_classification(instances, ctx) -> CheckResult:
-    fails = []
-    for inst in instances:
-        verdict, _ = ctx.shared("classify", inst)
-        if not verdict.consistent:
-            fails.append(f"{inst.label}: clauses disagree")
-        elif verdict.uniform is not inst.expect_uniform:
-            fails.append(
-                f"{inst.label}: verdict {verdict.uniform} vs expected {inst.expect_uniform}"
-            )
-    return _result("classification-equivalence", fails, len(instances))
+@_check("classification-equivalence")
+def _check_classification(ctx, inst):
+    verdict, _ = ctx.shared("classify", inst)
+    if not verdict.consistent:
+        return "clauses disagree"
+    if verdict.uniform is not inst.expect_uniform:
+        return f"verdict {verdict.uniform} vs expected {inst.expect_uniform}"
+    return None
 
 
-def _check_rate_identity(instances, ctx) -> CheckResult:
-    fails = []
-    total = 0
-    for inst in instances:
-        if not inst.expect_uniform:
-            continue
-        total += 1
-        try:
-            r = _best_rate_given(*ctx.shared("classify", inst))
-        except ErgokitError as exc:
-            fails.append(f"{inst.label}: {exc}")
-            continue
-        if not 0.0 <= r < 1.0:
-            fails.append(f"{inst.label}: rate {r} outside [0, 1)")
-    return _result("rate-identity", fails, total)
+@_check("rate-identity", cases=_uniform)
+def _check_rate_identity(ctx, inst):
+    r = _best_rate_given(*ctx.shared("classify", inst))
+    return None if 0.0 <= r < 1.0 else f"rate {r} outside [0, 1)"
 
 
-def _check_gelfand_trail(instances, ctx) -> CheckResult:
-    fails = []
-    total = 0
-    for inst in instances:
-        if not inst.expect_uniform:
-            continue
-        total += 1
-        try:
-            trail = ctx.shared("trail", inst)
-        except ErgokitError as exc:
-            fails.append(f"{inst.label}: {exc}")
-            continue
-        if not trail.all_above:
-            worst = min(v - trail.residual_radius for v in trail.values)
-            fails.append(f"{inst.label}: trail dips below the rate by {-worst:.2e}")
-    return _result("gelfand-trail", fails, total)
+@_check("gelfand-trail", cases=_uniform)
+def _check_gelfand_trail(ctx, inst):
+    trail = ctx.shared("trail", inst)
+    if not trail.all_above:
+        worst = min(v - trail.residual_radius for v in trail.values)
+        return f"trail dips below the rate by {-worst:.2e}"
+    return None
 
 
-def _check_spectrum_shift(instances, ctx) -> CheckResult:
-    fails = []
-    for inst in instances:
-        verdict, report = ctx.shared("classify", inst)
-        bad = _membership_fault(inst, verdict)
-        if bad:
-            fails.append(bad)
-            continue
-        rep = _spectrum_shift_given(verdict, report)
-        if not rep.ok:
-            fails.append(
-                f"{inst.label}: spectra mismatch (distance {rep.max_match_distance:.2e})"
-            )
-    return _result("spectrum-shift", fails, len(instances))
+@_check("spectrum-shift")
+def _check_spectrum_shift(ctx, inst):
+    verdict, report = ctx.shared("classify", inst)
+    _require_member(verdict)
+    rep = _spectrum_shift_given(verdict, report)
+    return None if rep.ok else f"spectra mismatch (distance {rep.max_match_distance:.2e})"
 
 
-def _check_multiplicativity(instances, ctx) -> CheckResult:
-    fails = []
-    for inst in instances:
-        bad = _membership_fault(inst, ctx.shared("classify", inst)[0])
-        if bad:
-            fails.append(bad)
-            continue
-        rep = ctx.shared("trail", inst).multiplicativity(N=10)
-        if not rep.agree:
-            fails.append(
-                f"{inst.label}: equality {rep.coefficient_equals_radius} but "
-                f"powers multiplicative {rep.powers_multiplicative}"
-            )
-    return _result("multiplicativity", fails, len(instances))
+@_check("multiplicativity")
+def _check_multiplicativity(ctx, inst):
+    _require_member(ctx.shared("classify", inst)[0])
+    rep = ctx.shared("trail", inst).multiplicativity(N=10)
+    if not rep.agree:
+        return (
+            f"equality {rep.coefficient_equals_radius} but "
+            f"powers multiplicative {rep.powers_multiplicative}"
+        )
+    return None
 
 
-def _check_power_norm_chain(instances, ctx) -> CheckResult:
+@_check("power-norm-chain")
+def _check_power_norm_chain(ctx, inst):
     # norm(T^n (I-P)) <= 2 delta_P(T^n) <= 2 norm(T^n - P), power by power
-    fails = []
-    for inst in instances:
-        bad = _validated(inst)
-        if bad:
-            fails.append(bad)
-            continue
-        Pm = np.asarray(inst.P.matrix)
-        eye = np.eye(inst.T.space.dim)
-        for n, Tn in powers(np.asarray(inst.T.matrix), 15):
-            gap = operator_norm(Tn @ (eye - Pm), inst.T.space)
-            delta = ergodicity_coefficient(Tn, inst.P, space=inst.T.space).value
-            resid = operator_norm(Tn - Pm, inst.T.space)
-            if gap > 2 * delta + TOL or delta > resid + TOL:
-                fails.append(f"{inst.label}: chain broken at n={n}")
-                break
-    return _result("power-norm-chain", fails, len(instances))
+    _require_markov(inst)
+    Pm = np.asarray(inst.P.matrix)
+    eye = np.eye(inst.T.space.dim)
+    for n, Tn in powers(np.asarray(inst.T.matrix), 15):
+        gap = operator_norm(Tn @ (eye - Pm), inst.T.space)
+        delta = ergodicity_coefficient(Tn, inst.P, space=inst.T.space).value
+        resid = operator_norm(Tn - Pm, inst.T.space)
+        if gap > 2 * delta + TOL or delta > resid + TOL:
+            return f"chain broken at n={n}"
+    return None
 
 
-def _check_tensor_bound(instances, ctx) -> CheckResult:
-    fails = []
-    positives = [i for i in instances if i.expect_uniform and i.T.space.dim <= 6]
-    pairs = list(zip(positives[:-1], positives[1:]))
-    for left, right in pairs:
-        try:
-            factors = ctx.shared("classify", left), ctx.shared("classify", right)
-            rep = _tensor_given(left.T, left.P, right.T, right.P, *factors, tol=TOL)
-        except ErgokitError as exc:
-            fails.append(f"{left.label} x {right.label}: {exc}")
-            continue
-        if not rep.ok:
-            fails.append(
-                f"{left.label} x {right.label}: product rate {rep.lhs} "
-                f"exceeds factor max {rep.rhs}"
-            )
-    return _result("tensor-bound", fails, len(pairs))
+# a case is an adjacent (left, right) pair of uniform chains of dimension <= 6
+@_check("tensor-bound", cases=lambda instances: list(
+    pairwise(i for i in _uniform(instances) if i.T.space.dim <= 6)
+))
+def _check_tensor_bound(ctx, case):
+    left, right = case
+    factors = ctx.shared("classify", left), ctx.shared("classify", right)
+    rep = _tensor_given(left.T, left.P, right.T, right.P, *factors, tol=TOL)
+    return None if rep.ok else f"product rate {rep.lhs} exceeds factor max {rep.rhs}"
 
 
-def _check_doeblin_equivalence(instances, ctx) -> CheckResult:
-    lattice = [i for i in instances if i.T.space.is_lattice]
-
-    def one(inst):
-        if inst.expect_uniform:
-            try:
-                report = ctx.shared("audit", inst)
-            except ErgokitError as exc:
-                return f"{inst.label}: {exc}"
-            if not report.ok:
-                return f"{inst.label}: audit failed: {report.violations}"
-            if not report.bound_holds:
-                return f"{inst.label}: implied bound fails"
-        else:
-            out = ctx.shared("search", inst)
-            if not out.exhausted_minorization:
-                return f"{inst.label}: non-ergodic chain got a certificate"
-        return None
-
-    msgs = _parallel_map(one, lattice)
-    return _result("doeblin-equivalence", [m for m in msgs if m], len(lattice))
+@_check("doeblin-equivalence", cases=_lattice)
+def _check_doeblin_equivalence(ctx, inst):
+    if not inst.expect_uniform:
+        out = ctx.shared("search", inst)
+        return None if out.exhausted_minorization else "non-ergodic chain got a certificate"
+    report = ctx.shared("audit", inst)
+    if not report.ok:
+        return f"audit failed: {report.violations}"
+    return None if report.bound_holds else "implied bound fails"
 
 
-def _check_overlap_soundness(instances, ctx) -> CheckResult:
-    lattice = [i for i in instances if i.T.space.is_lattice]
-
-    def one(inst):
-        if inst.expect_uniform:
-            # the shared audit holds T^n0 and delta_P(T^n0) of this certificate
-            try:
-                n0 = ctx.shared("certificate", inst).n0
-                audit = ctx.shared("audit", inst)
-            except ErgokitError as exc:
-                return f"{inst.label}: {exc}"
-            out = _overlap_given_power(audit.power, audit.actual_coefficient, inst.P, n0)
-            # columns within 1/4 of the projection overlap by >= 7/8
-            if not out.feasible or out.overlap < 0.875 - 1e-12:
-                return f"{inst.label}: expected overlap at n0={n0}"
-            verdict, _ = ctx.shared("classify", inst)
-            if verdict.uniform is not True:
-                return f"{inst.label}: certificate issued but not ergodic"
-        else:
-            out = ctx.shared("search", inst)
-            if not out.exhausted_overlap:
-                return f"{inst.label}: overlap certificate on a non-mixing chain"
-        return None
-
-    msgs = _parallel_map(one, lattice)
-    return _result("overlap-soundness", [m for m in msgs if m], len(lattice))
+@_check("overlap-soundness", cases=_lattice)
+def _check_overlap_soundness(ctx, inst):
+    if not inst.expect_uniform:
+        out = ctx.shared("search", inst)
+        return None if out.exhausted_overlap else "overlap certificate on a non-mixing chain"
+    # the shared audit holds T^n0 and delta_P(T^n0) of this certificate
+    n0 = ctx.shared("certificate", inst).n0
+    audit = ctx.shared("audit", inst)
+    out = _overlap_given_power(audit.power, audit.actual_coefficient, inst.P, n0)
+    # columns within 1/4 of the projection overlap by >= 7/8
+    if not out.feasible or out.overlap < 0.875 - 1e-12:
+        return f"expected overlap at n0={n0}"
+    verdict, _ = ctx.shared("classify", inst)
+    return None if verdict.uniform is True else "certificate issued but not ergodic"
 
 
-def _check_certificate_audit(instances, ctx) -> CheckResult:
-    fails = []
-    total = 0
-    for inst in instances:
-        if not (inst.expect_uniform and inst.T.space.is_lattice):
-            continue
-        total += 1
-        try:
-            cert = ctx.shared("certificate", inst)
-            honest = ctx.shared("audit", inst)
-        except ErgokitError as exc:
-            fails.append(f"{inst.label}: {exc}")
-            continue
-        if not honest.ok:
-            fails.append(f"{inst.label}: honest certificate rejected")
-        forged = dataclasses.replace(cert, tau=1.2)
-        if verify_certificate(forged, inst.T, inst.P).ok:
-            fails.append(f"{inst.label}: forged tau accepted")
-        padded = dataclasses.replace(cert, sup_phi_norm=cert.sup_phi_norm + 1.0)
-        if verify_certificate(padded, inst.T, inst.P).ok:
-            fails.append(f"{inst.label}: padded corrector norm accepted")
-    return _result("certificate-audit", fails, total)
+@_check("certificate-audit", cases=lambda instances: _uniform(_lattice(instances)))
+def _check_certificate_audit(ctx, inst):
+    cert = ctx.shared("certificate", inst)
+    faults = []
+    if not ctx.shared("audit", inst).ok:
+        faults.append("honest certificate rejected")
+    forged = dataclasses.replace(cert, tau=1.2)
+    if verify_certificate(forged, inst.T, inst.P).ok:
+        faults.append("forged tau accepted")
+    padded = dataclasses.replace(cert, sup_phi_norm=cert.sup_phi_norm + 1.0)
+    if verify_certificate(padded, inst.T, inst.P).ok:
+        faults.append("padded corrector norm accepted")
+    return "; ".join(faults)
 
 
 def instance_theorems(

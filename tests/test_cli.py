@@ -246,6 +246,21 @@ def test_integer_flag_floor(flag, low, argv, tmp_path, capsys):
     assert err.startswith(f"parse error: {flag}: must be an integer >= {low}")
 
 
+@pytest.mark.parametrize("command,paths", [("analyze", 1), ("tensor", 2)])
+def test_tolerance_must_be_finite_and_nonnegative(command, paths, tmp_path, capsys):
+    # a negative or NaN slack fails true theorems, and an infinite one passes
+    # every theorem vacuously, so none of them is a tolerance
+    argv = [command] + [write(tmp_path, "two.json", TWO_STATE)] * paths
+    for good in ("0", "1e-9"):
+        code, out, err = run(capsys, argv + ["--tolerance", good])
+        assert (code, err) == (0, "")
+        assert out
+    for bad in ("-1", "nan", "inf"):
+        code, out, err = run(capsys, argv + ["--tolerance", bad])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: --tolerance: must be a finite number >= 0")
+
+
 # (subcommand argv, one flag the subcommand does not read)
 IGNORED_FLAGS = [
     (["tensor", "a.json", "b.json"], ["--max-power", "3"]),
@@ -420,3 +435,22 @@ def test_analyze_member_keeps_its_fitted_prefactor(tmp_path, capsys):
     assert "rate profile: r = 0.6, fitted prefactor = 1.5, alpha_40" in out
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     assert float(json.loads(out)["rate_profile"]["fitted_prefactor"]) == pytest.approx(1.5)
+
+
+def test_doeblin_audits_draw_with_the_seed(tmp_path, capsys):
+    # at n0 = 1 both certificates print delta_P(T), a Monte-Carlo bracket on
+    # this past-cap instance; each reads --seed as analyze's kernel coefficient does
+    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+    for seed in (0, 5):
+        argv = ["--seed", str(seed), "--format", "structured", p]
+        code, out, _ = run(capsys, ["analyze", *argv])
+        assert code == 0
+        kernel = json.loads(out)["coefficients"]["kernel"]
+        assert kernel["certified_exact"] is False
+        code, out, _ = run(capsys, ["doeblin", "--n0-cap", "1", *argv])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["minorization"]["certificate"]["n0"] == 1
+        assert doc["overlap"]["n0"] == 1
+        assert doc["minorization"]["certificate"]["actual_coefficient"] == kernel["value"]
+        assert doc["overlap"]["actual_coefficient"] == kernel["value"]
