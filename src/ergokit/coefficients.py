@@ -13,8 +13,12 @@ vertex enumeration of the kernel ball, the half-distance formula over
 admissible base-vertex pairs, and a Monte-Carlo lower bound with LP
 refinement.  The refinement's LPs have a closed form (a half-range over
 each block) for P = None, rank-one and block projections, and go to
-HiGHS only for explicit projections.  The convention for P = identity
-(kernel {0}) is value 1.
+HiGHS only for explicit projections.  A matrix-written P that is rank-one
+or a partition is built in its structured form (``explicit_projection``),
+so only a P with neither form, such as one absorbing a transient state
+into two classes, takes the explicit routes: support-pattern enumeration
+up to dim 12, a Monte-Carlo bracket past it.  The convention for
+P = identity (kernel {0}) is value 1.
 """
 
 from __future__ import annotations
@@ -125,20 +129,6 @@ def _support_pattern_vertices(P_mat: np.ndarray, n: int) -> np.ndarray:
     return np.array(list(seen.values()))
 
 
-def _rank_one_embedded(P: MarkovProjection) -> bool:
-    """Detect an explicit projection that is secretly rank-one.
-
-    Any rank-one Markov projection is x -> f(x) y (Markov forces the
-    functional to be f), so comparing against the outer-product form at
-    one base vertex settles it.
-    """
-    space = P.space
-    if abs(float(np.trace(P.matrix)) - 1.0) > 1e-8:
-        return False
-    y = P.matrix @ space.base_vertices[0]
-    return bool(np.abs(P.matrix - np.outer(y, space.f_coefficients)).max() <= 1e-8)
-
-
 # kernel vertices per projection, or per space for ker f; weak keys, so an
 # entry lives exactly as long as the P or space it was built for
 _KERNEL_VERTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -152,8 +142,9 @@ def kernel_ball_vertices(
 
     P = None means the kernel of f (shared by all rank-one projections).
     Closed forms cover rank-one and block projections; explicit projections
-    on simplex-like spaces go through support-pattern enumeration, capped
-    at dim 12 (DimensionTooLargeError beyond, callers fall back to bounds).
+    (neither form) on simplex-like spaces go through support-pattern
+    enumeration, capped at dim 12 (DimensionTooLargeError beyond, callers
+    fall back to bounds), and have no exact route on embedded spaces.
 
     The result is a shared read-only array: it is built once per P, or once
     per space for ker f (P = None and every rank-one P), and later calls
@@ -198,8 +189,6 @@ def _kernel_ball_vertices(P: MarkovProjection | None, space: StateSpace) -> np.n
     if P.is_identity():
         return np.zeros((0, n))
     if not space.is_lattice:
-        if _rank_one_embedded(P):
-            return kernel_ball_vertices(None, space)
         raise UnsupportedSpaceError(
             "no exact kernel enumeration for unstructured projections on "
             "embedded spaces; use the Monte-Carlo bounds"

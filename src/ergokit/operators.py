@@ -20,6 +20,12 @@ from .errors import UnsupportedSpaceError
 from .spaces import StateSpace, _frozen, same_space, tensor_space
 
 VALIDATION_TOL = 1e-10
+# explicit_projection counts two columns as equal, and an entry as zero,
+# within this: far above the roundoff of sums of n probabilities (~n * 1e-16),
+# and small enough that its rebuilt normal form moves each column by at most
+# 2n * 1e-12 in l1 (2e-10 at n = 100), inside the 1e-9 to which it checks
+# that the matrix is idempotent and Markov
+NORMAL_FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +128,10 @@ class MarkovProjection:
     Structured variants keep enough data for exact coefficient work:
     ``rank_one`` realizes x -> f(x) y for a base element y, and ``block``
     averages each coordinate block onto a per-block anchor distribution.
-    ``explicit`` accepts any idempotent Markov matrix but is flagged
-    unstructured; exact kernel enumeration then needs the generic
-    polytope routine.
+    ``explicit`` is an idempotent Markov matrix with neither form, such as
+    one that absorbs a transient state into two classes; exact kernel
+    enumeration then needs the generic polytope routine.  A matrix with
+    one of the forms is built as that variant (``explicit_projection``).
     """
 
     matrix: np.ndarray
@@ -216,12 +223,52 @@ def block_projection(
 def explicit_projection(
     space: StateSpace, matrix: np.ndarray, tol: float = VALIDATION_TOL
 ) -> MarkovProjection:
-    """Accept an arbitrary idempotent Markov matrix (flagged unstructured)."""
+    """An idempotent Markov matrix, in its structured normal form when it has one.
+
+    P = y f^T is returned as ``rank_one_projection(space, y)``, on any space.
+    On a simplex-like space, a P whose equal columns are each supported
+    inside their own group (a partition, where a transient state may be
+    wholly absorbed into one class) is returned as ``block_projection``
+    with those groups as blocks and each group's column as its anchor.
+    Columns count as equal within NORMAL_FORM_TOL.  The structured matrix
+    is rebuilt from (y) or (blocks, anchors), so it differs from the input
+    by at most 2 * NORMAL_FORM_TOL per entry and equals the matrix of a P
+    written in structured form bit for bit.  Any other P is ``explicit``.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (space.dim, space.dim):
         raise ValueError("projection matrix has the wrong shape")
     _check_projection(matrix, space, max(tol, 1e-9))
+    y = matrix @ space.base_vertices[0]
+    try:
+        if np.abs(matrix - np.outer(y, space.f_coefficients)).max() <= NORMAL_FORM_TOL:
+            return rank_one_projection(space, y)
+        blocks = _partition_blocks(matrix) if space.is_lattice else None
+        if blocks is not None:
+            return block_projection(space, blocks, [matrix[b, b[0]] for b in blocks])
+    except ValueError:
+        pass  # accepted at a tol looser than the structured forms' own 1e-8 checks
     return MarkovProjection(_frozen(matrix), space, "explicit")
+
+
+def _partition_blocks(matrix: np.ndarray) -> list[np.ndarray] | None:
+    """Groups of equal columns, each supported inside its group, or None.
+
+    A group is the first unassigned column with every unassigned column
+    within NORMAL_FORM_TOL of it, so the groups partition the indices.
+    """
+    unassigned = np.ones(len(matrix), dtype=bool)
+    blocks = []
+    for j in range(len(matrix)):
+        if not unassigned[j]:
+            continue
+        col = matrix[:, j]
+        members = unassigned & (np.abs(matrix - col[:, None]).max(axis=0) <= NORMAL_FORM_TOL)
+        if np.abs(col[~members]).max(initial=0.0) > NORMAL_FORM_TOL:
+            return None  # mass outside the group: a fractional absorption
+        unassigned &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
 
 
 def power(T: MarkovOperator, n: int) -> MarkovOperator:

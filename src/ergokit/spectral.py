@@ -149,6 +149,14 @@ def spectral_report(T: MarkovOperator, P: MarkovProjection) -> SpectralReport:
     )
 
 
+def _dips(log_norm: float, d: float, power: int, theta: float) -> bool:
+    """The squaring extension's dip test on delta_P(T^power) = exp(log_norm) * d.
+
+    Its per-power rate below log(theta) still implies a value below 1.
+    """
+    return d == 0.0 or (log_norm + math.log(max(d, 1e-300))) / power < math.log(theta)
+
+
 def classify(
     T: MarkovOperator,
     P: MarkovProjection,
@@ -161,7 +169,9 @@ def classify(
     when T fixes and commutes with P this extends by repeated squaring of
     T^max_power - P (valid because then (T - P)^n = T^n - P), with norms
     tracked in log scale to survive underflow.  Clause coefficient-dip
-    searches for a power whose kernel coefficient drops below 1; clause
+    searches for a power whose kernel coefficient drops below 1, reading the
+    upper side of a Monte-Carlo bracket; a bracket straddling the threshold
+    leaves the clause undecided (None) and ends the search.  Clause
     residual-radius tests r(T - P) < 1.  Disagreements beyond tolerance
     are flagged via ``consistent``, never reconciled silently.
     """
@@ -180,6 +190,10 @@ def classify(
     converged_n = None
     geometric_n = None
     dip_n = None
+    # a dip needs the bracket's upper side below theta; one that straddles
+    # theta leaves the clause undecided and ends the coefficient scan
+    dip_undecided = False
+    dip_done = identity_P
     for n, Tn in powers(A, max_power):
         nrm = operator_norm(Tn - Pm, space)
         norms.append(nrm)
@@ -187,14 +201,18 @@ def classify(
             converged_n = n
         if geometric_n is None and nrm < theta:
             geometric_n = n
-        if not identity_P and dip_n is None and fixes_ok:
-            if ergodicity_coefficient(Tn, P, space=space).value < theta:
+        if not dip_done and fixes_ok:
+            d = ergodicity_coefficient(Tn, P, space=space)
+            if d.upper_bound < theta:
                 dip_n = n
-        if converged_n is not None and (dip_n is not None or identity_P or not fixes_ok):
+            elif d.value < theta:
+                dip_undecided = True
+            dip_done = dip_n is not None or dip_undecided
+        if converged_n is not None and (dip_done or not fixes_ok):
             break
 
     need_extension = member and converged_n is None and (
-        geometric_n is None or (dip_n is None and not identity_P)
+        geometric_n is None or not dip_done
     )
     extension_floor = None
     if need_extension:
@@ -225,14 +243,16 @@ def classify(
                 # norm (or coefficient) value below 1 at this power.
                 if geometric_n is None and log_norm / power < math.log(theta):
                     geometric_n = power
-                if dip_n is None and not identity_P:
-                    d = ergodicity_coefficient(e, P, space=space).value
-                    log_total = log_norm + math.log(max(d, 1e-300))
-                    if d == 0.0 or log_total / power < math.log(theta):
+                if not dip_done:
+                    d = ergodicity_coefficient(e, P, space=space)
+                    if _dips(log_norm, d.upper_bound, power, theta):
                         dip_n = power
+                    elif _dips(log_norm, d.value, power, theta):
+                        dip_undecided = True
+                    dip_done = dip_n is not None or dip_undecided
                 if log_norm < math.log(tolerance):
                     converged_n = converged_n or power
-                if geometric_n is not None and (dip_n is not None or identity_P):
+                if geometric_n is not None and dip_done:
                     break
             else:
                 extension_floor = math.exp(log_norm / power)
@@ -261,7 +281,8 @@ def classify(
     clause2 = ClauseResult(
         "coefficient-dip",
         clause2_applicable,
-        (dip_n is not None) if clause2_applicable else None,
+        None if not clause2_applicable or (dip_undecided and dip_n is None)
+        else dip_n is not None,
         {"witness_n0": dip_n, "fixes_defect": fix_defect},
     )
 

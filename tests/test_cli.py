@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ergokit import __version__, cli
+from ergokit import __version__, block_projection, cli, make_simplex
 
 TWO_STATE = {
     "space": {"type": "simplex", "dim": 2},
@@ -103,6 +103,28 @@ def test_tensor_bound(tmp_path, capsys):
     assert code == 0
     assert "product rate = 0.6" in out
     assert "tight: True" in out
+
+
+def test_tensor_reads_a_matrix_written_partition_as_its_block_twin(tmp_path, capsys):
+    # a [2, 3] partition with uniform anchors; T is doubly stochastic per block
+    T = np.zeros((5, 5))
+    T[:2, :2] = [[0.7, 0.3], [0.3, 0.7]]
+    T[2:, 2:] = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+    blocks = [[0, 1], [2, 3, 4]]
+    P = block_projection(make_simplex(5), blocks)
+    space = {"type": "simplex", "dim": 5}
+    block_doc = {"space": space, "operator": T.tolist(), "projection": {
+        "type": "block", "blocks": blocks, "anchors": [a.tolist() for a in P.anchors]}}
+    matrix_doc = {"space": space, "operator": T.tolist(),
+                  "projection": {"type": "matrix", "entries": np.asarray(P.matrix).tolist()}}
+    two = write(tmp_path, "two.json", TWO_STATE)
+    outs = []
+    for name, doc in (("block.json", block_doc), ("matrix.json", matrix_doc)):
+        p = write(tmp_path, name, doc)
+        code, out, err = run(capsys, ["tensor", "--format", "structured", p, two])
+        assert code == 0, err
+        outs.append(out.replace(name, "factor.json"))
+    assert outs[0] == outs[1]
 
 
 def test_tensor_rejects_embedded_factor(tmp_path, capsys):
@@ -373,6 +395,27 @@ def _past_cap_doc():
         "operator": T.tolist(),
         "projection": {"type": "matrix", "entries": P.tolist()},
     }
+
+
+def test_a_straddling_bracket_leaves_the_dip_clause_undecided(tmp_path, capsys):
+    # delta_P(T) is a bracket [0.60, 1.0] that straddles the threshold 1, so
+    # no power is a witness; TP = P with two closed classes keeps the upper
+    # side, the classical coefficient, at 1 for every power
+    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    doc = json.loads(out)
+    kernel = doc["coefficients"]["kernel"]
+    assert kernel["certified_exact"] is False
+    assert float(kernel["value"]) < 1.0 <= float(kernel["upper_bound"])
+    verdict = doc["verdict"]
+    clauses = {c["name"]: c for c in verdict["clauses"]}
+    assert clauses["coefficient-dip"]["holds"] is None
+    assert verdict["witness_n0"] is None
+    assert clauses["power-norms"]["holds"] is True
+    assert clauses["residual-radius"]["holds"] is True
+    assert verdict["uniform"] is True
+    assert verdict["consistent"] is True
 
 
 def test_analyze_theorems_read_the_seeded_kernel_coefficient(tmp_path, capsys):

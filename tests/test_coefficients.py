@@ -23,6 +23,7 @@ from scipy.optimize import linprog
 
 from ergokit import (
     DimensionTooLargeError,
+    MarkovProjection,
     UnsupportedSpaceError,
     as_markov,
     block_projection,
@@ -260,15 +261,18 @@ def test_sample_draw_is_released_with_its_space_or_the_next_draw():
 @pytest.mark.parametrize("n", [4, 12])
 def test_explicit_projection_enumeration_matches_block(rng, n):
     # dual route: the same matrix as a structured block projection (closed
-    # form) and as an unstructured explicit one (support-pattern search);
-    # n = 12 is the enumeration cap, the last dimension still exact
+    # form) and stripped of its structure (support-pattern search); n = 12
+    # is the enumeration cap, the last dimension still exact.
+    # explicit_projection would recover the blocks, so the unstructured
+    # twin is built directly
     h = n // 2
     s = make_simplex(n)
     T = np.zeros((n, n))
     T[:h, :h] = metropolis_matrix(smoothed_target(h, rng), rng)
     T[h:, h:] = metropolis_matrix(smoothed_target(n - h, rng), rng)
     P = block_projection(s, [list(range(h)), list(range(h, n))])
-    E = explicit_projection(s, np.asarray(P.matrix))
+    assert explicit_projection(s, np.asarray(P.matrix)).variant == "block"
+    E = MarkovProjection(P.matrix, s, "explicit")
     a = ergodicity_coefficient(T, P, space=s)
     b = ergodicity_coefficient(T, E, space=s)
     assert b.certified_exact
@@ -293,12 +297,14 @@ def test_pair_route_refuses_a_kernel_no_pair_spans():
 
 
 def test_pair_route_on_explicit_rank_one_embedded():
-    # a rank-one P written as a matrix on an embedded space: every base
-    # vertex pair is admissible, and the pair route matches the vertices
+    # a rank-one P written as a matrix on an embedded space is built as
+    # rank-one: every base vertex pair is admissible, and the pair route
+    # matches the vertices
     s = make_embedded(2, "linf")
     T = as_markov(np.array([[1, 0, 0], [0.1, 0.5, 0.2], [0, -0.1, 0.3]]), s)
     R = rank_one_projection(s, np.array([1.0, 0.2, -0.1]))
     E = explicit_projection(s, np.asarray(R.matrix))
+    assert E.variant == "rank_one"
     a = ergodicity_coefficient(T, E, method="vertices")
     b = ergodicity_coefficient(T, E, method="pairs")
     assert a.certified_exact and b.certified_exact
@@ -306,31 +312,52 @@ def test_pair_route_on_explicit_rank_one_embedded():
     assert a.value == pytest.approx(ergodicity_coefficient(T, R).value, abs=1e-12)
 
 
-def test_explicit_enumeration_cap():
-    n = 13
+def _half_absorbed(sizes, rng):
+    """Two Metropolis classes and a transient last state absorbed half and half.
+
+    P is a member projection with fractional absorption weights, so it has
+    neither normal form and stays explicit.
+    """
+    n = sum(sizes) + 1
     s = make_simplex(n)
-    blocks = [list(range(0, 6)), list(range(6, n))]
-    P = block_projection(s, blocks)
-    E = explicit_projection(s, np.asarray(P.matrix))
+    T, P = np.zeros((n, n)), np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        idx = np.arange(start, start + size)
+        pi = smoothed_target(size, rng)
+        T[np.ix_(idx, idx)] = metropolis_matrix(pi, rng)
+        T[idx, n - 1] = 0.35 * rng.dirichlet(np.ones(size))
+        P[np.ix_(idx, idx)] = pi[:, None]
+        P[idx, n - 1] = 0.5 * pi
+        start += size
+    T[n - 1, n - 1] = 0.3
+    E = explicit_projection(s, P)
+    assert E.variant == "explicit"
+    return s, as_markov(T, s), E
+
+
+def test_explicit_enumeration_cap(rng):
+    # n = 12 is the last dimension enumerated, n = 13 the first refused
+    s, T, E = _half_absorbed([6, 5], rng)
+    exact = ergodicity_coefficient(T, E, method="vertices")
+    assert exact.certified_exact
+    low = coefficient_lower_bound(T, E, samples=5000, seed=1)
+    assert low.value <= exact.value + 1e-12
+    s, T, E = _half_absorbed([6, 6], rng)
     with pytest.raises(DimensionTooLargeError):
-        ergodicity_coefficient(np.eye(n), E, space=s, method="vertices")
+        ergodicity_coefficient(T, E, method="vertices")
 
 
-def test_mc_bracket_contains_exact(rng):
-    # beyond the enumeration cap auto degrades to a bracket; the block
-    # closed form on the same matrix must land inside it
-    n = 13
-    s = make_simplex(n)
-    blocks = [list(range(0, 6)), list(range(6, n))]
-    T = np.zeros((n, n))
-    T[:6, :6] = metropolis_matrix(smoothed_target(6, rng), rng)
-    T[6:, 6:] = metropolis_matrix(smoothed_target(7, rng), rng)
-    P = block_projection(s, blocks)
-    E = explicit_projection(s, np.asarray(P.matrix))
-    exact = ergodicity_coefficient(T, P, space=s).value
-    bracket = ergodicity_coefficient(T, E, space=s, samples=20_000, seed=3)
+def test_mc_bracket_contains_exact(rng, monkeypatch):
+    # beyond the enumeration cap auto degrades to a bracket; the support-
+    # pattern enumeration, run once with the cap lifted, must land inside it
+    s, T, E = _half_absorbed([6, 6], rng)
+    bracket = ergodicity_coefficient(T, E, samples=20_000, seed=3)
     assert not bracket.certified_exact
     assert bracket.method == "monte-carlo-lower-bound"
+    monkeypatch.setattr(coefficients, "ENUMERATION_CAP", 13)
+    V = coefficients._support_pattern_vertices(np.asarray(E.matrix), 13)
+    exact = float(np.abs(V @ np.asarray(T.matrix).T).sum(axis=1).max())
     assert bracket.value <= exact + 1e-12
     assert exact <= bracket.upper_bound + 1e-12
 
@@ -441,9 +468,14 @@ def test_polish_calls_highs_only_for_explicit_projections(count_calls, blocky, t
     for inst in (blocky, two_state):
         for P in (inst.P, None):
             coefficient_lower_bound(inst.T, P, samples=500, seed=1)
-    assert calls["linprog"] == []
+    # a block P written as a matrix is built as a block projection
     E = explicit_projection(blocky.P.space, np.asarray(blocky.P.matrix))
     coefficient_lower_bound(blocky.T, E, samples=500, seed=1)
+    assert calls["linprog"] == []
+    s = make_simplex(3)
+    E = explicit_projection(s, np.array([[1, 0, 0.5], [0, 1, 0.5], [0, 0, 0]]))
+    T = np.array([[1, 0, 0.3], [0, 1, 0.3], [0, 0, 0.4]])
+    coefficient_lower_bound(T, E, space=s, samples=500, seed=1)
     assert calls["linprog"]
     assert {caller for caller, _, _ in calls["linprog"]} == {"highs"}
 

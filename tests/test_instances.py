@@ -117,13 +117,29 @@ def test_bad_projection_vector_is_validation_error():
 
 
 def test_matrix_projection_parses_as_explicit():
+    # state 2 is absorbed half into state 0 and half into state 1: neither
+    # rank-one nor a partition
+    doc = {
+        "space": {"type": "simplex", "dim": 3},
+        "operator": [[1.0, 0.0, 0.3], [0.0, 1.0, 0.3], [0.0, 0.0, 0.4]],
+        "projection": {"type": "matrix",
+                       "entries": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]]},
+    }
+    inst = parse_instance(json.dumps(doc))
+    assert inst.projection.variant == "explicit"
+    assert json.loads(serialize_instance(inst))["projection"]["type"] == "matrix"
+
+
+def test_rank_one_matrix_projection_parses_as_rank_one():
+    # P = y f^T with y = (1, 0.5) on the embedded cone, where f reads coordinate 0
     doc = {
         "space": {"type": "embedded", "inner_dim": 1},
         "operator": [[1.0, 0.0], [0.0, 0.5]],
         "projection": {"type": "matrix", "entries": [[1.0, 0.0], [0.5, 0.0]]},
     }
     inst = parse_instance(json.dumps(doc))
-    assert inst.projection.variant == "explicit"
+    assert inst.projection.variant == "rank_one"
+    assert inst.projection.y.tolist() == [1.0, 0.5]
 
 
 def test_block_projection_on_embedded_unsupported():
@@ -146,6 +162,29 @@ def test_serialize_round_trip_is_bitwise():
     ).tobytes()
     assert serialize_instance(again) == text
     assert instance_hash(again) == instance_hash(inst)
+
+
+def test_matrix_written_block_projection_serializes_as_its_block_twin():
+    blocks, anchors = [[0, 1, 2], [3, 4]], [[0.2, 0.3, 0.5], [0.6, 0.4]]
+    P = np.zeros((5, 5))
+    for b, a in zip(blocks, anchors):
+        P[np.ix_(b, b)] = np.array(a)[:, None]
+    T = np.eye(5)
+    twin = parse_instance(json.dumps({
+        "space": {"type": "simplex", "dim": 5}, "operator": T.tolist(),
+        "projection": {"type": "block", "blocks": blocks, "anchors": anchors},
+    }))
+    inst = parse_instance(json.dumps({
+        "space": {"type": "simplex", "dim": 5}, "operator": T.tolist(),
+        "projection": {"type": "matrix", "entries": P.tolist()},
+    }))
+    assert np.asarray(inst.projection.matrix).tobytes() == P.tobytes()
+    text = serialize_instance(inst)
+    assert text == serialize_instance(twin)
+    assert instance_hash(inst) == instance_hash(twin)
+    again = parse_instance(text)
+    assert np.asarray(again.projection.matrix).tobytes() == P.tobytes()
+    assert serialize_instance(again) == text
 
 
 def test_serialize_preserves_awkward_floats():

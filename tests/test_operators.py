@@ -24,6 +24,7 @@ from ergokit import (
     validate_markov,
 )
 from ergokit.corpus import stationary_distribution
+from ergokit.operators import NORMAL_FORM_TOL
 
 
 def random_stochastic(n, rng):
@@ -260,6 +261,74 @@ def test_block_projection_rejects_bad_partition():
         block_projection(s, [[0, 1], [1, 2, 3]])
     with pytest.raises(ValueError):
         block_projection(s, [[0, 1], [2]])
+
+
+@pytest.mark.parametrize("space", [make_simplex(4), make_embedded(2, "linf")],
+                         ids=["simplex", "embedded"])
+def test_explicit_projection_recovers_rank_one(space):
+    y = np.array([0.1, 0.2, 0.3, 0.4]) if space.is_lattice else np.array([1.0, 0.2, -0.1])
+    R = rank_one_projection(space, y)
+    E = explicit_projection(space, np.asarray(R.matrix))
+    assert E.variant == "rank_one"
+    assert np.asarray(E.y).tobytes() == np.asarray(R.y).tobytes()
+    assert np.asarray(E.matrix).tobytes() == np.asarray(R.matrix).tobytes()
+
+
+def test_explicit_projection_recovers_a_fully_absorbed_transient_state():
+    # closed classes {0, 1} and {2}; state 3 is transient, absorbed into {0, 1}
+    s = make_simplex(4)
+    M = np.array([[0.3, 0.3, 0.0, 0.3],
+                  [0.7, 0.7, 0.0, 0.7],
+                  [0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    E = explicit_projection(s, M)
+    assert E.variant == "block"
+    assert E.blocks == ((0, 1, 3), (2,))
+    assert [a.tolist() for a in E.anchors] == [[0.3, 0.7, 0.0], [1.0]]
+    assert np.asarray(E.matrix).tobytes() == M.tobytes()
+
+
+def test_explicit_projection_keeps_a_half_absorbed_state_explicit():
+    # state 2 goes half to class {0} and half to class {1}: fractional weights
+    s = make_simplex(3)
+    M = np.array([[1, 0, 0.5], [0, 1, 0.5], [0, 0, 0]])
+    E = explicit_projection(s, M)
+    assert E.variant == "explicit"
+    assert np.array_equal(E.matrix, M)
+
+
+@pytest.mark.parametrize("scale,variant", [(0.5, "block"), (2.0, "explicit")])
+@pytest.mark.parametrize("columns", [[1], [0, 1]], ids=["equal-columns", "zero-entries"])
+def test_normal_form_tolerance(columns, scale, variant):
+    # move delta of mass out of block {0, 1} in the given columns.  Within
+    # NORMAL_FORM_TOL column 1 still equals column 0 (whose anchor rebuilds
+    # the block) and the stray entry still counts as zero.  Beyond it,
+    # column 0 is a group of its own, or its group has mass outside it
+    s = make_simplex(4)
+    P = block_projection(s, [[0, 1], [2, 3]], [np.array([0.25, 0.75]), np.array([0.5, 0.5])])
+    delta = scale * NORMAL_FORM_TOL
+    M = np.array(P.matrix)
+    M[1, columns] -= delta
+    M[2, columns] += delta
+    E = explicit_projection(s, M)
+    assert E.variant == variant
+    if variant == "explicit":
+        assert np.array_equal(E.matrix, M)
+    elif columns == [1]:
+        assert np.asarray(E.matrix).tobytes() == np.asarray(P.matrix).tobytes()
+    else:  # column 0's anchor lost the stray delta
+        assert E.blocks == P.blocks
+        assert np.abs(np.asarray(E.matrix) - M).max() == delta
+
+
+def test_a_matrix_accepted_at_a_loose_tol_stays_explicit():
+    # rank-one in shape, but its columns sum to 1 + 5e-7: explicit_projection
+    # accepts it at tol 1e-6, which the rank-one form's own 1e-8 check refuses
+    s = make_simplex(2)
+    M = np.array([[0.5 + 5e-7, 0.5 + 5e-7], [0.5, 0.5]])
+    E = explicit_projection(s, M, tol=1e-6)
+    assert E.variant == "explicit"
+    assert np.array_equal(E.matrix, M)
 
 
 def test_explicit_projection_checks_idempotence():
