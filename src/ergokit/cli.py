@@ -39,7 +39,7 @@ from .instances import (
     load_instance,
 )
 from .operators import VALIDATION_TOL
-from .spectral import _rate_profile_given, classify
+from .spectral import classify, rate_profile
 from .verification import CHECK_NAMES, instance_theorems, run_verification
 
 EXIT_OK = 0
@@ -132,9 +132,11 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     verdict, spectral = classify(
         inst.operator, inst.projection,
-        tolerance=args.tolerance, max_power=args.max_power,
+        tolerance=args.tolerance, max_power=args.max_power, delta=kernel,
     )
-    profile = _rate_profile_given(inst.operator, inst.projection, verdict, spectral, N=40)
+    profile = rate_profile(
+        inst.operator, inst.projection, N=40, classification=(verdict, spectral)
+    )
     t_spectral = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -148,7 +150,7 @@ def cmd_analyze(args) -> int:
 
     t0 = time.perf_counter()
     theorems = instance_theorems(
-        inst.operator, inst.projection, verdict, spectral, kernel.value,
+        inst.operator, inst.projection, verdict, spectral, kernel,
         tol=args.tolerance, seed=args.seed,
     )
     t_theorems = time.perf_counter() - t0

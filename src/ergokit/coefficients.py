@@ -482,6 +482,7 @@ def coefficient_inequalities(
     P: MarkovProjection,
     H: np.ndarray | None = None,
     tol: float = 1e-9,
+    *, delta: CoefficientResult | None = None, seed: int = 0,
 ) -> list[PropertyCheck]:
     """Numerical checks of the five basic coefficient inequalities.
 
@@ -494,13 +495,12 @@ def coefficient_inequalities(
     hypotheses of both factor checks.  Checks whose hypothesis fails are
     reported with applicable=False rather than skipped silently; with
     P = I (kernel {0}, coefficient 1 by convention) all five are.
+
+    ``delta``: the caller's ``ergodicity_coefficient(T, P)``, if it holds
+    one; ``seed`` seeds the sampling fallback of the other coefficients.
+    The factor checks build each rhs from the upper sides of c(T) and c(S),
+    so a Monte-Carlo bracket never fails a true inequality.
     """
-    return _inequalities_given_delta(T, S, P, ergodicity_coefficient(T, P).value, H, tol)
-
-
-def _inequalities_given_delta(
-    T, S, P, dT, H=None, tol=1e-9, *, seed: int = 0
-) -> list[PropertyCheck]:
     if P.is_identity():
         names = ("range", "difference-lipschitz", "commuting-factor",
                  "annihilated-factor", "submultiplicative")
@@ -512,7 +512,10 @@ def _inequalities_given_delta(
         H = np.eye(space.dim) - Pm
     H = np.asarray(H, dtype=float)
 
-    dS = dT if S is T else ergodicity_coefficient(S, P, seed=seed).value
+    cT = delta if delta is not None else ergodicity_coefficient(T, P, seed=seed)
+    cS = cT if S is T else ergodicity_coefficient(S, P, seed=seed)
+    dT, dS = cT.value, cS.value
+    upT, upS = cT.upper_bound, cS.upper_bound
     out = []
 
     out.append(
@@ -547,8 +550,8 @@ def _inequalities_given_delta(
         PropertyCheck(
             "commuting-factor",
             applicable,
-            d_TH <= dT * nH + tol,
-            {"lhs": d_TH, "rhs": dT * nH, "commute_defect": commute_defect},
+            d_TH <= upT * nH + tol,
+            {"lhs": d_TH, "rhs": upT * nH, "commute_defect": commute_defect},
         )
     )
 
@@ -559,8 +562,8 @@ def _inequalities_given_delta(
         PropertyCheck(
             "annihilated-factor",
             applicable,
-            n_TH <= dT * nH + tol,
-            {"lhs": n_TH, "rhs": dT * nH, "annihilate_defect": annihilate_defect},
+            n_TH <= upT * nH + tol,
+            {"lhs": n_TH, "rhs": upT * nH, "annihilate_defect": annihilate_defect},
         )
     )
 
@@ -570,8 +573,8 @@ def _inequalities_given_delta(
         PropertyCheck(
             "submultiplicative",
             s_comm,
-            d_TS <= dT * dS + tol,
-            {"lhs": d_TS, "rhs": dT * dS, "commute_defect": s_defect},
+            d_TS <= upT * upS + tol,
+            {"lhs": d_TS, "rhs": upT * upS, "commute_defect": s_defect},
         )
     )
     return out
@@ -587,23 +590,22 @@ class EigenBoundReport:
 
 
 def eigenvalue_bound_check(
-    S: MarkovOperator, P: MarkovProjection, tol: float = 1e-9
+    S: MarkovOperator, P: MarkovProjection, tol: float = 1e-9,
+    *, delta: CoefficientResult | None = None,
 ) -> EigenBoundReport:
     """Every eigenvalue of S on ker P away from 1 is bounded by the coefficient.
 
     Requires S to commute with P (then ker P = range(I-P) is S-invariant);
     the restriction is compressed with an orthonormal kernel basis from the
     SVD of I - P, so its eigenvalues are exactly those of S on ker P.
+    ``delta``: the caller's ``ergodicity_coefficient(S, P)``, if it holds one.
     """
-    return _eigenvalue_bound_given_delta(S, P, ergodicity_coefficient(S, P).value, tol)
-
-
-def _eigenvalue_bound_given_delta(S, P, delta, tol=1e-9) -> EigenBoundReport:
     ok_c, defect = commutes(S, P)
     if not ok_c:
         raise PreconditionError(
             f"operator does not commute with the projection (defect {defect:.3e})"
         )
+    delta = (delta if delta is not None else ergodicity_coefficient(S, P)).value
     n = S.space.dim
     comp = np.eye(n) - np.asarray(P.matrix)
     U, sv, _ = np.linalg.svd(comp)

@@ -13,9 +13,6 @@ never silently.  Everything else is exact polytope-norm arithmetic.
 
 ``classify`` gives an instance's one ``(verdict, report)``: the report
 holds the spectra of T and T - P, the verdict the membership defects.
-``rate_profile``, ``gelfand_trail``, ``spectrum_shift_check``, ``best_rate``
-and ``tensor_rate_bound`` read them through ``_given`` helpers, which a
-caller holding the classification calls directly.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coefficients import ergodicity_coefficient
+from .coefficients import CoefficientResult, ergodicity_coefficient
 from .errors import EigenSolverError, PreconditionError
 from .operators import (
     MarkovOperator,
@@ -128,6 +125,9 @@ class ErgodicityVerdict:
         return self.fixes_defect <= VALIDATION_TOL and self.commute_defect <= VALIDATION_TOL
 
 
+Classification = tuple[ErgodicityVerdict, SpectralReport]  # what ``classify`` returns
+
+
 def spectral_report(T: MarkovOperator, P: MarkovProjection) -> SpectralReport:
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
@@ -162,7 +162,8 @@ def classify(
     P: MarkovProjection,
     tolerance: float = 1e-9,
     max_power: int = 64,
-) -> tuple[ErgodicityVerdict, SpectralReport]:
+    *, delta: CoefficientResult | None = None,
+) -> Classification:
     """Evaluate the three equivalent ergodicity clauses independently.
 
     Clause power-norms follows the trail norm(T^n - P) for n <= max_power;
@@ -173,7 +174,9 @@ def classify(
     upper side of a Monte-Carlo bracket; a bracket straddling the threshold
     leaves the clause undecided (None) and ends the search.  Clause
     residual-radius tests r(T - P) < 1.  Disagreements beyond tolerance
-    are flagged via ``consistent``, never reconciled silently.
+    are flagged via ``consistent``, never reconciled silently.  ``delta``,
+    the caller's ``ergodicity_coefficient(T, P)``, is read as the scan's
+    n = 1 term in place of a second computation.
     """
     space = T.space
     A = np.asarray(T.matrix)
@@ -202,7 +205,8 @@ def classify(
         if geometric_n is None and nrm < theta:
             geometric_n = n
         if not dip_done and fixes_ok:
-            d = ergodicity_coefficient(Tn, P, space=space)
+            d = (delta if n == 1 and delta is not None
+                 else ergodicity_coefficient(Tn, P, space=space))
             if d.upper_bound < theta:
                 dip_n = n
             elif d.value < theta:
@@ -316,31 +320,24 @@ def classify(
     return verdict, report
 
 
-def best_rate(T: MarkovOperator, P: MarkovProjection, tol: float = 1e-8) -> float:
+def best_rate(
+    T: MarkovOperator, P: MarkovProjection, tol: float = 1e-8,
+    *, classification: Classification | None = None,
+) -> float:
     """Optimal geometric convergence rate of norm(T^n - P).
 
     Computed twice, as the subdominant eigenvalue modulus of T and as the
-    spectral radius of T - P; the two must agree (that identity is what
-    licenses reading rates off the spectrum).  Refuses instances that are
-    not uniformly ergodic, where the quantity has no rate meaning.
+    spectral radius of T - P; the two must agree within tol (that identity
+    is what licenses reading rates off the spectrum), and EigenSolverError
+    reports a mismatch.  Refuses instances that are not uniformly ergodic,
+    where the quantity has no rate meaning.  ``classification``: the
+    caller's ``classify(T, P)``, if it holds one.
     """
-    return _best_rate_given(*classify(T, P), tol)
-
-
-def _best_rate_given(verdict, report, tol=1e-8) -> float:
+    verdict, report = classification or classify(T, P)
     if verdict.uniform is not True:
         raise PreconditionError(
             "best_rate is only meaningful for uniformly ergodic instances"
         )
-    return report_rate(report, tol)
-
-
-def report_rate(report: SpectralReport, tol: float = 1e-8) -> float:
-    """The rate read off a spectral report of a uniformly ergodic instance.
-
-    The subdominant eigenvalue modulus of T and the spectral radius of
-    T - P must agree within tol; EigenSolverError reports a mismatch.
-    """
     a, b = report.subdominant_radius, report.residual_radius
     if abs(a - b) > tol:
         raise EigenSolverError(
@@ -370,7 +367,10 @@ class GelfandTrail:
         return MultiplicativityReport(d1, r, left, right, left == right, worst)
 
 
-def gelfand_trail(T: MarkovOperator, P: MarkovProjection, N: int = 30) -> GelfandTrail:
+def gelfand_trail(
+    T: MarkovOperator, P: MarkovProjection, N: int = 30,
+    *, classification: Classification | None = None,
+) -> GelfandTrail:
     """The trail d_n = delta_P(T^n), n = 1..N, whose roots decrease to r(T-P).
 
     The powers are accumulated as normalized products of T - P with the
@@ -379,12 +379,9 @@ def gelfand_trail(T: MarkovOperator, P: MarkovProjection, N: int = 30) -> Gelfan
     the trail would then read an exact 0 far above the true magnitude.
     Membership TP = PT = P makes the normalized product equal T^n - P,
     which agrees with T^n on ker P, so it is also the precondition here
-    (PreconditionError otherwise).
+    (PreconditionError otherwise).  ``classification`` as in ``best_rate``.
     """
-    return _trail_given(T, P, *classify(T, P), N)
-
-
-def _trail_given(T, P, verdict, report, N=30) -> GelfandTrail:
+    verdict, report = classification or classify(T, P)
     fd, cd = verdict.fixes_defect, verdict.commute_defect
     if not verdict.member:
         raise PreconditionError(
@@ -413,18 +410,17 @@ class SpectrumShiftReport:
 
 
 def spectrum_shift_check(
-    T: MarkovOperator, P: MarkovProjection, tol: float = 1e-7
+    T: MarkovOperator, P: MarkovProjection, tol: float = 1e-7,
+    *, classification: Classification | None = None,
 ) -> SpectrumShiftReport:
     """Subtracting P only moves spectrum at 0 and 1: multiset equality away.
 
     The two spectra with eigenvalues within tol of 0 or 1 removed must
     coincide as multisets; matching is a min-cost assignment on pairwise
     distances in the complex plane, judged by the largest matched distance.
+    ``classification`` as in ``best_rate``: its report holds both spectra.
     """
-    return _spectrum_shift_given(*classify(T, P), tol)
-
-
-def _spectrum_shift_given(verdict, report, tol=1e-7) -> SpectrumShiftReport:
+    verdict, report = classification or classify(T, P)
     fd, cd = verdict.fixes_defect, verdict.commute_defect
     a = np.asarray(report.spectrum_T)
     b = np.asarray(report.spectrum_T_minus_P)
@@ -487,18 +483,17 @@ def tensor_rate_bound(
     T: MarkovOperator,
     P: MarkovProjection,
     tol: float = 1e-9,
+    *, classifications: tuple[Classification, Classification] | None = None,
 ) -> TensorRateReport:
     """Product-chain rate never exceeds the worst factor rate.
 
     Requires both factors uniformly ergodic; the proof's annihilation
     identities ((S-Q)Q = Q(S-Q) = 0 and likewise for T, P) are rechecked
     here since they are exactly the membership conditions SQ=QS=Q and
-    TP=PT=P.  Each factor's defects and rate come from its classification.
+    TP=PT=P.  Each factor's defects and rate come from its classification,
+    the caller's ``classifications=(classify(S, Q), classify(T, P))`` if given.
     """
-    return _tensor_given(S, Q, T, P, classify(S, Q), classify(T, P), tol)
-
-
-def _tensor_given(S, Q, T, P, left, right, tol=1e-9) -> TensorRateReport:
+    left, right = classifications or (classify(S, Q), classify(T, P))
     rates = []
     for op, proj, (verdict, report), tag in ((S, Q, left, "left"), (T, P, right, "right")):
         if verdict.uniform is not True:
@@ -530,7 +525,10 @@ class RateProfile:
     fitted_C: float | None  # log-least-squares prefactor over the tail; None off members
 
 
-def rate_profile(T: MarkovOperator, P: MarkovProjection, N: int = 40) -> RateProfile:
+def rate_profile(
+    T: MarkovOperator, P: MarkovProjection, N: int = 40,
+    *, classification: Classification | None = None,
+) -> RateProfile:
     """Empirical power-norm decay against the spectral rate prediction.
 
     Members (TP = PT = P) get their power norms from normalized products
@@ -538,11 +536,9 @@ def rate_profile(T: MarkovOperator, P: MarkovProjection, N: int = 40) -> RatePro
     prefactor fitted to them against r(T - P).  For a non-member r(T - P)
     is no rate of T^n - P (the product identity is unavailable), so the
     norms come from direct powers of T and no prefactor is fitted.
+    ``classification`` as in ``best_rate``.
     """
-    return _rate_profile_given(T, P, *classify(T, P), N)
-
-
-def _rate_profile_given(T, P, verdict, report, N=40) -> RateProfile:
+    verdict, report = classification or classify(T, P)
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
     E = A - Pm

@@ -30,8 +30,7 @@ from itertools import pairwise
 import numpy as np
 
 from .coefficients import (
-    _eigenvalue_bound_given_delta,
-    _inequalities_given_delta,
+    CoefficientResult,
     coefficient_inequalities,
     coefficient_lower_bound,
     eigenvalue_bound_check,
@@ -64,13 +63,12 @@ from .spaces import make_simplex
 from .spectral import (
     ErgodicityVerdict,
     SpectralReport,
-    _best_rate_given,
-    _spectrum_shift_given,
-    _tensor_given,
-    _trail_given,
+    best_rate,
     classify,
+    gelfand_trail,
     powers,
-    report_rate,
+    spectrum_shift_check,
+    tensor_rate_bound,
 )
 
 MAX_MESSAGES = 8
@@ -119,8 +117,8 @@ class VerifyContext:
 # per-instance results several checks read; an N = 20 trail starts with the N = 10
 # one, and the audit raises again any error the certificate raised
 _SHARED = {
-    "trail": lambda ctx, i: _trail_given(
-        i.T, i.P, *ctx.shared("classify", i), N=20 if i.expect_uniform else 10
+    "trail": lambda ctx, i: gelfand_trail(
+        i.T, i.P, N=20 if i.expect_uniform else 10, classification=ctx.shared("classify", i)
     ),
     "certificate": lambda ctx, i: certificate_from_convergence(i.T, i.P, n0_cap=N0_CAP),
     "audit": lambda ctx, i: verify_certificate(ctx.shared("certificate", i), i.T, i.P),
@@ -155,13 +153,17 @@ def _label(case) -> str:
     return " x ".join(p.label for p in parts if isinstance(p, Instance))
 
 
+_REGISTERED: list = []
+
+
 def _check(name: str, cases=list):
     """Make ``verdict(ctx, case)`` the check ``name`` over ``cases(instances)``.
 
     A verdict returns nothing (None or "") when its case passes, else the
     detail of the case's one failure; an ErgokitError it raises is that
     detail.  The check labels each detail with its case, counts one verdict
-    per case and keeps the first MAX_MESSAGES messages.
+    per case and keeps the first MAX_MESSAGES messages.  It is registered
+    in ``CHECKS`` in definition order, which is the order runs report.
     """
 
     def register(verdict):
@@ -180,6 +182,7 @@ def _check(name: str, cases=list):
                 name, len(todo) - len(fails), len(fails), tuple(fails[:MAX_MESSAGES])
             )
 
+        _REGISTERED.append((name, check))
         return check
 
     return register
@@ -267,7 +270,7 @@ def _check_classification(ctx, inst):
 
 @_check("rate-identity", cases=_uniform)
 def _check_rate_identity(ctx, inst):
-    r = _best_rate_given(*ctx.shared("classify", inst))
+    r = best_rate(inst.T, inst.P, classification=ctx.shared("classify", inst))
     return None if 0.0 <= r < 1.0 else f"rate {r} outside [0, 1)"
 
 
@@ -282,9 +285,9 @@ def _check_gelfand_trail(ctx, inst):
 
 @_check("spectrum-shift")
 def _check_spectrum_shift(ctx, inst):
-    verdict, report = ctx.shared("classify", inst)
-    _require_member(verdict)
-    rep = _spectrum_shift_given(verdict, report)
+    classification = ctx.shared("classify", inst)
+    _require_member(classification[0])
+    rep = spectrum_shift_check(inst.T, inst.P, classification=classification)
     return None if rep.ok else f"spectra mismatch (distance {rep.max_match_distance:.2e})"
 
 
@@ -322,7 +325,7 @@ def _check_power_norm_chain(ctx, inst):
 def _check_tensor_bound(ctx, case):
     left, right = case
     factors = ctx.shared("classify", left), ctx.shared("classify", right)
-    rep = _tensor_given(left.T, left.P, right.T, right.P, *factors, tol=TOL)
+    rep = tensor_rate_bound(left.T, left.P, right.T, right.P, tol=TOL, classifications=factors)
     return None if rep.ok else f"product rate {rep.lhs} exceeds factor max {rep.rhs}"
 
 
@@ -368,13 +371,17 @@ def _check_certificate_audit(ctx, inst):
     return "; ".join(faults)
 
 
+CHECKS = tuple(_REGISTERED)  # (name, check), in the order the checks are defined above
+CHECK_NAMES = tuple(name for name, _ in CHECKS)
+
+
 def instance_theorems(
     T: MarkovOperator, P: MarkovProjection, verdict: ErgodicityVerdict,
-    report: SpectralReport, delta: float, tol: float = 1e-9, *, seed: int = 0,
+    report: SpectralReport, delta: CoefficientResult, tol: float = 1e-9, *, seed: int = 0,
 ) -> list[tuple[str, bool, str]]:
     """Per-instance theorem scoreboard for analysis reports.
 
-    Scores the caller's ``classify(T, P)`` and ``ergodicity_coefficient(T, P).value``
+    Scores the caller's ``classify(T, P)`` and ``ergodicity_coefficient(T, P)``
     (``delta``), the ones its report prints, and reads membership off the verdict's
     two defects.  Expectation-free: the classification entry judges internal clause
     agreement, not a generator promise, so it applies to arbitrary input.  ``seed``
@@ -382,15 +389,15 @@ def instance_theorems(
     """
     out: list[tuple[str, bool, str]] = []
     space = T.space
-    for chk in _inequalities_given_delta(T, T, P, delta, tol=tol, seed=seed):
+    for chk in coefficient_inequalities(T, T, P, tol=tol, delta=delta, seed=seed):
         detail = chk.details if chk.applicable else f"not applicable: {chk.details}"
         out.append((f"coefficient-{chk.name}", chk.ok, detail))
     if P.variant in ("rank_one", "block") and space.is_lattice:
-        a = delta  # the vertex route, which these variants always take
+        a = delta.value  # the vertex route, which these variants always take
         b = ergodicity_coefficient(T, P, method="pairs").value
         out.append(("pair-formula", abs(a - b) <= 1e-12, f"gap {abs(a - b):.2e}"))
     try:
-        rep = _eigenvalue_bound_given_delta(T, P, delta, tol=tol)
+        rep = eigenvalue_bound_check(T, P, tol=tol, delta=delta)
         out.append(("eigenvalue-bound", rep.ok, f"max excess {rep.max_excess:.2e}"))
     except ErgokitError as exc:
         out.append(("eigenvalue-bound", False, str(exc)))
@@ -404,12 +411,15 @@ def instance_theorems(
     # one delta_P(T^n) trail serves both trail theorems; a uniform
     # non-member still asks for it below, and gets PreconditionError
     trail = None
+    classification = verdict, report
     if verdict.member:
-        srep = _spectrum_shift_given(verdict, report)
+        srep = spectrum_shift_check(T, P, classification=classification)
         out.append(
             ("spectrum-shift", srep.ok, f"match distance {srep.max_match_distance:.2e}")
         )
-        trail = _trail_given(T, P, verdict, report, N=15 if verdict.uniform is True else 10)
+        trail = gelfand_trail(
+            T, P, N=15 if verdict.uniform is True else 10, classification=classification
+        )
         mrep = trail.multiplicativity(N=10)
         out.append(
             (
@@ -421,35 +431,15 @@ def instance_theorems(
         )
     if verdict.uniform is True:
         try:
-            r = report_rate(report)
+            r = best_rate(T, P, classification=classification)
             out.append(("rate-identity", 0.0 <= r < 1.0, f"rate {r:.6g}"))
         except ErgokitError as exc:
             out.append(("rate-identity", False, str(exc)))
-        trail = trail or _trail_given(T, P, verdict, report, N=15)
+        trail = trail or gelfand_trail(T, P, N=15, classification=classification)
         out.append(
             ("gelfand-trail", trail.all_above, f"residual radius {trail.residual_radius:.6g}")
         )
     return out
-
-
-CHECKS = (
-    ("coefficient-properties", _check_coefficient_properties),
-    ("pair-formula", _check_pair_formula),
-    ("mc-lower-bound", _check_mc_lower_bound),
-    ("eigenvalue-bound", _check_eigenvalue_bound),
-    ("classification-equivalence", _check_classification),
-    ("rate-identity", _check_rate_identity),
-    ("gelfand-trail", _check_gelfand_trail),
-    ("spectrum-shift", _check_spectrum_shift),
-    ("multiplicativity", _check_multiplicativity),
-    ("power-norm-chain", _check_power_norm_chain),
-    ("tensor-bound", _check_tensor_bound),
-    ("doeblin-equivalence", _check_doeblin_equivalence),
-    ("overlap-soundness", _check_overlap_soundness),
-    ("certificate-audit", _check_certificate_audit),
-)
-
-CHECK_NAMES = tuple(name for name, _ in CHECKS)
 
 
 # ---------------------------------------------------------------------------

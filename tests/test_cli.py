@@ -311,15 +311,15 @@ def test_analyze_classifies_once(tmp_path, capsys, count_calls):
 
 
 def test_analyze_builds_one_trail(tmp_path, capsys, count_calls):
-    # the trail is built from analyze's classification, by the private helper
-    calls = count_calls("_trail_given", "multiplicativity_test")
+    # the trail is built once, from analyze's classification
+    calls = count_calls("gelfand_trail", "multiplicativity_test")
     p = write(tmp_path, "two.json", TWO_STATE)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     assert code == 0
     names = [t["name"] for t in json.loads(out)["theorems"]]
     assert "multiplicativity" in names and "gelfand-trail" in names
     assert {k: len(v) for k, v in calls.items()} == {
-        "_trail_given": 1, "multiplicativity_test": 0,
+        "gelfand_trail": 1, "multiplicativity_test": 0,
     }
 
 
@@ -338,26 +338,32 @@ def test_analyze_reads_spectra_and_defects_off_its_classification(
 
 
 def test_analyze_computes_the_kernel_coefficient_once(tmp_path, capsys, count_calls):
-    # the theorems read the delta_P(T) that analyze prints, and T - T = 0
-    # has no coefficient to compute
+    # classify and the theorems read the delta_P(T) that analyze prints,
+    # T - T = 0 has no coefficient to compute, and the inequality suite asks
+    # only for those of T(I - P) and T^2
     calls = count_calls("ergodicity_coefficient")
     p = write(tmp_path, "two.json", TWO_STATE)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     assert code == 0
     assert any(t["name"] == "pair-formula" for t in json.loads(out)["theorems"])
     T = np.array(TWO_STATE["operator"])
-    own_delta = []
+    Pm = np.outer(TWO_STATE["projection"]["y"], np.ones(2))
+    own_delta, inequality_args = [], []
     for caller, args, kwargs in calls["ergodicity_coefficient"]:
         A = np.asarray(getattr(args[0], "matrix", args[0]))
         assert A.any(), f"{caller} asked for the coefficient of the zero matrix"
-        assert caller not in ("coefficient_inequalities", "eigenvalue_bound_check")
+        assert caller != "eigenvalue_bound_check"
+        if caller == "coefficient_inequalities":
+            inequality_args.append(A)
         if caller == "instance_theorems":
             assert kwargs.get("method") == "pairs"
         P = args[1] if len(args) > 1 else kwargs.get("P")
         if P is not None and np.array_equal(A, T) and kwargs.get("method") != "pairs":
             own_delta.append(caller)
-    # classify's own n = 1 term is the other one
-    assert sorted(own_delta) == ["classify", "cmd_analyze"]
+    assert own_delta == ["cmd_analyze"]
+    assert len(inequality_args) == 2
+    assert np.allclose(inequality_args[0], T @ (np.eye(2) - Pm), atol=1e-15)
+    assert np.allclose(inequality_args[1], T @ T, atol=1e-15)
 
 
 def test_analyze_identity_projection_scores_every_theorem_ok(tmp_path, capsys):
@@ -395,6 +401,25 @@ def _past_cap_doc():
         "operator": T.tolist(),
         "projection": {"type": "matrix", "entries": P.tolist()},
     }
+
+
+def test_analyze_computes_the_seeded_bracket_once(tmp_path, capsys, count_calls):
+    # past the cap delta_P(T) is a 100k-sample bracket: analyze draws it once,
+    # with --seed, and classify's n = 1 term reads that one
+    calls = count_calls("ergodicity_coefficient")
+    doc = _past_cap_doc()
+    p = write(tmp_path, "past-cap.json", doc)
+    code, out, _ = run(capsys, ["analyze", "--seed", "5", "--format", "structured", p])
+    assert code == 0
+    assert json.loads(out)["coefficients"]["kernel"]["certified_exact"] is False
+    T = np.array(doc["operator"])
+    own_delta = [
+        (caller, kwargs.get("seed"))
+        for caller, args, kwargs in calls["ergodicity_coefficient"]
+        if (args[1] if len(args) > 1 else kwargs.get("P")) is not None
+        and np.array_equal(np.asarray(getattr(args[0], "matrix", args[0])), T)
+    ]
+    assert own_delta == [("cmd_analyze", 5)]
 
 
 def test_a_straddling_bracket_leaves_the_dip_clause_undecided(tmp_path, capsys):

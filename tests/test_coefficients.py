@@ -532,6 +532,27 @@ def test_property_hypothesis_failure_is_flagged(two_state, rng):
     assert checks["commuting-factor"].ok  # vacuous, not silently dropped
 
 
+def test_factor_inequalities_read_the_upper_side_of_a_bracket(two_state):
+    # delta_P(T) = 0.6 and delta_P(T^2) = 0.36 exactly.  A Monte-Carlo
+    # bracket [0.56, 0.6] for delta_P(T) has a lower side whose square
+    # (0.3136) is below delta_P(T^2), as a polish stopping short of the
+    # maximum leaves it; the rhs must come from the upper side 0.6.
+    from ergokit import CoefficientResult
+
+    T, P = two_state.T, two_state.P
+    bracket = CoefficientResult(0.56, "monte-carlo-lower-bound", None, False, 0.6)
+    checks = {c.name: c for c in coefficient_inequalities(T, T, P, delta=bracket)}
+    assert all(c.ok for c in checks.values()), checks
+    assert checks["range"].details["value_T"] == 0.56
+    sub = checks["submultiplicative"].details
+    assert sub["lhs"] == pytest.approx(0.36, abs=1e-15)
+    assert sub["rhs"] == pytest.approx(0.36, abs=1e-15)
+    # an upper side below the true value still fails: 0.36 > 0.5 * 0.5
+    low = CoefficientResult(0.5, "monte-carlo-lower-bound", None, False, 0.5)
+    checks = {c.name: c for c in coefficient_inequalities(T, T, P, delta=low)}
+    assert not checks["submultiplicative"].ok
+
+
 def test_eigenvalue_bound_on_corpus(small_corpus):
     for inst in small_corpus:
         rep = eigenvalue_bound_check(inst.T, inst.P)

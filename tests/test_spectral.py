@@ -277,19 +277,19 @@ def test_best_rate_detects_route_mismatch():
     assert issubclass(EigenSolverError, Exception)
 
 
-def test_report_rate_raises_on_route_mismatch(two_state):
+def test_best_rate_raises_on_route_mismatch(two_state):
     # best_rate and instance_theorems share this check; a report whose two
     # radii disagree must raise with the message the rate-identity detail
     # strings carry
     from dataclasses import replace
 
-    from ergokit.spectral import report_rate
-
-    rep = spectral_report(two_state.T, two_state.P)
-    assert report_rate(rep) == rep.residual_radius
+    verdict, rep = classify(two_state.T, two_state.P)
+    assert best_rate(two_state.T, two_state.P, classification=(verdict, rep)) == (
+        rep.residual_radius
+    )
     forged = replace(rep, subdominant_radius=0.5)
     with pytest.raises(EigenSolverError) as exc:
-        report_rate(forged)
+        best_rate(two_state.T, two_state.P, classification=(verdict, forged))
     assert str(exc.value) == (
         f"rate mismatch: subdominant modulus 0.5 vs residual radius "
         f"{rep.residual_radius!r}"

@@ -148,7 +148,7 @@ def test_checks_share_each_instance_result(count_calls):
     from ergokit.operators import membership
 
     calls = count_calls(
-        "_trail_given", "certificate_from_convergence", "search_certificates", "classify",
+        "gelfand_trail", "certificate_from_convergence", "search_certificates", "classify",
         "eigenvalues", "overlap_certificate",
     )
     results = run_verification(count=1, dims=(2, 3, 4), samples=2000)
@@ -169,7 +169,7 @@ def test_checks_share_each_instance_result(count_calls):
     tensor_pairs = sum(1 for i in corpus if i.expect_uniform and i.T.space.dim <= 6) - 1
     assert per_instance(calls["search_certificates"]) == (len(negatives),) * 2
     assert per_instance(calls["certificate_from_convergence"]) == (uniform,) * 2
-    assert per_instance(calls["_trail_given"]) == (members,) * 2
+    assert per_instance(calls["gelfand_trail"]) == (members,) * 2
     assert per_instance(calls["classify"]) == (len(corpus),) * 2
     # T and T - P per instance, and the product chain of each tensor pair
     assert len(calls["eigenvalues"]) == 2 * len(corpus) + tensor_pairs
