@@ -1,9 +1,9 @@
 """The package's two hot kernels, in NumPy.
 
 ``mc_max_ratio`` scans Monte-Carlo sample directions for the best l1
-ratio, and ``max_pair_half_l1`` takes the largest half l1 distance between
-the rows of a matrix.  ``BACKEND`` names the implementation; it is always
-"python".
+ratio, and ``max_pair_half_l1`` the largest half distance between rows
+under a space's ``norm_rows`` (l1 on a simplex).  ``BACKEND`` names the
+implementation; it is always "python".
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ def mc_max_ratio(TK, K, Z, min_den=1e-300):
     return float(ratios[idx]), idx, ratios
 
 
-def max_pair_half_l1(R):
-    """Max over row pairs i < j of half the l1 distance ||R_i - R_j||_1 / 2.
+def max_pair_half_l1(R, norm_rows):
+    """Max over row pairs i < j of half the distance norm_rows(R_i - R_j) / 2.
 
-    Returns (value, i, j); (0.0, -1, -1) when R has fewer than two rows.
+    Returns (value, i, j), ties to the first (i, j) in row order; (0.0, -1, -1)
+    when R has fewer than two rows.
     """
     R = np.asarray(R)
     k = R.shape[0]
@@ -49,7 +50,7 @@ def max_pair_half_l1(R):
         return 0.0, -1, -1
     best, bi, bj = -1.0, -1, -1
     for i in range(k - 1):
-        d = 0.5 * np.abs(R[i + 1 :] - R[i]).sum(axis=1)
+        d = 0.5 * norm_rows(R[i + 1 :] - R[i])
         j = int(np.argmax(d))
         if d[j] > best:
             best, bi, bj = float(d[j]), i, i + 1 + j

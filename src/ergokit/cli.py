@@ -28,16 +28,7 @@ from .errors import (
     UnsupportedSpaceError,
     ValidationError,
 )
-from .instances import (
-    ParsedInstance,
-    cnum,
-    dumps_structured,
-    fmat,
-    fnum,
-    fvec,
-    instance_hash,
-    load_instance,
-)
+from .instances import ParsedInstance, dumps_structured, instance_hash, load_instance
 from .operators import VALIDATION_TOL
 from .spectral import classify, rate_profile
 from .verification import CHECK_NAMES, instance_theorems, run_verification
@@ -58,16 +49,16 @@ def _space_line(inst: ParsedInstance) -> str:
 
 def _coefficient_doc(res, tolerance: float) -> dict:
     doc = {
-        "value": fnum(res.value),
+        "value": res.value,
         "method": res.method,
         "certified_exact": res.certified_exact,
-        "upper_bound": fnum(res.upper_bound),
-        "tolerance": fnum(tolerance),
+        "upper_bound": res.upper_bound,
+        "tolerance": tolerance,
     }
     if res.witness is not None:
-        doc["witness"] = fvec(res.witness)
+        doc["witness"] = res.witness
     if res.pair is not None:
-        doc["witness_pair"] = [int(res.pair[0]), int(res.pair[1])]
+        doc["witness_pair"] = res.pair
     return doc
 
 
@@ -77,8 +68,8 @@ def _verdict_doc(verdict) -> dict:
         "weak": verdict.weak,
         "witness_n0": verdict.witness_n0,
         "consistent": verdict.consistent,
-        "fixes_defect": fnum(verdict.fixes_defect),
-        "commute_defect": fnum(verdict.commute_defect),
+        "fixes_defect": verdict.fixes_defect,
+        "commute_defect": verdict.commute_defect,
         "clauses": [
             {
                 "name": c.name,
@@ -93,26 +84,27 @@ def _verdict_doc(verdict) -> dict:
 
 def _spectral_doc(report) -> dict:
     return {
-        "eigenvalues": [cnum(z) for z in report.eigenvalues],
-        "residual_radius": fnum(report.residual_radius),
-        "subdominant_radius": fnum(report.subdominant_radius),
+        # complex(z): a real eigenvalue array would otherwise print as a float
+        "eigenvalues": [complex(z) for z in report.eigenvalues],
+        "residual_radius": report.residual_radius,
+        "subdominant_radius": report.subdominant_radius,
         "one_isolated": report.one_isolated,
-        "isolation_distance": fnum(report.isolation_distance),
-        "gap_norm": fnum(report.gap_norm),
+        "isolation_distance": report.isolation_distance,
+        "gap_norm": report.gap_norm,
     }
 
 
 def _certificate_doc(cert, audit) -> dict:
     return {
-        "tau": fnum(cert.tau),
+        "tau": cert.tau,
         "n0": cert.n0,
         "q_variant": cert.Q.variant,
-        "sup_phi_norm": fnum(cert.sup_phi_norm),
-        "phi_table": fmat(cert.phi_table),
+        "sup_phi_norm": cert.sup_phi_norm,
+        "phi_table": cert.phi_table,
         "audit_ok": audit.ok,
-        "audit_violations": list(audit.violations),
-        "implied_bound": fnum(audit.implied_bound),
-        "actual_coefficient": fnum(audit.actual_coefficient),
+        "audit_violations": audit.violations,
+        "implied_bound": audit.implied_bound,
+        "actual_coefficient": audit.actual_coefficient,
         "bound_holds": audit.bound_holds,
     }
 
@@ -161,12 +153,12 @@ def cmd_analyze(args) -> int:
             "generator": {"name": "ergokit", "version": __version__},
             "instance": {"hash": instance_hash(inst), "space": _space_line(inst)},
             "flags": {
-                "tolerance": fnum(args.tolerance),
+                "tolerance": args.tolerance,
                 "max_power": args.max_power,
                 "n0_cap": args.n0_cap,
                 "seed": args.seed,
             },
-            "validation": {"ok": True, "tolerance": fnum(VALIDATION_TOL)},
+            "validation": {"ok": True, "tolerance": VALIDATION_TOL},
             "coefficients": {
                 "classical": _coefficient_doc(classical, args.tolerance),
                 "kernel": _coefficient_doc(kernel, args.tolerance),
@@ -174,12 +166,10 @@ def cmd_analyze(args) -> int:
             "spectral": _spectral_doc(spectral),
             "verdict": _verdict_doc(verdict),
             "rate_profile": {
-                "rate": fnum(profile.rate),
-                "fitted_prefactor": (
-                    None if profile.fitted_C is None else fnum(profile.fitted_C)
-                ),
-                "norms": [fnum(v) for v in profile.norms],
-                "alphas": [fnum(v) for v in profile.alphas],
+                "rate": profile.rate,
+                "fitted_prefactor": profile.fitted_C,
+                "norms": profile.norms,
+                "alphas": profile.alphas,
             },
             "certificate": (
                 _certificate_doc(cert, audit)
@@ -187,7 +177,7 @@ def cmd_analyze(args) -> int:
                 else {"applicable": False}
             ),
             "theorems": [
-                {"name": n, "ok": ok, "detail": d, "tolerance": fnum(args.tolerance)}
+                {"name": n, "ok": ok, "detail": d, "tolerance": args.tolerance}
                 for n, ok, d in theorems
             ],
         }
@@ -264,6 +254,9 @@ def cmd_doeblin(args) -> int:
 
     want_min = args.which in ("DP", "both")
     want_over = args.which in ("DPstar", "both")
+    m, o = outcome.minorization, outcome.overlap
+    if want_min and m is not None:
+        audit = verify_certificate(m.certificate, inst.operator, inst.projection, seed=args.seed)
 
     if args.format == "structured":
         doc = {
@@ -274,30 +267,25 @@ def cmd_doeblin(args) -> int:
             "diagnostic": outcome.diagnostic,
         }
         if want_min:
-            m = outcome.minorization
             if m is None:
                 doc["minorization"] = {"feasible": False, "exhausted": True}
             else:
-                audit = verify_certificate(
-                    m.certificate, inst.operator, inst.projection, seed=args.seed
-                )
                 doc["minorization"] = {
                     "feasible": True,
                     "certificate": _certificate_doc(m.certificate, audit),
                 }
         if want_over:
-            o = outcome.overlap
             if o is None:
                 doc["overlap"] = {"feasible": False, "exhausted": True}
             else:
                 doc["overlap"] = {
                     "feasible": True,
-                    "value": fnum(o.overlap),
+                    "value": o.overlap,
                     "n0": o.certificate.n0,
                     "q_variant": o.certificate.Q.variant,
-                    "u_table": fmat(o.certificate.u_table),
-                    "implied_bound": fnum(o.implied_bound),
-                    "actual_coefficient": fnum(o.actual_coefficient),
+                    "u_table": o.certificate.u_table,
+                    "implied_bound": o.implied_bound,
+                    "actual_coefficient": o.actual_coefficient,
                     "bound_holds": o.bound_holds,
                 }
         sys.stdout.write(dumps_structured(doc))
@@ -307,13 +295,9 @@ def cmd_doeblin(args) -> int:
     w(f"ergokit {__version__} doeblin: instance {instance_hash(inst)}\n")
     w(f"space: {_space_line(inst)}; power cap {args.n0_cap}\n")
     if want_min:
-        m = outcome.minorization
         if m is None:
             w(f"minorization: exhausted up to n0 = {args.n0_cap}\n")
         else:
-            audit = verify_certificate(
-                m.certificate, inst.operator, inst.projection, seed=args.seed
-            )
             w(
                 f"minorization: tau = {m.tau:.12g} at n0 = {m.certificate.n0} "
                 f"(Q {m.certificate.Q.variant}; audit "
@@ -324,7 +308,6 @@ def cmd_doeblin(args) -> int:
                 f"actual {m.actual_coefficient:.12g}; holds: {m.bound_holds}\n"
             )
     if want_over:
-        o = outcome.overlap
         if o is None:
             w(f"overlap: exhausted up to n0 = {args.n0_cap}\n")
         else:
@@ -364,10 +347,10 @@ def cmd_tensor(args) -> int:
                 "left": instance_hash(left),
                 "right": instance_hash(right),
             },
-            "flags": {"tolerance": fnum(args.tolerance), "seed": args.seed},
-            "product_rate": fnum(rep.lhs),
-            "factor_rate_max": fnum(rep.rhs),
-            "factor_rates": [fnum(v) for v in rep.factor_rates],
+            "flags": {"tolerance": args.tolerance, "seed": args.seed},
+            "product_rate": rep.lhs,
+            "factor_rate_max": rep.rhs,
+            "factor_rates": rep.factor_rates,
             "bound_holds": rep.ok,
             "tight": rep.tight,
         }

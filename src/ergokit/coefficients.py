@@ -87,14 +87,20 @@ def _lex_rows(V: np.ndarray) -> np.ndarray:
 
 
 def _pair_diff_vertices(space: StateSpace, groups) -> np.ndarray:
-    rows = []
+    """Rows (b_i - b_j)/2 over the pairs i != j of each group, in row order."""
+    n = space.dim
+    out = np.empty((sum(len(g) * (len(g) - 1) for g in groups), n))
+    start = 0
     for g in groups:
-        for i in g:
-            for j in g:
-                if i != j:
-                    v = 0.5 * (space.base_vertices[i] - space.base_vertices[j])
-                    rows.append(v)
-    return np.array(rows) if rows else np.zeros((0, space.dim))
+        k, B = len(g), space.base_vertices[g]
+        D = B[:, None, :] - B[None, :, :]
+        D *= 0.5
+        # off the diagonal without a mask's copy: past row (0, 0), each
+        # diagonal row closes a run of k + 1, led by k rows (i, j), i != j
+        rows = D.reshape(k * k, n)[1:].reshape(k - 1, k + 1, n)[:, :k]
+        out[start : start + k * (k - 1)].reshape(k - 1, k, n)[...] = rows
+        start += k * (k - 1)
+    return out
 
 
 def _support_pattern_vertices(P_mat: np.ndarray, n: int) -> np.ndarray:
@@ -173,17 +179,14 @@ def kernel_ball_vertices(
 
 def _kernel_ball_vertices(P: MarkovProjection | None, space: StateSpace) -> np.ndarray:
     n = space.dim
-    if P is None or P.variant == "rank_one":
+    if P is None or P.structured:
         if space.is_lattice:
-            return _lex_rows(_pair_diff_vertices(space, [range(n)]))
-        # embedded: ker f = {(0, x)}, and the ball section is {0} x inner ball
+            return _lex_rows(_pair_diff_vertices(space, _admissible_pair_groups(P, space)))
+        # embedded (P rank-one): ker f = {(0, x)}, its ball section {0} x inner ball
         inner = space.base_vertices[:, 1:]  # base vertices are (1, w)
         V = np.zeros((inner.shape[0], n))
         V[:, 1:] = inner
         return _lex_rows(V)
-
-    if P.variant == "block":
-        return _lex_rows(_pair_diff_vertices(space, P.blocks))
 
     # explicit
     if P.is_identity():
@@ -210,9 +213,9 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
 def _admissible_pair_groups(P: MarkovProjection | None, space: StateSpace):
     k = len(space.base_vertices)
     if P is None or P.variant == "rank_one":
-        return [list(range(k))]
+        return [np.arange(k)]
     if P.variant == "block":
-        return [list(b) for b in P.blocks]
+        return [np.asarray(b) for b in P.blocks]
     # explicit: test each pair for membership of the difference in ker P;
     # unless those differences span ker P, their maximum is only a lower bound
     groups, diffs = [], []
@@ -231,24 +234,12 @@ def _admissible_pair_groups(P: MarkovProjection | None, space: StateSpace):
 
 
 def _pair_route(A, P, space) -> CoefficientResult:
-    groups = _admissible_pair_groups(P, space)
+    images = space.base_vertices @ A.T  # row i = image of base vertex i
     best, bi, bj = -1.0, -1, -1
-    if space.is_lattice:
-        images = np.ascontiguousarray(A.T)  # row i = image of base vertex e_i
-        for g in groups:
-            idx = np.asarray(g, dtype=int)
-            val, i, j = _backend.max_pair_half_l1(
-                np.ascontiguousarray(images[idx])
-            )
-            if i >= 0 and val > best:
-                best, bi, bj = val, int(idx[i]), int(idx[j])
-    else:
-        B = space.base_vertices
-        for g in groups:
-            for a, b in itertools.combinations(g, 2):
-                val = 0.5 * space.norm(A @ (B[a] - B[b]))
-                if val > best:
-                    best, bi, bj = val, a, b
+    for g in _admissible_pair_groups(P, space):
+        val, i, j = _backend.max_pair_half_l1(images[g], space.norm_rows)
+        if i >= 0 and val > best:
+            best, bi, bj = val, int(g[i]), int(g[j])
     if bi < 0:
         return CoefficientResult(0.0, "pair-formula", None, True, 0.0)
     w = 0.5 * (space.base_vertices[bi] - space.base_vertices[bj])
@@ -312,8 +303,8 @@ def _polish_step(P: MarkovProjection | None, space: StateSpace):
     returns None when the solver fails.
     """
     n = space.dim
-    if P is None or P.variant != "explicit":
-        groups = [np.asarray(g) for g in _admissible_pair_groups(P, space)]
+    if P is None or P.structured:
+        groups = _admissible_pair_groups(P, space)
 
         def half_range(c):
             best, bi, bj = -1.0, 0, 0

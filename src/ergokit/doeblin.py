@@ -29,6 +29,7 @@ from .operators import (
     MarkovOperator,
     MarkovProjection,
     membership,
+    operator_norm,
     rank_one_projection,
     sub_projection,
 )
@@ -308,7 +309,7 @@ def certificate_from_convergence(
     Pm = np.asarray(P.matrix)
     for n0, Tn in powers(np.asarray(T.matrix), n0_cap):
         resid = Tn - Pm
-        if float(np.abs(resid).sum(axis=0).max()) <= 0.25:
+        if operator_norm(resid, T.space) <= 0.25:
             phi = np.maximum(-resid, 0.0).T
             return DoeblinCertificate(1.0, n0, P, phi, float(phi.sum(axis=1).max()))
     raise PreconditionError(

@@ -233,14 +233,6 @@ def cnum(z) -> str:
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}j"
 
 
-def fvec(v) -> list[str]:
-    return [fnum(x) for x in np.asarray(v).ravel()]
-
-
-def fmat(M) -> list[list[str]]:
-    return [[fnum(x) for x in row] for row in np.asarray(M)]
-
-
 def jsonable(obj):
     """Recursively coerce a report fragment to JSON-safe builtins.
 

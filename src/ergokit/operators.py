@@ -35,9 +35,6 @@ class MarkovOperator:
     matrix: np.ndarray
     space: StateSpace
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def __repr__(self) -> str:
         return f"MarkovOperator(dim={self.space.dim}, kind={self.space.kind!r})"
 
@@ -143,10 +140,8 @@ class MarkovProjection:
 
     @property
     def structured(self) -> bool:
+        """Whether ker P has pair groups: rank-one or block, not explicit."""
         return self.variant in ("rank_one", "block")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
 
     def is_identity(self, tol: float = VALIDATION_TOL) -> bool:
         return bool(np.abs(self.matrix - np.eye(self.space.dim)).max() <= tol)

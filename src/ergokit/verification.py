@@ -220,7 +220,7 @@ def _check_coefficient_properties(ctx, inst):
 
 
 @_check("pair-formula", cases=lambda instances: [
-    i for i in _lattice(instances) if i.P.variant in ("rank_one", "block")
+    i for i in _lattice(instances) if i.P.structured
 ])
 def _check_pair_formula(ctx, inst):
     V = kernel_ball_vertices(inst.P, inst.T.space)
@@ -392,8 +392,8 @@ def instance_theorems(
     for chk in coefficient_inequalities(T, T, P, tol=tol, delta=delta, seed=seed):
         detail = chk.details if chk.applicable else f"not applicable: {chk.details}"
         out.append((f"coefficient-{chk.name}", chk.ok, detail))
-    if P.variant in ("rank_one", "block") and space.is_lattice:
-        a = delta.value  # the vertex route, which these variants always take
+    if P.structured and space.is_lattice:
+        a = delta.value  # the vertex route, which structured P always takes
         b = ergodicity_coefficient(T, P, method="pairs").value
         out.append(("pair-formula", abs(a - b) <= 1e-12, f"gap {abs(a - b):.2e}"))
     try:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ergokit import BACKEND, _backend, coefficients, make_simplex
+from ergokit import BACKEND, _backend, coefficients, make_embedded, make_simplex
 
 
 def test_backend_is_numpy():
@@ -54,5 +54,14 @@ def test_mc_ratios_match_two_pass_reference(n, m, rng):
 
 
 def test_max_pair_half_l1_single_row():
-    assert _backend.max_pair_half_l1(np.ones((1, 4))) == (0.0, -1, -1)
+    norm_rows = make_simplex(4).norm_rows
+    assert _backend.max_pair_half_l1(np.ones((1, 4)), norm_rows) == (0.0, -1, -1)
+
+
+def test_max_pair_half_l1_reads_the_given_norm():
+    # (1, 1, 1) - (1, -1, -1) = (0, 2, 2): half of it has norm 1 under the
+    # embedded linf norm max(|alpha|, max|x|), and 2 under l1
+    R = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
+    assert _backend.max_pair_half_l1(R, make_embedded(2, "linf").norm_rows) == (1.0, 0, 1)
+    assert _backend.max_pair_half_l1(R, make_simplex(3).norm_rows) == (2.0, 0, 1)
 

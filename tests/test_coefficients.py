@@ -312,6 +312,48 @@ def test_pair_route_on_explicit_rank_one_embedded():
     assert a.value == pytest.approx(ergodicity_coefficient(T, R).value, abs=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [(2,), (7,), (12,), (1, 3), (4, 4, 4), (2, 3, 1, 6)])
+def test_pair_group_vertices_match_the_support_pattern_search(sizes, rng):
+    # the half-differences inside P's pair groups are every vertex of the
+    # kernel ball: the generic search over supports finds the same set
+    n = sum(sizes)
+    s = make_simplex(n)
+    if len(sizes) == 1:
+        P = rank_one_projection(s, rng.dirichlet(np.ones(n)))
+    else:
+        cuts = np.cumsum((0,) + sizes)
+        blocks = [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+        P = block_projection(s, blocks, [rng.dirichlet(np.ones(k)) for k in sizes])
+    V = kernel_ball_vertices(P)
+    W = coefficients._support_pattern_vertices(np.asarray(P.matrix), n)
+
+    def rows(X):
+        return sorted(map(tuple, np.round(X, 10)))
+
+    assert rows(V) == rows(W)
+
+
+def test_embedded_pair_route_matches_the_vertices(rng):
+    # linf m = 8: 256 base vertices, every pair admissible for a rank-one P,
+    # scanned under the space's norm max(|alpha|, max |x|)
+    m = 8
+    s = make_embedded(m, "linf")
+    A = rng.uniform(-1.0, 1.0, size=(m, m))
+    A *= 0.9 / np.abs(A).sum(axis=1).max()
+    M = np.zeros((m + 1, m + 1))
+    M[0, 0] = 1.0
+    M[1:, 1:] = A
+    T = as_markov(M, s)
+    P = rank_one_projection(s, np.eye(m + 1)[0])
+    a = ergodicity_coefficient(T, P, method="vertices")
+    b = ergodicity_coefficient(T, P, method="pairs")
+    assert b.value == pytest.approx(a.value, abs=1e-12)
+    i, j = b.pair
+    B = s.base_vertices
+    assert np.array_equal(b.witness, 0.5 * (B[i] - B[j]))
+    assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b.value, abs=1e-12)
+
+
 def _half_absorbed(sizes, rng):
     """Two Metropolis classes and a transient last state absorbed half and half.
 
