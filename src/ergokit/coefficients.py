@@ -11,8 +11,10 @@ over its vertices and can be computed exactly.
 Three independent routes are provided and cross-checked by the tests:
 vertex enumeration of the kernel ball, the half-distance formula over
 admissible base-vertex pairs, and a Monte-Carlo lower bound with LP
-refinement.  The refinement's LPs have a closed form (a half-range over
-each block) for P = None, rank-one and block projections, and go to
+refinement.  The pair scan and the ratio scan are ``_backend`` kernels
+that read the space's ``norm_rows``, one scan each on every space.  The
+refinement runs on lattice spaces; its LPs have a closed form (a
+half-range over each block) for P = None, rank-one and block P, and go to
 HiGHS only for explicit projections.  A matrix-written P that is rank-one
 or a partition is built in its structured form (``explicit_projection``),
 so only a P with neither form, such as one absorbing a transient state
@@ -415,10 +417,10 @@ def coefficient_lower_bound(
     """Monte-Carlo lower bound for the coefficient, independent of enumeration.
 
     Random directions are deflected into the kernel and the best ratio
-    norm(T z)/norm(z) is kept.  On simplex-like spaces the four top draws
-    seed a sign-relinearized LP ascent each (``_lp_polish``) that sharpens
-    the bound without leaving the kernel, so the result stays a certified
-    lower bound throughout.  Its LPs are solved in closed form for P = None,
+    norm(T z)/norm(z) in the space's norm is kept.  On simplex-like spaces
+    the four top draws seed a sign-relinearized LP ascent each
+    (``_lp_polish``) that sharpens the bound without leaving the kernel, so
+    the result stays a certified lower bound throughout.  Its LPs are solved in closed form for P = None,
     rank-one and block P, and by HiGHS for an explicit P (``_polish_step``).
     """
     A, space = _resolve(T, P, space)
@@ -426,33 +428,18 @@ def coefficient_lower_bound(
         return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, 1.0)
     D = _deflector(P, space)
     Z = _unit_samples(space, seed, max(1, samples))
-
+    best, idx, ratios = _backend.mc_max_ratio(A @ D, D, Z, space.norm_rows, MC_DEN_FLOOR)
+    if idx < 0:
+        return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)
+    best_z = D @ Z[idx]
+    best_z /= space.norm(best_z)
     if space.is_lattice:
-        best, idx, ratios = _backend.mc_max_ratio(A @ D, D, Z, MC_DEN_FLOOR)
-        if idx < 0:
-            return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)
-        best_z = D @ Z[idx]
-        best_z /= np.abs(best_z).sum()
         step = _polish_step(P, space)
         for k in _polish_starts(ratios):  # the top four draws seed an ascent each
             val, z = _lp_polish(A, D, D @ Z[k], step)
             if val > best:
                 best, best_z = val, z
-    else:
-        W = Z @ D.T
-        num = space.norm_rows(W @ A.T)
-        den = space.norm_rows(W)
-        good = den > MC_DEN_FLOOR
-        if not good.any():
-            return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, np.inf)
-        ratios = np.where(good, num / np.maximum(den, MC_DEN_FLOOR), -1.0)
-        idx = int(np.argmax(ratios))
-        best = float(ratios[idx])
-        best_z = W[idx] / den[idx]
-
-    return CoefficientResult(
-        float(best), "monte-carlo-lower-bound", best_z, False, np.inf
-    )
+    return CoefficientResult(float(best), "monte-carlo-lower-bound", best_z, False, np.inf)
 
 
 @dataclass(frozen=True)

@@ -79,21 +79,26 @@ def _as_vector(entries, dim: int, location: str) -> np.ndarray:
     return np.array([float(v) for v in entries])
 
 
+def _positive_int(doc, key: str) -> int:
+    v = _get(doc, key, "space")
+    _require(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+             f"{key} must be a positive integer", f"space.{key}")
+    return v
+
+
 def _parse_space(doc) -> StateSpace:
     kind = _get(doc, "type", "space")
     if kind == "simplex":
-        dim = _get(doc, "dim", "space")
-        _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer",
-                 "space.dim")
-        return make_simplex(dim)
+        return make_simplex(_positive_int(doc, "dim"))
     if kind == "embedded":
-        m = _get(doc, "inner_dim", "space")
-        _require(isinstance(m, int) and m >= 1, "inner_dim must be a positive integer",
-                 "space.inner_dim")
+        m = _positive_int(doc, "inner_dim")
         ball = doc.get("inner_ball", "l1")
         _require(ball in ("l1", "linf"), "inner_ball must be 'l1' or 'linf'",
                  "space.inner_ball")
-        return make_embedded(m, ball)
+        try:
+            return make_embedded(m, ball)
+        except ValueError as exc:  # the inner ball's vertex cap
+            raise ParseError(str(exc), "space.inner_dim") from exc
     raise ParseError(f"unknown space type {kind!r}", "space.type")
 
 

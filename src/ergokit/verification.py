@@ -139,11 +139,14 @@ def _parallel_map(fn, items: list) -> list:
     """Ordered map over independent cases on a small thread pool.
 
     BLAS and the LP solver release the GIL, so this buys real concurrency,
-    and merging in submission order keeps reports deterministic.
+    and merging in submission order keeps reports deterministic.  The pool
+    has one worker per CPU this process may run on, at most 8.
     """
     if len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(8, cpus)) as pool:
         return list(pool.map(fn, items))
 
 

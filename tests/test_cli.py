@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ergokit import __version__, block_projection, cli, make_simplex
+from ergokit import __version__, block_projection, cli, make_simplex, parse_instance
 
 TWO_STATE = {
     "space": {"type": "simplex", "dim": 2},
@@ -222,6 +222,38 @@ def test_invalid_operator_is_validation_error(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", str(p)])
     assert code == 3
     assert "validation error" in err
+
+
+BOOL_SPACES = [
+    ({"type": "simplex", "dim": True}, "space.dim"),
+    ({"type": "embedded", "inner_dim": True}, "space.inner_dim"),
+]
+
+
+@pytest.mark.parametrize("space,key", BOOL_SPACES, ids=[k for _, k in BOOL_SPACES])
+def test_boolean_space_size_is_parse_error(space, key, tmp_path, capsys):
+    # json true is an int in Python; it must not reach the space builders
+    p = write(tmp_path, "bool.json", dict(TWO_STATE, space=space))
+    code, out, err = run(capsys, ["analyze", p])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {key}: ")
+
+
+def _linf_doc(m):
+    n = m + 1
+    return {
+        "space": {"type": "embedded", "inner_dim": m, "inner_ball": "linf"},
+        "operator": np.eye(n).tolist(),
+        "projection": {"type": "rank_one", "y": [1.0] + [0.0] * m},
+    }
+
+
+def test_linf_inner_dim_cap_is_a_parse_error(tmp_path, capsys):
+    # m = 16 is the largest l-infinity inner ball spaces.py builds
+    assert parse_instance(json.dumps(_linf_doc(16))).space.inner_dim == 16
+    code, out, err = run(capsys, ["analyze", write(tmp_path, "big.json", _linf_doc(17))])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: space.inner_dim: linf inner ball has 2^17 vertices")
 
 
 NAN_CASES = [

@@ -247,6 +247,22 @@ def test_lower_bound_same_with_warm_and_cleared_samples(space_kind, blocky, embe
     assert np.array_equal(warm.witness, cold.witness)
 
 
+@pytest.mark.parametrize("m,ball", [(2, "l1"), (3, "linf")])
+def test_embedded_lower_bound_witness_is_a_unit_kernel_vector(m, ball, rng):
+    # no polish off the lattice: the value is the best sampled ratio, and
+    # the witness is that draw's kernel image scaled to unit space norm
+    s = make_embedded(m, ball)
+    V = s.base_vertices
+    T = np.column_stack([V[k] for k in rng.integers(0, len(V), s.dim)])
+    P = rank_one_projection(s, V[0])
+    low = coefficient_lower_bound(T, P, space=s, samples=3000, seed=4)
+    w = low.witness
+    assert s.norm(w) == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(np.asarray(P.matrix) @ w).max() <= 1e-14
+    assert low.value == pytest.approx(s.norm(T @ w), rel=1e-14)
+    assert 0.0 < low.value <= ergodicity_coefficient(T, P, space=s).value + 1e-12
+
+
 def test_sample_draw_is_released_with_its_space_or_the_next_draw():
     s = make_simplex(5)
     first = weakref.ref(_unit_samples(s, 1, 100))
@@ -461,7 +477,9 @@ def _highs_lower_bound(T, P, samples, seed):
     n = space.dim
     D = coefficients._deflector(P, space)
     Z = _unit_samples(space, seed, samples)
-    best, idx, ratios = _backend.mc_max_ratio(A @ D, D, Z, coefficients.MC_DEN_FLOOR)
+    best, idx, ratios = _backend.mc_max_ratio(
+        A @ D, D, Z, space.norm_rows, coefficients.MC_DEN_FLOOR
+    )
     best_z = D @ Z[idx]
     best_z /= np.abs(best_z).sum()
     E = space.f_coefficients.reshape(1, -1) if P is None else np.asarray(P.matrix)

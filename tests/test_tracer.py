@@ -90,3 +90,20 @@ def test_verify_and_analyze_reach_the_traced_readers(tracer_mod, tmp_path, capsy
         "coefficients.eigenvalue_bound_check",
     }
     assert readers - spans == set()
+
+
+def test_embedded_lower_bound_records_one_ratio_scan(tracer_mod):
+    # the sampling kernel reads the space's norm, so an embedded space takes
+    # the same traced scan as a simplex, once per bound
+    from ergokit import coefficients, corpus
+
+    inst = corpus.embedded_fixture()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        coefficients.coefficient_lower_bound(inst.T, inst.P, samples=700, seed=3)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("backend.mc_max_ratio") == 1
+    assert tracer.counts["backend.mc_max_ratio.samples"] == 700

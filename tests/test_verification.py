@@ -139,6 +139,37 @@ def test_only_the_blas_bound_checks_use_the_pool(monkeypatch):
     assert pooled == ["mc-lower-bound", "doeblin-equivalence", "overlap-soundness"]
 
 
+@pytest.mark.parametrize("affinity,cpu_count,workers", [
+    (3, 64, 3),  # the process may run on 3 of the host's 64 CPUs
+    (20, 64, 8),
+    (None, 5, 5),  # no affinity call on this platform: count the host's
+    (None, None, 1),
+])
+def test_pool_is_sized_from_the_cpus_this_process_may_use(
+    affinity, cpu_count, workers, monkeypatch
+):
+    from ergokit import verification
+
+    sizes = []
+    real_pool = verification.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(verification, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(verification.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            verification.os, "sched_getaffinity", lambda pid: set(range(affinity)),
+            raising=False,
+        )
+    assert verification._parallel_map(lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
+    assert sizes == [workers]
+
+
 def test_checks_share_each_instance_result(count_calls):
     # the trail, the convergence certificate, the negative search and the
     # classification are each computed once per instance and run; every
