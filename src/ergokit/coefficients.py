@@ -2,20 +2,23 @@
 
 The central quantity is the contraction coefficient of an operator on the
 kernel N_P of a Markov projection P: the sup of norm(T x)/norm(x) over
-nonzero x with P x = 0.  With P omitted the kernel is { f = 0 }, which is
-the kernel shared by every rank-one projection, and the value is the
-classical Dobrushin coefficient.  On the polytopal spaces built here the
-kernel unit ball is itself a polytope, so the sup is a finite maximum
-over its vertices and can be computed exactly.
+nonzero x with P x = 0.  With P omitted (P = None) the kernel is
+{ f = 0 }, which is the kernel shared by every rank-one projection, and
+the value is the classical Dobrushin coefficient: every routine reads
+P = None as the rank-one projection onto the first base vertex, so ker f
+takes the same code as any other kernel.  A P on another space than the
+operator's is refused with a ValueError.  On the polytopal spaces built
+here the kernel unit ball is itself a polytope, so the sup is a finite
+maximum over its vertices and can be computed exactly.
 
 Three independent routes are provided and cross-checked by the tests:
 vertex enumeration of the kernel ball, the half-distance formula over
 admissible base-vertex pairs, and a Monte-Carlo lower bound with LP
 refinement.  The pair scan and the ratio scan are ``_backend`` kernels
 that read the space's ``norm_rows``, one scan each on every space.  The
-refinement runs on lattice spaces; its LPs have a closed form (a
-half-range over each block) for P = None, rank-one and block P, and go to
-HiGHS only for explicit projections.  A matrix-written P that is rank-one
+refinement runs on the simplex; its LPs have a closed form (a half-range
+over each block) for rank-one and block P, and go to HiGHS only for
+explicit projections.  A matrix-written P that is rank-one
 or a partition is built in its structured form (``explicit_projection``),
 so only a P with neither form, such as one absorbing a transient state
 into two classes, takes the explicit routes: support-pattern enumeration
@@ -36,7 +39,7 @@ from scipy.optimize import linprog
 from . import _backend
 from .errors import DimensionTooLargeError, PreconditionError, UnsupportedSpaceError
 from .operators import MarkovOperator, MarkovProjection, commutes, operator_norm
-from .spaces import StateSpace, same_space
+from .spaces import StateSpace, _frozen, same_space
 
 KERNEL_TOL = 1e-10
 ENUMERATION_CAP = 12
@@ -68,9 +71,29 @@ class CoefficientResult:
         return f"CoefficientResult({self.value:.12g}, {self.method}, {tag})"
 
 
+def _ker_f_projection(space: StateSpace) -> MarkovProjection:
+    """x -> f(x) b0 for the first base vertex b0, a rank-one P with ker P = ker f.
+
+    f(b0) = 1 makes it an exact Markov idempotent, so it is built without
+    the checks of ``rank_one_projection``."""
+    b0 = space.base_vertices[0]
+    matrix = _frozen(np.outer(b0, space.f_coefficients))
+    return MarkovProjection(matrix, space, "rank_one", y=b0)
+
+
+def _on_space(P: MarkovProjection | None, space: StateSpace) -> MarkovProjection:
+    """P on ``space``: the ker f projection for None, a ValueError off the space."""
+    if P is None:
+        return _ker_f_projection(space)
+    if not same_space(P.space, space):
+        raise ValueError(f"projection on {P.space!r} read on {space!r}")
+    return P
+
+
 def _resolve(T, P: MarkovProjection | None, space: StateSpace | None):
+    """T's matrix, the kernel's projection (``_on_space``) and their space."""
     if isinstance(T, (MarkovOperator, MarkovProjection)):
-        return np.asarray(T.matrix, dtype=float), T.space
+        return np.asarray(T.matrix, dtype=float), _on_space(P, T.space), T.space
     A = np.asarray(T, dtype=float)
     if space is None and P is not None:
         space = P.space
@@ -78,7 +101,7 @@ def _resolve(T, P: MarkovProjection | None, space: StateSpace | None):
         raise ValueError("raw matrices need an explicit space or a projection")
     if A.shape != (space.dim, space.dim):
         raise ValueError("matrix shape does not match the space dimension")
-    return A, space
+    return A, _on_space(P, space), space
 
 
 def _lex_rows(V: np.ndarray) -> np.ndarray:
@@ -148,11 +171,13 @@ def kernel_ball_vertices(
 ) -> np.ndarray:
     """Extreme points of the unit ball of the kernel N_P, rows of the result.
 
-    P = None means the kernel of f (shared by all rank-one projections).
-    Closed forms cover rank-one and block projections; explicit projections
-    (neither form) on simplex-like spaces go through support-pattern
-    enumeration, capped at dim 12 (DimensionTooLargeError beyond, callers
-    fall back to bounds), and have no exact route on embedded spaces.
+    P = None means the kernel of f, read as the rank-one projection onto
+    the first base vertex (every rank-one P has that kernel); a P whose
+    space is not ``space`` is a ValueError.  Closed forms cover rank-one
+    and block projections; explicit projections (neither form) on the
+    simplex go through support-pattern enumeration, capped at dim 12
+    (DimensionTooLargeError beyond, callers fall back to bounds), and have
+    no exact route on embedded spaces.
 
     The result is a shared read-only array: it is built once per P, or once
     per space for ker f (P = None and every rank-one P), and later calls
@@ -162,26 +187,21 @@ def kernel_ball_vertices(
         if P is None:
             raise ValueError("need a space when P is None")
         space = P.space
-    if P is None or P.variant == "rank_one":
-        key = space
-    elif same_space(space, P.space):
-        key = P
-    else:  # P read on a foreign space: no entry to share
-        key = None
+    P = _on_space(P, space)
+    key = space if P.variant == "rank_one" else P
     with _KERNEL_VERTICES_LOCK:
-        V = None if key is None else _KERNEL_VERTICES.get(key)
+        V = _KERNEL_VERTICES.get(key)
     if V is None:
-        V = _kernel_ball_vertices(P, space)  # fresh, or the read-only ker f entry
+        V = _kernel_ball_vertices(P, space)
         V.flags.writeable = False
-        if key is not None:
-            with _KERNEL_VERTICES_LOCK:
-                V = _KERNEL_VERTICES.setdefault(key, V)
+        with _KERNEL_VERTICES_LOCK:
+            V = _KERNEL_VERTICES.setdefault(key, V)
     return V
 
 
-def _kernel_ball_vertices(P: MarkovProjection | None, space: StateSpace) -> np.ndarray:
+def _kernel_ball_vertices(P: MarkovProjection, space: StateSpace) -> np.ndarray:
     n = space.dim
-    if P is None or P.structured:
+    if P.structured:
         if space.is_lattice:
             return _lex_rows(_pair_diff_vertices(space, _admissible_pair_groups(P, space)))
         # embedded (P rank-one): ker f = {(0, x)}, its ball section {0} x inner ball
@@ -212,9 +232,9 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
     return CoefficientResult(v, method, V[i].copy(), True, v)
 
 
-def _admissible_pair_groups(P: MarkovProjection | None, space: StateSpace):
+def _admissible_pair_groups(P: MarkovProjection, space: StateSpace):
     k = len(space.base_vertices)
-    if P is None or P.variant == "rank_one":
+    if P.variant == "rank_one":
         return [np.arange(k)]
     if P.variant == "block":
         return [np.asarray(b) for b in P.blocks]
@@ -262,10 +282,11 @@ def ergodicity_coefficient(
     T may be a MarkovOperator or a raw matrix (the functional extends to
     arbitrary operators, which property checks on differences need).
     method: "auto" (exact when possible, Monte-Carlo bracket otherwise),
-    "vertices", or "pairs".  P = identity returns 1 by convention.
+    "vertices", or "pairs".  P = None is ker f (the classical coefficient),
+    and P = identity returns 1 by convention.
     """
-    A, space = _resolve(T, P, space)
-    if P is not None and P.is_identity():
+    A, P, space = _resolve(T, P, space)
+    if P.is_identity():
         return CoefficientResult(1.0, "identity-convention", None, True, 1.0)
 
     if method == "pairs":
@@ -284,28 +305,20 @@ def ergodicity_coefficient(
     return _exact_from_vertices(A, V, space, "kernel-vertex-enumeration")
 
 
-def _deflector(P: MarkovProjection | None, space: StateSpace) -> np.ndarray:
-    """A surjection onto the kernel: I - P, or an f-annihilator for P = None."""
-    n = space.dim
-    if P is None:
-        return np.eye(n) - np.outer(space.base_vertices[0], space.f_coefficients)
-    return np.eye(n) - np.asarray(P.matrix)
-
-
-def _polish_step(P: MarkovProjection | None, space: StateSpace):
+def _polish_step(P: MarkovProjection, space: StateSpace):
     """The polish's LP, c -> a maximizer of c.z over {P z = 0, l1(z) <= 1}.
 
-    For P = None, rank-one and block P on a lattice space the kernel is
-    {z : z sums to 0 on each group of ``_admissible_pair_groups``}.  By LP
-    duality the optimum is then the largest half-range (max c - min c)/2
-    over the groups, reached at (e_i - e_j)/2 with i = argmax and
+    For rank-one P (ker f, which P = None stands for) and block P on the
+    simplex the kernel is {z : z sums to 0 on each group of
+    ``_admissible_pair_groups``}.  By LP duality the optimum is then the
+    largest half-range (max c - min c)/2 over the groups, reached at (e_i - e_j)/2 with i = argmax and
     j = argmin of c on the best group: the dual form of Dobrushin's
     coefficient (Seneta, Non-negative Matrices and Markov Chains, 2006,
     ch. 3).  An explicit P has no closed form and goes to HiGHS; the step
     returns None when the solver fails.
     """
     n = space.dim
-    if P is None or P.structured:
+    if P.structured:
         groups = _admissible_pair_groups(P, space)
 
         def half_range(c):
@@ -342,10 +355,10 @@ def _lp_polish(A, D, z0, step):
     Each LP ``step`` maximizes s.(A z) for the current sign pattern s; the
     previous iterate is feasible and the relinearized objective
     underestimates l1(A z), so the true objective never decreases.  Each
-    LP maximizer is pushed through the exact deflector D before its ratio
-    is taken.  A HiGHS solution satisfies P z = 0 only to solver tolerance,
-    enough to let the ratio overshoot the kernel sup by ~1e-11, so this
-    keeps the output a sound lower bound.  Simplex-like spaces only (l1
+    LP maximizer is pushed through the exact deflector D = I - P before its
+    ratio is taken.  A HiGHS solution satisfies P z = 0 only to solver
+    tolerance, enough to let the ratio overshoot the kernel sup by ~1e-11,
+    so this keeps the output a sound lower bound.  On the simplex only (l1
     geometry).
     """
     z = z0 / np.abs(z0).sum()
@@ -417,16 +430,17 @@ def coefficient_lower_bound(
     """Monte-Carlo lower bound for the coefficient, independent of enumeration.
 
     Random directions are deflected into the kernel and the best ratio
-    norm(T z)/norm(z) in the space's norm is kept.  On simplex-like spaces
+    norm(T z)/norm(z) in the space's norm is kept.  On the simplex
     the four top draws seed a sign-relinearized LP ascent each
     (``_lp_polish``) that sharpens the bound without leaving the kernel, so
-    the result stays a certified lower bound throughout.  Its LPs are solved in closed form for P = None,
-    rank-one and block P, and by HiGHS for an explicit P (``_polish_step``).
+    the result stays a certified lower bound throughout.  Its LPs are solved
+    in closed form for rank-one and block P (so for P = None, ker f), and
+    by HiGHS for an explicit P (``_polish_step``).
     """
-    A, space = _resolve(T, P, space)
-    if P is not None and P.is_identity():
+    A, P, space = _resolve(T, P, space)
+    if P.is_identity():
         return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, 1.0)
-    D = _deflector(P, space)
+    D = np.eye(space.dim) - np.asarray(P.matrix)  # onto ker P
     Z = _unit_samples(space, seed, max(1, samples))
     best, idx, ratios = _backend.mc_max_ratio(A @ D, D, Z, space.norm_rows, MC_DEN_FLOOR)
     if idx < 0:

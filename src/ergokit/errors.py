@@ -7,7 +7,7 @@ class ErgokitError(Exception):
 
 class UnsupportedSpaceError(ErgokitError):
     """Raised when an operation requires a space kind it does not support
-    (e.g. lattice decomposition on an embedded-ball space)."""
+    (e.g. a block projection on an embedded-ball space)."""
 
 
 class DimensionTooLargeError(ErgokitError):

@@ -89,11 +89,9 @@ def markov_violations(
     ]
 
 
-def validate_markov(
-    matrix: np.ndarray, space: StateSpace, tol: float = VALIDATION_TOL
-) -> MarkovOperator | ViolationReport:
-    """Certify a matrix as Markov, or report exactly how it fails."""
-    bad = markov_violations(matrix, space, tol)
+def validate_markov(matrix: np.ndarray, space: StateSpace) -> MarkovOperator | ViolationReport:
+    """Certify a matrix as Markov within VALIDATION_TOL, or report how it fails."""
+    bad = markov_violations(matrix, space)
     if bad:
         return ViolationReport(tuple(bad))
     return MarkovOperator(_frozen(matrix), space)
@@ -108,11 +106,11 @@ def as_markov(matrix: np.ndarray, space: StateSpace) -> MarkovOperator:
 
 
 def operator_norm(matrix: np.ndarray, space: StateSpace) -> float:
-    """Induced operator norm, exact: the unit ball is conv(ball_vertices).
+    """Induced operator norm, exact: the unit ball is conv(K u -K).
 
-    The ball vertices are the base vertices and their negatives, and the
-    norm is even, so the maximum over the base vertices' images is the
-    maximum over the whole ball.
+    Its vertices are the base vertices and their negatives, and the norm is
+    even, so the maximum over the base vertices' images is the maximum over
+    the whole ball.
     """
     images = space.base_vertices @ np.asarray(matrix, dtype=float).T
     return float(space.norm_rows(images).max())
@@ -143,8 +141,8 @@ class MarkovProjection:
         """Whether ker P has pair groups: rank-one or block, not explicit."""
         return self.variant in ("rank_one", "block")
 
-    def is_identity(self, tol: float = VALIDATION_TOL) -> bool:
-        return bool(np.abs(self.matrix - np.eye(self.space.dim)).max() <= tol)
+    def is_identity(self) -> bool:
+        return bool(np.abs(self.matrix - np.eye(self.space.dim)).max() <= VALIDATION_TOL)
 
     def rank(self) -> int:
         # trace of an idempotent is its rank
@@ -215,25 +213,25 @@ def block_projection(
     )
 
 
-def explicit_projection(
-    space: StateSpace, matrix: np.ndarray, tol: float = VALIDATION_TOL
-) -> MarkovProjection:
+def explicit_projection(space: StateSpace, matrix: np.ndarray) -> MarkovProjection:
     """An idempotent Markov matrix, in its structured normal form when it has one.
 
     P = y f^T is returned as ``rank_one_projection(space, y)``, on any space.
-    On a simplex-like space, a P whose equal columns are each supported
+    On the simplex, a P whose equal columns are each supported
     inside their own group (a partition, where a transient state may be
     wholly absorbed into one class) is returned as ``block_projection``
     with those groups as blocks and each group's column as its anchor.
     Columns count as equal within NORMAL_FORM_TOL.  The structured matrix
     is rebuilt from (y) or (blocks, anchors), so it differs from the input
     by at most 2 * NORMAL_FORM_TOL per entry and equals the matrix of a P
-    written in structured form bit for bit.  Any other P is ``explicit``.
+    written in structured form bit for bit.  Any other P is ``explicit``,
+    as is one that is idempotent and Markov within 1e-9 but fails the
+    structured form's own checks.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (space.dim, space.dim):
         raise ValueError("projection matrix has the wrong shape")
-    _check_projection(matrix, space, max(tol, 1e-9))
+    _check_projection(matrix, space, 1e-9)
     y = matrix @ space.base_vertices[0]
     try:
         if np.abs(matrix - np.outer(y, space.f_coefficients)).max() <= NORMAL_FORM_TOL:
@@ -242,7 +240,7 @@ def explicit_projection(
         if blocks is not None:
             return block_projection(space, blocks, [matrix[b, b[0]] for b in blocks])
     except ValueError:
-        pass  # accepted at a tol looser than the structured forms' own 1e-8 checks
+        pass  # e.g. an anchor entry in [-1e-9, -1e-10): block_projection's bound
     return MarkovProjection(_frozen(matrix), space, "explicit")
 
 
@@ -313,33 +311,27 @@ def _as_blocks(P: MarkovProjection) -> tuple[list[list[int]], list[np.ndarray]]:
     raise UnsupportedSpaceError("explicit projections have no block form")
 
 
-def sub_projection(
-    Q: MarkovProjection, P: MarkovProjection, tol: float = VALIDATION_TOL
-) -> bool:
+def sub_projection(Q: MarkovProjection, P: MarkovProjection) -> bool:
     """Whether Q <= P in the projection order, i.e. QP = PQ = Q."""
     if not same_space(Q.space, P.space):
         raise ValueError("projections live on different spaces")
     qp = operator_norm(Q.matrix @ P.matrix - Q.matrix, Q.space)
     pq = operator_norm(P.matrix @ Q.matrix - Q.matrix, Q.space)
-    return qp <= tol and pq <= tol
+    return qp <= VALIDATION_TOL and pq <= VALIDATION_TOL
 
 
-def commutes(
-    T: MarkovOperator, P: MarkovProjection, tol: float = VALIDATION_TOL
-) -> tuple[bool, float]:
+def commutes(T: MarkovOperator, P: MarkovProjection) -> tuple[bool, float]:
     """Commutation test TP = PT with the exact defect norm ||TP - PT||."""
     if not same_space(T.space, P.space):
         raise ValueError("operator and projection live on different spaces")
     defect = operator_norm(T.matrix @ P.matrix - P.matrix @ T.matrix, T.space)
-    return defect <= tol, defect
+    return defect <= VALIDATION_TOL, defect
 
 
-def fixes_projection(
-    T: MarkovOperator, P: MarkovProjection, tol: float = VALIDATION_TOL
-) -> tuple[bool, float]:
+def fixes_projection(T: MarkovOperator, P: MarkovProjection) -> tuple[bool, float]:
     """Whether TP = P, with the exact defect norm."""
     defect = operator_norm(T.matrix @ P.matrix - P.matrix, T.space)
-    return defect <= tol, defect
+    return defect <= VALIDATION_TOL, defect
 
 
 def membership(T: MarkovOperator, P: MarkovProjection) -> tuple[bool, float, float]:

@@ -2,17 +2,18 @@
 
 A space here is an ordered real vector space with a distinguished cone, a
 strictly positive functional f, and the base K = {x in cone : f(x) = 1}.
-The norm is the gauge of conv(K u -K).  Three polytopal instances are
-supported, all of them "strong" (the unit ball is exactly the convex hull
-of its listed vertices):
+The norm is the gauge of conv(K u -K).  A space is fixed by f and the
+vertices of K; two polytopal instances are supported, both of them
+"strong" (the unit ball is exactly the convex hull of +-K):
 
 * the probability simplex on n coordinates (cone = nonnegative orthant,
   f = coordinate sum, norm = l1),
 * an embedded-ball space R + R^m with coordinates (alpha, x), functional
   f(alpha, x) = alpha, cone {||x||_inner <= alpha} and norm
-  max(|alpha|, ||x||_inner) for a polytopal inner norm (l1 or linf),
-* Kronecker products of simplices, which are canonically the simplex on
-  the product index set.
+  max(|alpha|, ||x||_inner) for a polytopal inner norm (l1 or linf).
+
+A Kronecker product of simplices is canonically the simplex on the
+product index set, and is built as that simplex (``tensor_space``).
 
 Only polytopal instances are supported: every exact coefficient
 computation in this package reduces to a finite maximum over vertex sets.
@@ -22,7 +23,6 @@ function, so spaces can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +33,6 @@ CONE_TOL = 1e-10
 
 SIMPLEX = "simplex"
 EMBEDDED = "embedded"
-TENSOR = "tensor"
-
-_LATTICE_KINDS = (SIMPLEX, TENSOR)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -49,8 +46,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class StateSpace:
     """A finite-dimensional base-norm space with explicit vertex data.
 
-    ``base_vertices`` are the extreme points of the base K (rows), and
-    ``ball_vertices`` the extreme points of the unit ball conv(K u -K).
+    ``base_vertices`` are the extreme points of the base K (rows); the unit
+    ball conv(K u -K) has them and their negatives as its extreme points.
     ``f_coefficients`` represents the strictly positive functional as a
     coordinate functional.
     """
@@ -59,15 +56,13 @@ class StateSpace:
     dim: int
     f_coefficients: np.ndarray
     base_vertices: np.ndarray
-    ball_vertices: np.ndarray
     inner_ball: str | None = None
     inner_dim: int | None = None
-    factors: tuple[int, ...] | None = None
 
     @property
     def is_lattice(self) -> bool:
-        """True when coordinates form a vector lattice (simplex-like)."""
-        return self.kind in _LATTICE_KINDS
+        """True on the simplex, whose coordinates form a vector lattice."""
+        return self.kind == SIMPLEX
 
     def f(self, x: np.ndarray) -> float:
         return float(np.dot(self.f_coefficients, x))
@@ -83,7 +78,7 @@ class StateSpace:
         the same float that ``norm`` gives for that row alone.
         """
         W = np.asarray(W, dtype=float)
-        if self.kind in _LATTICE_KINDS:
+        if self.is_lattice:
             return np.abs(W).sum(axis=1)
         return np.maximum(np.abs(W[:, 0]), self._inner_norm_rows(W[:, 1:]))
 
@@ -101,25 +96,12 @@ class StateSpace:
     def cone_defect_rows(self, X: np.ndarray) -> np.ndarray:
         """cone_defect of each row of X."""
         X = np.asarray(X, dtype=float)
-        if self.kind in _LATTICE_KINDS:
+        if self.is_lattice:
             return np.maximum(0.0, -X.min(axis=1))
         return np.maximum(0.0, self._inner_norm_rows(X[:, 1:]) - X[:, 0])
 
     def in_base(self, x: np.ndarray, tol: float = CONE_TOL) -> bool:
         return self.in_cone(x, tol) and abs(self.f(x) - 1.0) <= tol
-
-    def positive_part(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lattice decomposition x = pos - neg with both parts in the cone.
-
-        Only defined for coordinate-lattice (simplex-like) spaces; the
-        embedded-ball cone is not a lattice cone in these coordinates.
-        """
-        if not self.is_lattice:
-            raise UnsupportedSpaceError(
-                f"positive-part decomposition is undefined on {self.kind!r} spaces"
-            )
-        x = np.asarray(x, dtype=float)
-        return np.maximum(x, 0.0), np.maximum(-x, 0.0)
 
     def __repr__(self) -> str:  # keep matrices out of reprs
         extra = f", inner_ball={self.inner_ball!r}" if self.kind == EMBEDDED else ""
@@ -139,13 +121,11 @@ def make_simplex(n: int) -> StateSpace:
     """The probability simplex on n coordinates; base norm is l1."""
     if n < 1:
         raise ValueError(f"simplex dimension must be >= 1, got {n}")
-    eye = np.eye(n)
     return StateSpace(
         kind=SIMPLEX,
         dim=n,
         f_coefficients=_frozen(np.ones(n)),
-        base_vertices=_frozen(eye),
-        ball_vertices=_frozen(np.vstack([eye, -eye])),
+        base_vertices=_frozen(np.eye(n)),
     )
 
 
@@ -156,7 +136,10 @@ def _inner_ball_vertices(m: int, inner_ball: str) -> np.ndarray:
     if inner_ball == "linf":
         if m > 16:
             raise ValueError(f"linf inner ball has 2^{m} vertices; m must be <= 16")
-        return np.array(list(itertools.product((1.0, -1.0), repeat=m)))
+        # row k holds the bits of k, highest first, as signs 0 -> 1, 1 -> -1:
+        # the order of itertools.product((1.0, -1.0), repeat=m)
+        bits = np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+        return 1.0 - 2.0 * bits
     raise ValueError(f"inner_ball must be 'l1' or 'linf', got {inner_ball!r}")
 
 
@@ -167,13 +150,13 @@ def make_embedded(m: int, inner_ball: str = "l1") -> StateSpace:
     conv(K u -K) works out to {(alpha, x) : max(|alpha|, ||x||_inner) <= 1}:
     both K and -K lie inside it, and any such (alpha, x) is the convex
     combination t(1, x) + (1-t)(-1, x) with t = (1+alpha)/2.  Its vertices
-    are therefore (s, w) with s = +-1 and w an inner-ball vertex.
+    are therefore (s, w) with s = +-1 and w an inner-ball vertex, which are
+    the base vertices (1, w) and their negatives.
     """
     if m < 1:
         raise ValueError(f"inner dimension must be >= 1, got {m}")
     w = _inner_ball_vertices(m, inner_ball)
     base = np.hstack([np.ones((w.shape[0], 1)), w])
-    ball = np.vstack([base, -base])
     f = np.zeros(1 + m)
     f[0] = 1.0
     return StateSpace(
@@ -181,14 +164,13 @@ def make_embedded(m: int, inner_ball: str = "l1") -> StateSpace:
         dim=1 + m,
         f_coefficients=_frozen(f),
         base_vertices=_frozen(base),
-        ball_vertices=_frozen(ball),
         inner_ball=inner_ball,
         inner_dim=m,
     )
 
 
 def tensor_space(a: StateSpace, b: StateSpace) -> StateSpace:
-    """Kronecker product of two simplex-like spaces.
+    """Kronecker product of two simplex spaces.
 
     The product of simplices on m and n points is canonically the simplex
     on the m*n product index set, with the l1 norm.  Mixed products are
@@ -199,15 +181,4 @@ def tensor_space(a: StateSpace, b: StateSpace) -> StateSpace:
         raise UnsupportedSpaceError(
             "tensor products are only defined for simplex-like factors"
         )
-    n = a.dim * b.dim
-    eye = np.eye(n)
-    fa = a.factors or (a.dim,)
-    fb = b.factors or (b.dim,)
-    return StateSpace(
-        kind=TENSOR,
-        dim=n,
-        f_coefficients=_frozen(np.ones(n)),
-        base_vertices=_frozen(eye),
-        ball_vertices=_frozen(np.vstack([eye, -eye])),
-        factors=fa + fb,
-    )
+    return make_simplex(a.dim * b.dim)

@@ -321,13 +321,13 @@ def classify(
 
 
 def best_rate(
-    T: MarkovOperator, P: MarkovProjection, tol: float = 1e-8,
+    T: MarkovOperator, P: MarkovProjection,
     *, classification: Classification | None = None,
 ) -> float:
     """Optimal geometric convergence rate of norm(T^n - P).
 
     Computed twice, as the subdominant eigenvalue modulus of T and as the
-    spectral radius of T - P; the two must agree within tol (that identity
+    spectral radius of T - P; the two must agree within 1e-8 (that identity
     is what licenses reading rates off the spectrum), and EigenSolverError
     reports a mismatch.  Refuses instances that are not uniformly ergodic,
     where the quantity has no rate meaning.  ``classification``: the
@@ -339,7 +339,7 @@ def best_rate(
             "best_rate is only meaningful for uniformly ergodic instances"
         )
     a, b = report.subdominant_radius, report.residual_radius
-    if abs(a - b) > tol:
+    if abs(a - b) > 1e-8:
         raise EigenSolverError(
             f"rate mismatch: subdominant modulus {a!r} vs residual radius {b!r}"
         )
@@ -356,14 +356,15 @@ class GelfandTrail:
     residual_radius: float
     all_above: bool       # every root >= r - 1e-9 (r is also the infimum)
 
-    def multiplicativity(self, N: int | None = None, tol: float = 1e-8) -> MultiplicativityReport:
+    def multiplicativity(self, N: int | None = None) -> MultiplicativityReport:
         """d_n = d_1^n for n <= N (default: all) iff d_1 = r(T - P); both
-        sides are read independently, and ``agree`` says whether they match."""
+        sides are read independently, each within 1e-8, and ``agree`` says
+        whether they match."""
         ds = self.coefficients[:N]
         d1, r = ds[0], self.residual_radius
-        left = abs(d1 - r) <= tol
+        left = abs(d1 - r) <= 1e-8
         worst = max(abs(dn - d1**n) for n, dn in enumerate(ds, start=1))
-        right = worst <= tol
+        right = worst <= 1e-8
         return MultiplicativityReport(d1, r, left, right, left == right, worst)
 
 
@@ -410,14 +411,15 @@ class SpectrumShiftReport:
 
 
 def spectrum_shift_check(
-    T: MarkovOperator, P: MarkovProjection, tol: float = 1e-7,
+    T: MarkovOperator, P: MarkovProjection,
     *, classification: Classification | None = None,
 ) -> SpectrumShiftReport:
     """Subtracting P only moves spectrum at 0 and 1: multiset equality away.
 
-    The two spectra with eigenvalues within tol of 0 or 1 removed must
+    The two spectra with eigenvalues within 1e-7 of 0 or 1 removed must
     coincide as multisets; matching is a min-cost assignment on pairwise
-    distances in the complex plane, judged by the largest matched distance.
+    distances in the complex plane, judged by the largest matched distance
+    (at most 1e-7).
     ``classification`` as in ``best_rate``: its report holds both spectra.
     """
     verdict, report = classification or classify(T, P)
@@ -426,7 +428,7 @@ def spectrum_shift_check(
     b = np.asarray(report.spectrum_T_minus_P)
 
     def keep(spec):
-        return spec[(np.abs(spec) > tol) & (np.abs(spec - 1.0) > tol)]
+        return spec[(np.abs(spec) > 1e-7) & (np.abs(spec - 1.0) > 1e-7)]
 
     ka, kb = keep(a), keep(b)
     if ka.size != kb.size:
@@ -443,7 +445,7 @@ def spectrum_shift_check(
     worst = float(cost[rows, cols].max())
     return SpectrumShiftReport(
         tuple(a), tuple(b), (a.size - ka.size, b.size - kb.size),
-        True, worst, worst <= tol, fd, cd,
+        True, worst, worst <= 1e-7, fd, cd,
     )
 
 
@@ -458,14 +460,14 @@ class MultiplicativityReport:
 
 
 def multiplicativity_test(
-    T: MarkovOperator, P: MarkovProjection, N: int = 10, tol: float = 1e-8
+    T: MarkovOperator, P: MarkovProjection, N: int = 10
 ) -> MultiplicativityReport:
     """The coefficient powers multiply exactly iff the coefficient equals r(T-P).
 
     Reads ``gelfand_trail(T, P, N)``, so it needs TP = PT = P and raises
     PreconditionError otherwise; see ``GelfandTrail.multiplicativity``.
     """
-    return gelfand_trail(T, P, N).multiplicativity(tol=tol)
+    return gelfand_trail(T, P, N).multiplicativity()
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def test_mc_ratios_match_two_pass_reference(n, m, rng):
     T = rng.dirichlet(np.ones(n), size=n).T
     Z = rng.standard_normal((m, n))
     Z /= np.abs(Z).sum(axis=1)[:, None]
-    D = coefficients._deflector(None, make_simplex(n))
+    D = np.eye(n) - coefficients._ker_f_projection(make_simplex(n)).matrix
     TD = T @ D
     floor = coefficients.MC_DEN_FLOOR
     best, idx, ratios = _backend.mc_max_ratio(TD, D, Z, make_simplex(n).norm_rows, floor)
@@ -69,7 +69,7 @@ def test_mc_ratios_on_an_embedded_space_match_two_pass_reference(m, ball, rng):
     T = rng.standard_normal((n, n))
     Z = rng.standard_normal((700, n))
     Z /= np.abs(Z).sum(axis=1)[:, None]
-    D = coefficients._deflector(None, space)
+    D = np.eye(n) - coefficients._ker_f_projection(space).matrix
     floor = coefficients.MC_DEN_FLOOR
     best, idx, ratios = _backend.mc_max_ratio(T @ D, D, Z, space.norm_rows, floor)
 

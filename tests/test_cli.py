@@ -28,6 +28,12 @@ CYCLE = {
     "projection": {"type": "rank_one", "y": [1 / 3, 1 / 3, 1 / 3]},
 }
 
+ONE_STATE = {
+    "space": {"type": "simplex", "dim": 1},
+    "operator": [[1.0]],
+    "projection": {"type": "rank_one", "y": [1.0]},
+}
+
 
 def write(tmp_path, name, doc):
     p = tmp_path / name
@@ -48,6 +54,20 @@ def test_analyze_text(tmp_path, capsys):
     assert "delta_P    = 0.6" in out
     assert "uniform=True" in out
     assert err == ""
+
+
+def test_analyze_one_state_reads_both_kernels_by_the_identity_convention(tmp_path, capsys):
+    # ker f = ker P = {0}: delta and delta_P are both the convention's 1
+    p = write(tmp_path, "one.json", ONE_STATE)
+    code, out, _ = run(capsys, ["analyze", p])
+    assert code == 0
+    assert "delta      = 1  [identity-convention; exact]" in out
+    assert "delta_P    = 1  [identity-convention; exact]" in out
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    coefficients = json.loads(out)["coefficients"]
+    for name in ("classical", "kernel"):
+        assert coefficients[name]["method"] == "identity-convention", name
+        assert float(coefficients[name]["value"]) == 1.0, name
 
 
 def test_analyze_structured_is_json_and_deterministic(tmp_path, capsys):

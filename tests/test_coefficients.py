@@ -153,6 +153,62 @@ def test_identity_projection_convention():
     assert res.method == "identity-convention"
 
 
+@pytest.mark.parametrize(
+    "space", [make_simplex(4), make_embedded(3, "l1"), make_embedded(3, "linf")],
+    ids=["simplex", "l1", "linf"],
+)
+def test_ker_f_projection_is_the_rank_one_projection_onto_base_vertex_0(space):
+    # built without rank_one_projection's checks, yet the same matrix bit for bit
+    b0 = space.base_vertices[0]
+    P = coefficients._ker_f_projection(space)
+    assert P.variant == "rank_one" and P.space is space
+    want = rank_one_projection(space, b0)
+    assert np.asarray(P.matrix).tobytes() == np.asarray(want.matrix).tobytes()
+    assert np.asarray(P.y).tobytes() == np.asarray(want.y).tobytes()
+
+
+def test_ker_f_on_one_state_follows_the_identity_convention():
+    # one state: ker f = {0} = ker P, so the classical coefficient is the
+    # identity convention too, and the Monte-Carlo bracket is [0, 1]
+    s = make_simplex(1)
+    T = as_markov(np.eye(1), s)
+    res = ergodicity_coefficient(T)
+    assert (res.value, res.method, res.certified_exact) == (1.0, "identity-convention", True)
+    assert ergodicity_coefficient(T, method="pairs").method == "identity-convention"
+    low = coefficient_lower_bound(T, None)
+    assert (low.value, low.upper_bound) == (0.0, 1.0)
+    assert kernel_ball_vertices(None, s).shape == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "space", [make_simplex(5), make_simplex(3), make_embedded(3)],
+    ids=["simplex-5", "simplex-3", "embedded-4"],
+)
+def test_a_projection_on_another_space_is_refused(space):
+    P = block_projection(make_simplex(4), [[0, 1], [2, 3]])
+    A = np.eye(space.dim)
+    with pytest.raises(ValueError, match="projection on"):
+        ergodicity_coefficient(A, P, space=space)
+    with pytest.raises(ValueError, match="projection on"):
+        coefficient_lower_bound(A, P, space=space, samples=100)
+    with pytest.raises(ValueError, match="projection on"):
+        kernel_ball_vertices(P, space)
+    if space.is_lattice:
+        with pytest.raises(ValueError, match="projection on"):
+            ergodicity_coefficient(as_markov(A, space), P)
+
+
+def test_a_projection_on_an_equal_space_is_accepted(rng):
+    P = block_projection(make_simplex(4), [[0, 1], [2, 3]])
+    other = make_simplex(4)
+    V = kernel_ball_vertices(P)
+    assert kernel_ball_vertices(P, other) is V
+    A = rng.standard_normal((4, 4))
+    want = ergodicity_coefficient(A, P)
+    got = ergodicity_coefficient(A, P, space=other)
+    assert (got.value, got.method) == (want.value, want.method)
+
+
 def test_identity_projection_makes_every_inequality_vacuous(two_state):
     # delta_P = 1 by convention while T - T and T(I - P) are zero; with
     # ker P = {0} no inequality has anything to constrain
@@ -452,7 +508,7 @@ def test_closed_form_polish_step_matches_highs(sizes, rng):
     n = 6 if sizes is None else sum(sizes)
     s = make_simplex(n)
     if sizes is None:
-        P, E = None, np.ones((1, n))
+        P, E = coefficients._ker_f_projection(s), np.ones((1, n))
     elif len(sizes) == 1:
         P = rank_one_projection(s, rng.dirichlet(np.ones(n)))
         E = np.asarray(P.matrix)
@@ -475,7 +531,8 @@ def _highs_lower_bound(T, P, samples, seed):
     """coefficient_lower_bound's lattice branch with its former HiGHS polish."""
     A, space = np.asarray(T.matrix), T.space
     n = space.dim
-    D = coefficients._deflector(P, space)
+    kernel = coefficients._ker_f_projection(space) if P is None else P
+    D = np.eye(n) - np.asarray(kernel.matrix)
     Z = _unit_samples(space, seed, samples)
     best, idx, ratios = _backend.mc_max_ratio(
         A @ D, D, Z, space.norm_rows, coefficients.MC_DEN_FLOOR

@@ -100,7 +100,8 @@ def loop_norm(x, space):
 
 def loop_operator_norm(matrix, space):
     """The induced norm as a Python loop over every ball vertex."""
-    images = np.asarray(matrix, dtype=float) @ space.ball_vertices.T
+    ball = np.vstack([space.base_vertices, -space.base_vertices])
+    images = np.asarray(matrix, dtype=float) @ ball.T
     return float(max(loop_norm(images[:, j], space) for j in range(images.shape[1])))
 
 
@@ -322,11 +323,12 @@ def test_normal_form_tolerance(columns, scale, variant):
 
 
 def test_a_matrix_accepted_at_a_loose_tol_stays_explicit():
-    # rank-one in shape, but its columns sum to 1 + 5e-7: explicit_projection
-    # accepts it at tol 1e-6, which the rank-one form's own 1e-8 check refuses
-    s = make_simplex(2)
-    M = np.array([[0.5 + 5e-7, 0.5 + 5e-7], [0.5, 0.5]])
-    E = explicit_projection(s, M, tol=1e-6)
+    # block-shaped, but the anchor of block {0, 1} is (1 + 5e-10, -5e-10):
+    # explicit_projection's 1e-9 Markov check accepts it, block_projection's
+    # own -1e-10 anchor check refuses it
+    s = make_simplex(3)
+    M = np.array([[1 + 5e-10, 1 + 5e-10, 0.0], [-5e-10, -5e-10, 0.0], [0.0, 0.0, 1.0]])
+    E = explicit_projection(s, M)
     assert E.variant == "explicit"
     assert np.array_equal(E.matrix, M)
 
@@ -393,7 +395,7 @@ def test_kronecker_projection_matches_matrix_kron(two_state, fast_two_state):
     K = kronecker_projection(Q, P)
     assert isinstance(K, MarkovProjection)
     np.testing.assert_allclose(K.matrix, np.kron(Q.matrix, P.matrix))
-    assert K.space.kind == "tensor"
+    assert K.space.kind == "simplex"
 
 
 def test_kronecker_respects_tensor_space(two_state, fast_two_state):

@@ -17,11 +17,16 @@ from ergokit import (
 )
 
 
+def ball_vertices(s):
+    """The unit ball's extreme points: the base vertices and their negatives."""
+    return np.vstack([s.base_vertices, -s.base_vertices])
+
+
 def test_simplex_shapes():
     s = make_simplex(4)
     assert s.dim == 4
     assert s.base_vertices.shape == (4, 4)
-    assert s.ball_vertices.shape == (8, 4)
+    assert ball_vertices(s).shape == (8, 4)
     assert s.is_lattice
     np.testing.assert_array_equal(s.f_coefficients, np.ones(4))
 
@@ -46,7 +51,7 @@ def test_base_vertices_lie_in_base():
 
 def test_ball_vertices_have_unit_norm():
     for s in (make_simplex(5), make_embedded(3, "l1"), make_embedded(2, "linf")):
-        for v in s.ball_vertices:
+        for v in ball_vertices(s):
             assert s.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,9 +73,18 @@ def test_embedded_cone_defect():
 def test_embedded_linf_vertex_count():
     s = make_embedded(3, "linf")
     # 2 signs for alpha times 2^3 inner sign patterns
-    assert s.ball_vertices.shape == (16, 4)
+    assert ball_vertices(s).shape == (16, 4)
     with pytest.raises(ValueError):
         make_embedded(17, "linf")
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_embedded_linf_vertices_in_product_order(m):
+    # the inner vertices are the sign rows of itertools.product, in its order
+    want = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
+    B = make_embedded(m, "linf").base_vertices
+    assert B[:, 1:].tobytes() == want.tobytes()
+    assert (B[:, 0] == 1.0).all()
 
 
 def test_embedded_rejects_unknown_inner_ball():
@@ -78,27 +92,15 @@ def test_embedded_rejects_unknown_inner_ball():
         make_embedded(2, "l2")
 
 
-def test_positive_part_simplex():
-    s = make_simplex(3)
-    x = np.array([0.5, -0.2, 0.0])
-    pos, neg = s.positive_part(x)
-    np.testing.assert_allclose(pos - neg, x)
-    assert s.in_cone(pos) and s.in_cone(neg)
-
-
-def test_positive_part_refused_on_embedded():
-    with pytest.raises(UnsupportedSpaceError):
-        make_embedded(2).positive_part(np.array([1.0, 0.0, 0.0]))
-
-
 def test_tensor_space_is_product_simplex():
     t = tensor_space(make_simplex(2), make_simplex(3))
     assert t.dim == 6
     assert t.is_lattice
-    assert t.factors == (2, 3)
-    # tensoring again flattens the factor list
+    assert t.kind == "simplex"
+    assert same_space(t, make_simplex(6))
+    # tensoring again is again the simplex on the product index set
     tt = tensor_space(t, make_simplex(2))
-    assert tt.factors == (2, 3, 2)
+    assert same_space(tt, make_simplex(12))
     assert tt.dim == 12
 
 
@@ -116,7 +118,7 @@ def test_same_space():
 def test_vertex_data_is_readonly():
     s = make_simplex(3)
     with pytest.raises(ValueError):
-        s.ball_vertices[0, 0] = 2.0
+        s.base_vertices[0, 0] = 2.0
 
 
 @given(
@@ -147,14 +149,14 @@ def test_norm_additive_on_cone(x, y):
     inner=st.sampled_from(["l1", "linf"]),
 )
 def test_embedded_ball_membership_matches_norm(alpha, v, inner):
-    # unit ball == conv(ball_vertices): every point of norm <= 1 must be a
+    # unit ball == conv(+-base vertices): every point of norm <= 1 must be a
     # convex combination of the listed vertices (LP feasibility)
     s = make_embedded(2, inner)
     x = np.concatenate([[alpha], v])
     n = s.norm(x)
     if n > 0:
         x = x / n
-    V = s.ball_vertices
+    V = ball_vertices(s)
     from scipy.optimize import linprog
 
     res = linprog(
