@@ -22,8 +22,9 @@ explicit projections.  A matrix-written P that is rank-one
 or a partition is built in its structured form (``explicit_projection``),
 so only a P with neither form, such as one absorbing a transient state
 into two classes, takes the explicit routes: support-pattern enumeration
-up to dim 12, a Monte-Carlo bracket past it.  The convention for
-P = identity (kernel {0}) is value 1.
+up to dim 12, a Monte-Carlo bracket past it.  P = identity (kernel {0},
+as for ker f on one state) needs no convention: the sup over no x is 0,
+which every exact route returns from its empty vertex or pair set.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class CoefficientResult:
 
     ``value`` is exact when ``certified_exact``; otherwise it is a lower
     bound and ``upper_bound`` completes the bracket.  ``witness`` is a
-    maximizing kernel element (None for the identity convention), and
+    maximizing kernel element (None when the kernel is {0}), and
     ``pair`` records base-vertex indices when the pair route produced it.
     """
 
@@ -222,9 +223,7 @@ def _kernel_ball_vertices(P: MarkovProjection, space: StateSpace) -> np.ndarray:
 
 
 def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
-    if len(V) == 0:
-        # trivial kernel and P != identity cannot happen for our projections;
-        # treat an empty vertex list as the zero kernel
+    if len(V) == 0:  # ker P = {0}: the sup over no x is 0
         return CoefficientResult(0.0, method, None, True, 0.0)
     vals = space.norm_rows(V @ A.T)
     i = int(np.argmax(vals))
@@ -274,7 +273,6 @@ def ergodicity_coefficient(
     *,
     space: StateSpace | None = None,
     method: str = "auto",
-    samples: int = 100_000,
     seed: int = 0,
 ) -> CoefficientResult:
     """Contraction coefficient of T on the kernel of P.
@@ -283,12 +281,10 @@ def ergodicity_coefficient(
     arbitrary operators, which property checks on differences need).
     method: "auto" (exact when possible, Monte-Carlo bracket otherwise),
     "vertices", or "pairs".  P = None is ker f (the classical coefficient),
-    and P = identity returns 1 by convention.
+    and P = identity (ker P = {0}) gives 0 on every exact route.  The
+    bracket's lower side samples 100_000 directions (``coefficient_lower_bound``).
     """
     A, P, space = _resolve(T, P, space)
-    if P.is_identity():
-        return CoefficientResult(1.0, "identity-convention", None, True, 1.0)
-
     if method == "pairs":
         return _pair_route(A, P, space)
     if method not in ("auto", "vertices"):
@@ -299,7 +295,7 @@ def ergodicity_coefficient(
         if method == "vertices":
             raise
         # a bracket: ker P lies in ker f, so the classical coefficient bounds it
-        lower = coefficient_lower_bound(A, P, space=space, samples=samples, seed=seed)
+        lower = coefficient_lower_bound(A, P, space=space, seed=seed)
         upper = ergodicity_coefficient(A, None, space=space).value
         return CoefficientResult(lower.value, lower.method, lower.witness, False, upper)
     return _exact_from_vertices(A, V, space, "kernel-vertex-enumeration")
@@ -438,8 +434,6 @@ def coefficient_lower_bound(
     by HiGHS for an explicit P (``_polish_step``).
     """
     A, P, space = _resolve(T, P, space)
-    if P.is_identity():
-        return CoefficientResult(0.0, "monte-carlo-lower-bound", None, False, 1.0)
     D = np.eye(space.dim) - np.asarray(P.matrix)  # onto ker P
     Z = _unit_samples(space, seed, max(1, samples))
     best, idx, ratios = _backend.mc_max_ratio(A @ D, D, Z, space.norm_rows, MC_DEN_FLOOR)
@@ -485,19 +479,15 @@ def coefficient_inequalities(
     (submultiplicative) S Markov commuting with P implies
     c(TS) <= c(T) c(S).  H defaults to I - P, which satisfies the
     hypotheses of both factor checks.  Checks whose hypothesis fails are
-    reported with applicable=False rather than skipped silently; with
-    P = I (kernel {0}, coefficient 1 by convention) all five are.
+    reported with applicable=False rather than skipped silently.  With
+    P = I (kernel {0}) every coefficient and H = I - P are 0, so all five
+    hold as 0 <= 0.
 
     ``delta``: the caller's ``ergodicity_coefficient(T, P)``, if it holds
     one; ``seed`` seeds the sampling fallback of the other coefficients.
     The factor checks build each rhs from the upper sides of c(T) and c(S),
     so a Monte-Carlo bracket never fails a true inequality.
     """
-    if P.is_identity():
-        names = ("range", "difference-lipschitz", "commuting-factor",
-                 "annihilated-factor", "submultiplicative")
-        detail = {"convention": "identity-convention: ker P = {0}, so each inequality is vacuous"}
-        return [PropertyCheck(name, False, True, detail) for name in names]
     space = T.space
     Pm = np.asarray(P.matrix)
     if H is None:
@@ -520,7 +510,7 @@ def coefficient_inequalities(
     )
 
     diff = T.matrix - S.matrix
-    # T - T = 0 has coefficient 0 on every route once P != I
+    # T - T = 0 has coefficient 0 on every route
     d_diff = (
         0.0 if S is T else ergodicity_coefficient(diff, P, space=space, seed=seed).value
     )

@@ -56,27 +56,34 @@ def _get(doc: dict, key: str, location: str):
     return doc[key]
 
 
-def _as_matrix(entries, dim: int, location: str) -> np.ndarray:
+def _number(v, location: str) -> float:
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+             "expected a number", location)
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the float range
+        raise ParseError("number out of float range", location) from None
+
+
+def _require_rows(entries, dim: int, location: str):
     _require(isinstance(entries, list) and len(entries) == dim,
              f"expected {dim} rows", location)
+
+
+def _as_matrix(entries, dim: int, location: str) -> np.ndarray:
+    _require_rows(entries, dim, location)
     rows = []
     for i, row in enumerate(entries):
         _require(isinstance(row, list) and len(row) == dim,
                  f"expected {dim} entries", f"{location}[{i}]")
-        for j, v in enumerate(row):
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                     "expected a number", f"{location}[{i}][{j}]")
-        rows.append([float(v) for v in row])
+        rows.append([_number(v, f"{location}[{i}][{j}]") for j, v in enumerate(row)])
     return np.array(rows)
 
 
 def _as_vector(entries, dim: int, location: str) -> np.ndarray:
     _require(isinstance(entries, list) and len(entries) == dim,
              f"expected {dim} entries", location)
-    for j, v in enumerate(entries):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 "expected a number", f"{location}[{j}]")
-    return np.array([float(v) for v in entries])
+    return np.array([_number(v, f"{location}[{j}]") for j, v in enumerate(entries)])
 
 
 def _positive_int(doc, key: str) -> int:
@@ -86,15 +93,22 @@ def _positive_int(doc, key: str) -> int:
     return v
 
 
-def _parse_space(doc) -> StateSpace:
+def _parse_space(doc, operator) -> StateSpace:
+    """The space of ``doc``, built once ``operator`` has a row per coordinate.
+
+    A space holds dim x dim arrays, so a dim that the operator does not
+    match is refused before any array of that size exists."""
     kind = _get(doc, "type", "space")
     if kind == "simplex":
-        return make_simplex(_positive_int(doc, "dim"))
+        dim = _positive_int(doc, "dim")
+        _require_rows(operator, dim, "operator")
+        return make_simplex(dim)
     if kind == "embedded":
         m = _positive_int(doc, "inner_dim")
         ball = doc.get("inner_ball", "l1")
         _require(ball in ("l1", "linf"), "inner_ball must be 'l1' or 'linf'",
                  "space.inner_ball")
+        _require_rows(operator, 1 + m, "operator")
         try:
             return make_embedded(m, ball)
         except ValueError as exc:  # the inner ball's vertex cap
@@ -153,9 +167,13 @@ def parse_instance(text: str) -> ParsedInstance:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          f"line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"invalid JSON: {exc}", "$") from exc
     _require(isinstance(doc, dict), "top level must be an object", "$")
-    space = _parse_space(_get(doc, "space", "$"))
-    matrix = _as_matrix(_get(doc, "operator", "$"), space.dim, "operator")
+    space_doc = _get(doc, "space", "$")
+    operator = _get(doc, "operator", "$")
+    space = _parse_space(space_doc, operator)
+    matrix = _as_matrix(operator, space.dim, "operator")
     got = validate_markov(matrix, space)
     if not isinstance(got, MarkovOperator):
         raise ValidationError("operator: " + got.describe())

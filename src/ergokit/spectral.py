@@ -186,7 +186,6 @@ def classify(
     fixes_ok, fix_defect = fixes_projection(T, P)
     comm_ok, comm_defect = commutes(T, P)
     member = fixes_ok and comm_ok
-    identity_P = P.is_identity()
     theta = RADIUS_THRESHOLD
 
     norms = []
@@ -196,7 +195,7 @@ def classify(
     # a dip needs the bracket's upper side below theta; one that straddles
     # theta leaves the clause undecided and ends the coefficient scan
     dip_undecided = False
-    dip_done = identity_P
+    dip_done = False
     for n, Tn in powers(A, max_power):
         nrm = operator_norm(Tn - Pm, space)
         norms.append(nrm)
@@ -281,11 +280,10 @@ def classify(
         },
     )
 
-    clause2_applicable = fixes_ok and not identity_P
     clause2 = ClauseResult(
         "coefficient-dip",
-        clause2_applicable,
-        None if not clause2_applicable or (dip_undecided and dip_n is None)
+        fixes_ok,
+        None if not fixes_ok or (dip_undecided and dip_n is None)
         else dip_n is not None,
         {"witness_n0": dip_n, "fixes_defect": fix_defect},
     )

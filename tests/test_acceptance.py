@@ -43,7 +43,7 @@ def corpus():
 
 def _block_sizes(n, rng):
     # a partition into singletons makes P the identity, whose kernel is
-    # empty and whose coefficient is conventional rather than estimable;
+    # empty: both sides are 0 and the oracle comparison checks nothing;
     # redraw until some block aggregates at least two states
     if n == 2:
         return [2]

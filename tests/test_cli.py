@@ -56,18 +56,36 @@ def test_analyze_text(tmp_path, capsys):
     assert err == ""
 
 
-def test_analyze_one_state_reads_both_kernels_by_the_identity_convention(tmp_path, capsys):
-    # ker f = ker P = {0}: delta and delta_P are both the convention's 1
+def test_analyze_one_state_reads_both_empty_kernels_as_zero(tmp_path, capsys):
+    # ker f = ker P = {0}: delta and delta_P are both the sup over no x, 0
     p = write(tmp_path, "one.json", ONE_STATE)
     code, out, _ = run(capsys, ["analyze", p])
     assert code == 0
-    assert "delta      = 1  [identity-convention; exact]" in out
-    assert "delta_P    = 1  [identity-convention; exact]" in out
+    assert "delta      = 0  [kernel-vertex-enumeration; exact]" in out
+    assert "delta_P    = 0  [kernel-vertex-enumeration; exact]" in out
+    assert "[FAIL]" not in out
+    assert "audit ok" in out
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     coefficients = json.loads(out)["coefficients"]
     for name in ("classical", "kernel"):
-        assert coefficients[name]["method"] == "identity-convention", name
-        assert float(coefficients[name]["value"]) == 1.0, name
+        assert coefficients[name]["method"] == "kernel-vertex-enumeration", name
+        assert coefficients[name]["certified_exact"] is True, name
+        assert float(coefficients[name]["value"]) == 0.0, name
+
+
+def test_analyze_identity_on_two_states_fails_no_check(tmp_path, capsys):
+    # T = I = P: ker P = {0}, so delta_P = 0, and T is uniformly P-ergodic
+    doc = {
+        "space": {"type": "simplex", "dim": 2},
+        "operator": np.eye(2).tolist(),
+        "projection": {"type": "matrix", "entries": np.eye(2).tolist()},
+    }
+    code, out, _ = run(capsys, ["analyze", write(tmp_path, "identity.json", doc)])
+    assert code == 0
+    assert "delta_P    = 0  [kernel-vertex-enumeration; exact]" in out
+    assert "[FAIL]" not in out
+    assert "audit ok" in out
+    assert "theorems: 12/12 ok" in out
 
 
 def test_analyze_structured_is_json_and_deterministic(tmp_path, capsys):
@@ -276,6 +294,20 @@ def test_linf_inner_dim_cap_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: space.inner_dim: linf inner ball has 2^17 vertices")
 
 
+HUGE_INTEGERS = [("operator", "[[0.7,", "[["), ("projection.y", "[0.25,", "[")]
+
+
+@pytest.mark.parametrize("digits", [400, 5001])
+@pytest.mark.parametrize("key,old,new", HUGE_INTEGERS, ids=[k for k, _, _ in HUGE_INTEGERS])
+def test_an_integer_no_float_holds_is_a_parse_error(key, old, new, digits, tmp_path, capsys):
+    # past the float range, or past the integer digit limit of json.loads
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(TWO_STATE).replace(old, f"{new}1{'0' * (digits - 1)},", 1))
+    code, out, err = run(capsys, ["analyze", str(p)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 NAN_CASES = [
     ("operator", [[float("nan"), 0.5], [float("nan"), 0.5]]),
     ("projection", {"type": "matrix", "entries": [[float("nan"), 0.5], [0.5, 0.5]]}),
@@ -419,7 +451,7 @@ def test_analyze_computes_the_kernel_coefficient_once(tmp_path, capsys, count_ca
 
 
 def test_analyze_identity_projection_scores_every_theorem_ok(tmp_path, capsys):
-    # ker P = {0}: the coefficient inequalities are vacuous, not failed
+    # ker P = {0} and H = I - P = 0: each coefficient inequality holds as 0 <= 0
     doc = {
         "space": {"type": "simplex", "dim": 3},
         "operator": [[0.5, 0.2, 0.1], [0.3, 0.6, 0.2], [0.2, 0.2, 0.7]],
@@ -429,7 +461,9 @@ def test_analyze_identity_projection_scores_every_theorem_ok(tmp_path, capsys):
     code, out, _ = run(capsys, ["analyze", p])
     assert code == 0
     assert "[FAIL]" not in out
-    assert out.count("not applicable: {'convention': 'identity-convention") == 5
+    assert "delta_P    = 0  [kernel-vertex-enumeration; exact]" in out
+    assert out.count("[ok] coefficient-") == 5
+    assert "theorems: 8/8 ok" in out
 
 
 def _past_cap_doc():

@@ -145,12 +145,14 @@ def test_projected_never_exceeds_classical(small_corpus):
         assert dP <= d + 1e-12, inst.label
 
 
-def test_identity_projection_convention():
+def test_identity_projection_has_coefficient_zero():
+    # ker P = {0}: the sup over no x is 0 on both exact routes
     s = make_simplex(3)
     P = explicit_projection(s, np.eye(3))
     res = ergodicity_coefficient(np.eye(3), P, space=s)
-    assert res.value == 1.0
-    assert res.method == "identity-convention"
+    assert (res.value, res.method, res.certified_exact) == (0.0, "kernel-vertex-enumeration", True)
+    assert res.witness is None
+    assert ergodicity_coefficient(np.eye(3), P, space=s, method="pairs").value == 0.0
 
 
 @pytest.mark.parametrize(
@@ -167,16 +169,17 @@ def test_ker_f_projection_is_the_rank_one_projection_onto_base_vertex_0(space):
     assert np.asarray(P.y).tobytes() == np.asarray(want.y).tobytes()
 
 
-def test_ker_f_on_one_state_follows_the_identity_convention():
-    # one state: ker f = {0} = ker P, so the classical coefficient is the
-    # identity convention too, and the Monte-Carlo bracket is [0, 1]
+def test_ker_f_on_one_state_is_the_empty_kernel():
+    # one state: ker f = {0}, so the classical coefficient is 0 on both exact
+    # routes, and every sampled direction deflects to 0: the bracket [0, inf)
     s = make_simplex(1)
     T = as_markov(np.eye(1), s)
     res = ergodicity_coefficient(T)
-    assert (res.value, res.method, res.certified_exact) == (1.0, "identity-convention", True)
-    assert ergodicity_coefficient(T, method="pairs").method == "identity-convention"
+    assert (res.value, res.method, res.certified_exact) == (0.0, "kernel-vertex-enumeration", True)
+    pairs = ergodicity_coefficient(T, method="pairs")
+    assert (pairs.value, pairs.method) == (0.0, "pair-formula")
     low = coefficient_lower_bound(T, None)
-    assert (low.value, low.upper_bound) == (0.0, 1.0)
+    assert (low.value, low.upper_bound, low.witness) == (0.0, np.inf, None)
     assert kernel_ball_vertices(None, s).shape == (0, 1)
 
 
@@ -209,16 +212,18 @@ def test_a_projection_on_an_equal_space_is_accepted(rng):
     assert (got.value, got.method) == (want.value, want.method)
 
 
-def test_identity_projection_makes_every_inequality_vacuous(two_state):
-    # delta_P = 1 by convention while T - T and T(I - P) are zero; with
-    # ker P = {0} no inequality has anything to constrain
+def test_identity_projection_meets_every_inequality_at_zero(two_state):
+    # ker P = {0}: delta_P = 0, and H = I - P = 0 makes every side 0
     s = two_state.T.space
     P = explicit_projection(s, np.eye(2))
     checks = coefficient_inequalities(two_state.T, two_state.T, P)
-    assert len(checks) == 5
+    assert [c.name for c in checks] == [
+        "range", "difference-lipschitz", "commuting-factor",
+        "annihilated-factor", "submultiplicative",
+    ]
     for c in checks:
-        assert not c.applicable and c.ok, c.name
-        assert "identity-convention" in c.details["convention"]
+        assert c.applicable and c.holds, c.name
+        assert all(v == 0.0 for v in c.details.values()), c.name
 
 
 def test_kernel_vertices_are_kernel_unit_vectors(small_corpus):
@@ -466,7 +471,7 @@ def test_mc_bracket_contains_exact(rng, monkeypatch):
     # beyond the enumeration cap auto degrades to a bracket; the support-
     # pattern enumeration, run once with the cap lifted, must land inside it
     s, T, E = _half_absorbed([6, 6], rng)
-    bracket = ergodicity_coefficient(T, E, samples=20_000, seed=3)
+    bracket = ergodicity_coefficient(T, E, seed=3)
     assert not bracket.certified_exact
     assert bracket.method == "monte-carlo-lower-bound"
     monkeypatch.setattr(coefficients, "ENUMERATION_CAP", 13)

@@ -257,3 +257,46 @@ def test_dumps_structured_deterministic():
     s2 = dumps_structured({"a": [False, 2], "z": 1.0})
     assert s1 == s2
     assert s1.endswith("\n")
+
+
+
+ROW_MISMATCHES = [
+    ({"type": "simplex", "dim": 5}, "make_simplex", 5),
+    ({"type": "embedded", "inner_dim": 4}, "make_embedded", 5),
+    ({"type": "simplex", "dim": 10**9}, "make_simplex", 10**9),
+    ({"type": "embedded", "inner_dim": 10**9}, "make_embedded", 10**9 + 1),
+]
+
+
+@pytest.mark.parametrize(
+    "space,builder,rows", ROW_MISMATCHES, ids=[f"{b}-{r}" for _, b, r in ROW_MISMATCHES]
+)
+def test_operator_rows_are_checked_before_the_space_is_built(space, builder, rows, count_calls):
+    # a space holds dim x dim arrays: a huge dim must be refused before any exists
+    calls = count_calls(builder)
+    doc = dict(TWO_STATE_DOC, space=space)
+    with pytest.raises(ParseError, match=rf"^operator: expected {rows} rows$"):
+        parse_instance(json.dumps(doc))
+    assert calls[builder] == []
+
+
+HUGE_INTEGERS = [
+    ("operator", 400, "operator[0][0]", "number out of float range"),
+    ("projection.y", 400, "projection.y[0]", "number out of float range"),
+    ("operator", 5001, "$", "invalid JSON: Exceeds the limit"),
+    ("projection.y", 5001, "$", "invalid JSON: Exceeds the limit"),
+]
+
+
+@pytest.mark.parametrize(
+    "key,digits,location,message", HUGE_INTEGERS,
+    ids=[f"{k}-{d}" for k, d, _, _ in HUGE_INTEGERS],
+)
+def test_an_integer_no_float_holds_is_a_parse_error(key, digits, location, message):
+    # past the float range, or past the integer digit limit of json.loads
+    old, new = {"operator": ("[[0.7,", "[["), "projection.y": ("[0.25,", "[")}[key]
+    literal = "1" + "0" * (digits - 1)
+    text = json.dumps(TWO_STATE_DOC).replace(old, f"{new}{literal},", 1)
+    with pytest.raises(ParseError, match=message) as info:
+        parse_instance(text)
+    assert info.value.location == location

@@ -12,6 +12,7 @@ from ergokit import (
     best_rate,
     classify,
     ergodicity_coefficient,
+    explicit_projection,
     gelfand_trail,
     make_simplex,
     multiplicativity_test,
@@ -41,6 +42,18 @@ def test_classify_two_state(two_state):
     # norm(T(I - P)) = norm(T - P) = 0.9 for this chain
     assert report.gap_norm == pytest.approx(0.9, abs=1e-12)
     assert report.one_isolated
+
+
+def test_classify_identity_dips_at_the_first_power():
+    # T = I = P: ker P = {0} makes delta_P(T) = 0, so all three clauses hold at n0 = 1
+    s = make_simplex(2)
+    T = as_markov(np.eye(2), s)
+    verdict, _ = classify(T, explicit_projection(s, np.eye(2)))
+    dip = next(c for c in verdict.clauses if c.name == "coefficient-dip")
+    assert dip.applicable and dip.holds is True
+    assert dip.detail["witness_n0"] == 1
+    assert [c.holds for c in verdict.clauses] == [True, True, True]
+    assert verdict.uniform and verdict.consistent and verdict.witness_n0 == 1
 
 
 def test_classify_permutation_negative():
