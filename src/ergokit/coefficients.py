@@ -232,26 +232,11 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
 
 
 def _admissible_pair_groups(P: MarkovProjection, space: StateSpace):
-    k = len(space.base_vertices)
     if P.variant == "rank_one":
-        return [np.arange(k)]
+        return [np.arange(len(space.base_vertices))]
     if P.variant == "block":
         return [np.asarray(b) for b in P.blocks]
-    # explicit: test each pair for membership of the difference in ker P;
-    # unless those differences span ker P, their maximum is only a lower bound
-    groups, diffs = [], []
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = space.base_vertices[i] - space.base_vertices[j]
-            if np.abs(P.matrix @ diff).max() <= KERNEL_TOL:
-                groups.append([i, j])
-                diffs.append(diff)
-    spanned = np.linalg.matrix_rank(np.array(diffs)) if diffs else 0
-    if spanned != space.dim - P.rank():
-        raise UnsupportedSpaceError(
-            f"pair differences span {spanned} of {space.dim - P.rank()} kernel dimensions"
-        )
-    return groups
+    raise UnsupportedSpaceError("the pair formula needs a rank-one or block projection")
 
 
 def _pair_route(A, P, space) -> CoefficientResult:
@@ -280,7 +265,8 @@ def ergodicity_coefficient(
     T may be a MarkovOperator or a raw matrix (the functional extends to
     arbitrary operators, which property checks on differences need).
     method: "auto" (exact when possible, Monte-Carlo bracket otherwise),
-    "vertices", or "pairs".  P = None is ker f (the classical coefficient),
+    "vertices", or "pairs" (rank-one or block P only; an explicit P raises
+    UnsupportedSpaceError).  P = None is ker f (the classical coefficient),
     and P = identity (ker P = {0}) gives 0 on every exact route.  The
     bracket's lower side samples 100_000 directions (``coefficient_lower_bound``).
     """

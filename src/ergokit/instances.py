@@ -12,15 +12,16 @@ The on-disk format is JSON with four top-level keys::
       "sub_projection": { same shapes as projection }   # optional
     }
 
-Structural problems (syntax, shapes, indices) raise ParseError; a
-well-formed file whose numbers fail mathematical validation raises
-ValidationError.  The distinction drives the CLI exit codes.
+Structural problems (syntax, shapes, indices, numbers that are not
+finite) raise ParseError; a well-formed file whose numbers fail
+mathematical validation raises ValidationError.  The distinction drives the CLI exit codes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,12 @@ def _number(v, location: str) -> float:
     _require(isinstance(v, (int, float)) and not isinstance(v, bool),
              "expected a number", location)
     try:
-        return float(v)
+        x = float(v)
     except OverflowError:  # an integer past the float range
         raise ParseError("number out of float range", location) from None
+    # json reads NaN, Infinity and a literal past the float range such as 1e400
+    _require(math.isfinite(x), "expected a finite number", location)
+    return x
 
 
 def _require_rows(entries, dim: int, location: str):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import StateSpace, _frozen, same_space, tensor_space
+from .spaces import StateSpace, _frozen, same_space
 
 VALIDATION_TOL = 1e-10
 # explicit_projection counts two columns as equal, and an entry as zero,
@@ -270,45 +270,6 @@ def power(T: MarkovOperator, n: int) -> MarkovOperator:
         raise ValueError("power requires n >= 0")
     result = np.linalg.matrix_power(T.matrix, n)
     return MarkovOperator(_frozen(result), T.space)
-
-
-def kronecker(S: MarkovOperator, T: MarkovOperator) -> MarkovOperator:
-    """Kronecker product acting on the product simplex."""
-    if not (S.space.is_lattice and T.space.is_lattice):
-        raise UnsupportedSpaceError("Kronecker products need simplex-like factors")
-    prod = tensor_space(S.space, T.space)
-    return MarkovOperator(_frozen(np.kron(S.matrix, T.matrix)), prod)
-
-
-def kronecker_projection(Q: MarkovProjection, P: MarkovProjection) -> MarkovProjection:
-    """Kronecker product of two structured projections.
-
-    rank_one (x) rank_one is again rank_one; any other structured pair is
-    a block projection on the product index set (blocks are products of
-    factor blocks, anchors are Kronecker products of factor anchors).
-    """
-    if not (Q.space.is_lattice and P.space.is_lattice):
-        raise UnsupportedSpaceError("Kronecker products need simplex-like factors")
-    prod = tensor_space(Q.space, P.space)
-    if Q.variant == "rank_one" and P.variant == "rank_one":
-        return rank_one_projection(prod, np.kron(Q.y, P.y))
-    qb, qa = _as_blocks(Q)
-    pb, pa = _as_blocks(P)
-    nP = P.space.dim
-    blocks, anchors = [], []
-    for bq, aq in zip(qb, qa):
-        for bp, ap in zip(pb, pa):
-            blocks.append([i * nP + j for i in bq for j in bp])
-            anchors.append(np.kron(aq, ap))
-    return block_projection(prod, blocks, anchors)
-
-
-def _as_blocks(P: MarkovProjection) -> tuple[list[list[int]], list[np.ndarray]]:
-    if P.variant == "rank_one":
-        return [list(range(P.space.dim))], [np.asarray(P.y)]
-    if P.variant == "block":
-        return [list(b) for b in P.blocks], [np.asarray(a) for a in P.anchors]
-    raise UnsupportedSpaceError("explicit projections have no block form")
 
 
 def sub_projection(Q: MarkovProjection, P: MarkovProjection) -> bool:

@@ -12,9 +12,6 @@ vertices of K; two polytopal instances are supported, both of them
   f(alpha, x) = alpha, cone {||x||_inner <= alpha} and norm
   max(|alpha|, ||x||_inner) for a polytopal inner norm (l1 or linf).
 
-A Kronecker product of simplices is canonically the simplex on the
-product index set, and is built as that simplex (``tensor_space``).
-
 Only polytopal instances are supported: every exact coefficient
 computation in this package reduces to a finite maximum over vertex sets.
 All values are immutable after construction and every operation is a pure
@@ -26,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import UnsupportedSpaceError
 
 CONE_TOL = 1e-10
 
@@ -167,18 +162,3 @@ def make_embedded(m: int, inner_ball: str = "l1") -> StateSpace:
         inner_ball=inner_ball,
         inner_dim=m,
     )
-
-
-def tensor_space(a: StateSpace, b: StateSpace) -> StateSpace:
-    """Kronecker product of two simplex spaces.
-
-    The product of simplices on m and n points is canonically the simplex
-    on the m*n product index set, with the l1 norm.  Mixed products are
-    not supported: they would force a choice among inequivalent
-    cross-norms.
-    """
-    if not (a.is_lattice and b.is_lattice):
-        raise UnsupportedSpaceError(
-            "tensor products are only defined for simplex-like factors"
-        )
-    return make_simplex(a.dim * b.dim)

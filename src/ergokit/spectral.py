@@ -31,8 +31,6 @@ from .operators import (
     VALIDATION_TOL,
     commutes,
     fixes_projection,
-    kronecker,
-    kronecker_projection,
     operator_norm,
 )
 
@@ -492,6 +490,9 @@ def tensor_rate_bound(
     here since they are exactly the membership conditions SQ=QS=Q and
     TP=PT=P.  Each factor's defects and rate come from its classification,
     the caller's ``classifications=(classify(S, Q), classify(T, P))`` if given.
+    The product radius is read from the Kronecker matrices
+    ``np.kron(S, T) - np.kron(Q, P)`` alone, so any two member factors serve:
+    no product space and no structured form of Q (x) P is needed.
     """
     left, right = classifications or (classify(S, Q), classify(T, P))
     rates = []
@@ -510,9 +511,7 @@ def tensor_rate_bound(
             )
         rates.append(report.residual_radius)
     rS, rT = rates
-    big = kronecker(S, T)
-    bigP = kronecker_projection(Q, P)
-    lhs = spectral_radius(np.asarray(big.matrix) - np.asarray(bigP.matrix))
+    lhs = spectral_radius(np.kron(S.matrix, T.matrix) - np.kron(Q.matrix, P.matrix))
     rhs = max(rS, rT)
     return TensorRateReport(lhs, rhs, (rS, rT), lhs <= rhs + tol, abs(lhs - rhs) <= tol)
 

@@ -308,19 +308,28 @@ def test_an_integer_no_float_holds_is_a_parse_error(key, old, new, digits, tmp_p
     assert err.startswith("parse error: ")
 
 
-NAN_CASES = [
-    ("operator", [[float("nan"), 0.5], [float("nan"), 0.5]]),
-    ("projection", {"type": "matrix", "entries": [[float("nan"), 0.5], [0.5, 0.5]]}),
+NON_FINITE = [
+    ("operator[0][0]", "[[0.7,", "[[{},", v) for v in ("1e400", "-1e400", "NaN", "Infinity")
+] + [
+    ("projection.y[0]", "[0.25,", "[{},", "NaN"),
+    ("projection.entries[0][0]", '{"type": "rank_one", "y": [0.25, 0.75]}',
+     '{{"type": "matrix", "entries": [[{}, 0.5], [0.5, 0.5]]}}', "NaN"),
 ]
 
 
-@pytest.mark.parametrize("key,value", NAN_CASES, ids=[k for k, _ in NAN_CASES])
-def test_nan_input_is_validation_error(key, value, tmp_path, capsys):
-    # a NaN defect is no defect <= tol, so the operator or projection is refused
-    p = write(tmp_path, "nan.json", dict(TWO_STATE, **{key: value}))
-    code, out, err = run(capsys, ["analyze", p])
-    assert (code, out) == (3, "")
-    assert err.startswith(f"validation error: {key}")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "location,old,new,value", NON_FINITE, ids=[f"{k.split('[')[0]}-{v}" for k, _, _, v in NON_FINITE]
+)
+def test_a_number_that_is_not_finite_is_a_parse_error(location, old, new, value, tmp_path, capsys):
+    # json reads NaN and Infinity, and 1e400 as inf; none reaches validation
+    p = tmp_path / "nonfinite.json"
+    text = json.dumps(TWO_STATE)
+    assert old in text
+    p.write_text(text.replace(old, new.format(value), 1))
+    code, out, err = run(capsys, ["analyze", str(p)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {location}: expected a finite number")
 
 
 @pytest.mark.parametrize("dims", ["x", "2..y", "1e2", "5..3"])

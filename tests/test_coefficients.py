@@ -355,8 +355,9 @@ def test_explicit_projection_enumeration_matches_block(rng, n):
     assert b.certified_exact
     assert b.method == "kernel-vertex-enumeration"
     assert a.value == pytest.approx(b.value, abs=1e-12)
-    c = ergodicity_coefficient(T, E, space=s, method="pairs")
-    assert c.value == pytest.approx(b.value, abs=1e-12)
+    # the pair route reads its groups from a rank-one or block P only
+    with pytest.raises(UnsupportedSpaceError):
+        ergodicity_coefficient(T, E, space=s, method="pairs")
 
 
 def test_pair_route_refuses_a_kernel_no_pair_spans():

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from ergokit import (
-    MarkovProjection,
     ViolationReport,
     as_markov,
     block_projection,
     commutes,
     explicit_projection,
     fixes_projection,
-    kronecker,
-    kronecker_projection,
     make_embedded,
     make_simplex,
     markov_violations,
@@ -20,7 +17,6 @@ from ergokit import (
     power,
     rank_one_projection,
     sub_projection,
-    tensor_space,
     validate_markov,
 )
 from ergokit.corpus import stationary_distribution
@@ -136,12 +132,12 @@ def simplex_markov(space, rng):
         lambda rng: simplex_markov(make_simplex(2), rng),
         lambda rng: simplex_markov(make_simplex(9), rng),
         lambda rng: simplex_markov(make_simplex(30), rng),
-        lambda rng: simplex_markov(tensor_space(make_simplex(3), make_simplex(4)), rng),
+        lambda rng: simplex_markov(make_simplex(12), rng),
         lambda rng: embedded_markov(20, "l1", rng),
         lambda rng: embedded_markov(6, "linf", rng),
         lambda rng: embedded_markov(12, "linf", rng),
     ],
-    ids=["simplex-2", "simplex-9", "simplex-30", "tensor-3x4", "l1-20", "linf-6", "linf-12"],
+    ids=["simplex-2", "simplex-9", "simplex-30", "simplex-12", "l1-20", "linf-6", "linf-12"],
 )
 def test_operator_norm_equals_ball_vertex_loop_bit_for_bit(make_case, rng):
     for _ in range(3):
@@ -213,15 +209,6 @@ def test_power_matches_matrix_power(rng):
     T = as_markov(random_stochastic(3, rng), s)
     T5 = power(T, 5)
     np.testing.assert_allclose(T5.matrix, np.linalg.matrix_power(T.matrix, 5))
-
-
-def test_kronecker_is_markov_and_ordered(rng):
-    sa, sb = make_simplex(2), make_simplex(3)
-    A = as_markov(random_stochastic(2, rng), sa)
-    B = as_markov(random_stochastic(3, rng), sb)
-    K = kronecker(A, B)
-    assert K.space.dim == 6
-    np.testing.assert_allclose(K.matrix, np.kron(A.matrix, B.matrix))
 
 
 def test_rank_one_projection_is_idempotent():
@@ -388,20 +375,6 @@ def test_sub_projection_order(blocky):
     assert sub_projection(full, P)
     assert not sub_projection(P, full)
     assert sub_projection(P, P)
-
-
-def test_kronecker_projection_matches_matrix_kron(two_state, fast_two_state):
-    Q, P = two_state.P, fast_two_state.P
-    K = kronecker_projection(Q, P)
-    assert isinstance(K, MarkovProjection)
-    np.testing.assert_allclose(K.matrix, np.kron(Q.matrix, P.matrix))
-    assert K.space.kind == "simplex"
-
-
-def test_kronecker_respects_tensor_space(two_state, fast_two_state):
-    K = kronecker(two_state.T, fast_two_state.T)
-    t = tensor_space(two_state.T.space, fast_two_state.T.space)
-    assert K.space.dim == t.dim
 
 
 def test_stationary_distribution_agrees_with_projection(rng):

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ergokit import (
-    UnsupportedSpaceError,
-    make_embedded,
-    make_simplex,
-    same_space,
-    tensor_space,
-)
+from ergokit import make_embedded, make_simplex, same_space
 
 
 def ball_vertices(s):
@@ -90,23 +84,6 @@ def test_embedded_linf_vertices_in_product_order(m):
 def test_embedded_rejects_unknown_inner_ball():
     with pytest.raises(ValueError):
         make_embedded(2, "l2")
-
-
-def test_tensor_space_is_product_simplex():
-    t = tensor_space(make_simplex(2), make_simplex(3))
-    assert t.dim == 6
-    assert t.is_lattice
-    assert t.kind == "simplex"
-    assert same_space(t, make_simplex(6))
-    # tensoring again is again the simplex on the product index set
-    tt = tensor_space(t, make_simplex(2))
-    assert same_space(tt, make_simplex(12))
-    assert tt.dim == 12
-
-
-def test_tensor_rejects_embedded_factor():
-    with pytest.raises(UnsupportedSpaceError):
-        tensor_space(make_simplex(2), make_embedded(1))
 
 
 def test_same_space():

@@ -253,6 +253,39 @@ def test_tensor_bound_refuses_nonergodic_factor(two_state):
         tensor_rate_bound(two_state.T, two_state.P, perm.T, perm.P)
 
 
+def _half_absorbed_member():
+    """Two 2-state classes (rates 0.6 and 0.8) and a transient state absorbed
+    half and half: a member P with neither normal form, so it stays explicit."""
+    s = make_simplex(5)
+    T = np.zeros((5, 5))
+    T[:2, :2] = [[0.7, 0.1], [0.3, 0.9]]
+    T[2:4, 2:4] = [[0.9, 0.1], [0.1, 0.9]]
+    T[:, 4] = [0.1, 0.25, 0.2, 0.15, 0.3]
+    piA, piB = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    P = np.zeros((5, 5))
+    P[:2, :2] = piA[:, None]
+    P[2:4, 2:4] = piB[:, None]
+    P[:4, 4] = np.concatenate([0.5 * piA, 0.5 * piB])
+    E = explicit_projection(s, P)
+    assert E.variant == "explicit"
+    return as_markov(T, s), E
+
+
+def test_tensor_bound_takes_an_explicit_member_factor(two_state):
+    T, E = _half_absorbed_member()
+    rep = tensor_rate_bound(T, E, two_state.T, two_state.P)
+    assert rep.ok
+    assert rep.factor_rates == pytest.approx((0.8, 0.6), abs=1e-12)
+    assert rep.lhs == pytest.approx(max(rep.factor_rates), abs=1e-12)
+
+
+def test_tensor_bound_takes_an_embedded_factor(two_state, embedded):
+    rep = tensor_rate_bound(two_state.T, two_state.P, embedded.T, embedded.P)
+    assert rep.ok
+    assert rep.factor_rates == pytest.approx((0.6, 0.5), abs=1e-12)
+    assert rep.lhs == pytest.approx(max(rep.factor_rates), abs=1e-12)
+
+
 def test_rate_profile_closed_form(two_state):
     # norm(T^n - P) = 0.9 * 0.6^(n-1) exactly for this chain
     prof = rate_profile(two_state.T, two_state.P, N=40)
