@@ -2,9 +2,12 @@
 
 ``mc_max_ratio`` scans Monte-Carlo sample directions for the best ratio
 and ``max_pair_half_l1`` rows for the largest half distance, each in the
-``norm_rows`` it is given (l1 on a simplex).  ``BACKEND`` is always
-"python".  The kernels keep a module of their own because the benchmark
-tracer rebinds them by module name.
+``norm_rows`` it is given (l1 on a simplex).  The ratio scan reads Z in
+blocks of ``_BLOCK_ROWS`` rows, the blocks in which ``_unit_samples`` draws
+and normalizes it; a block is tall enough for the column-wise l1 row sums of
+``spaces._abs_row_sums``.  ``BACKEND`` is always "python".  The kernels
+keep a module of their own because the benchmark tracer rebinds them by
+module name.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "python"
-_BLOCK_ROWS = 8192  # Z rows per ratio-scan block, which bounds norm_rows' |W| copy
+_BLOCK_ROWS = 8192  # Z rows per draw and ratio-scan block; bounds norm_rows' |W| copy
 
 
 def mc_max_ratio(TK, K, Z, norm_rows, min_den=1e-300):

@@ -40,7 +40,7 @@ from scipy.optimize import linprog
 from . import _backend
 from .errors import DimensionTooLargeError, PreconditionError, UnsupportedSpaceError
 from .operators import MarkovOperator, MarkovProjection, commutes, operator_norm
-from .spaces import StateSpace, _frozen, same_space
+from .spaces import StateSpace, _abs_row_sums, _frozen, same_space
 
 KERNEL_TOL = 1e-10
 ENUMERATION_CAP = 12
@@ -364,10 +364,15 @@ def _lp_polish(A, D, z0, step):
 
 
 def _polish_starts(ratios: np.ndarray) -> np.ndarray:
-    """Rows of the four best ratios, best first, without sorting them all."""
+    """Rows of the four best kept ratios, best first, without sorting them all.
+
+    Rows the scan skipped (ratio -1) are never starts: with fewer than four
+    kept rows, fewer starts are returned.
+    """
     k = min(4, len(ratios))
     top = np.argpartition(ratios, len(ratios) - k)[len(ratios) - k:]
-    return top[np.argsort(ratios[top])[::-1]]
+    top = top[np.argsort(ratios[top])[::-1]]
+    return top[ratios[top] >= 0]
 
 
 # the last sample draw, weakly keyed on the space it was drawn for: at most
@@ -381,8 +386,11 @@ def _unit_samples(space: StateSpace, seed: int, samples: int) -> np.ndarray:
 
     Unit l1 rows make MC_DEN_FLOOR a relative threshold; direction and
     magnitude of the deflected image are independent for isotropic draws,
-    so the skipped rows cost no direction coverage.  Repeated calls on one
-    space with the same seed and sample count, as the power scans make,
+    so the skipped rows cost no direction coverage.  The draw is made and
+    normalized in blocks of ``_backend._BLOCK_ROWS`` rows while each block is
+    in cache; consecutive blocks of one Generator are the stream of a single
+    (samples, dim) draw, so Z has the bits of that draw.  Repeated calls on
+    one space with the same seed and sample count, as the power scans make,
     share one draw.
     """
     key = (seed, samples)
@@ -391,9 +399,13 @@ def _unit_samples(space: StateSpace, seed: int, samples: int) -> np.ndarray:
         if held is not None and held[0] == key:
             return held[1]
         _SAMPLES.clear()
-    Z = np.random.default_rng(seed).standard_normal((samples, space.dim))
-    row_l1 = np.abs(Z).sum(axis=1)
-    Z /= np.where(row_l1 > 0, row_l1, 1.0)[:, None]
+    rng = np.random.default_rng(seed)
+    Z = np.empty((samples, space.dim))
+    for s in range(0, samples, _backend._BLOCK_ROWS):
+        B = Z[s : s + _backend._BLOCK_ROWS]
+        rng.standard_normal(out=B)
+        row_l1 = _abs_row_sums(B)
+        B /= np.where(row_l1 > 0, row_l1, 1.0)[:, None]
     Z.flags.writeable = False
     with _SAMPLES_LOCK:
         _SAMPLES.clear()

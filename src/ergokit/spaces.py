@@ -25,9 +25,42 @@ from dataclasses import dataclass
 import numpy as np
 
 CONE_TOL = 1e-10
+# from this many rows, adding whole columns beats NumPy's one reduce call per
+# row at every width below 16; µs NumPy/column-wise at n = 15 on a 2-CPU x86
+# host: 256 rows 9.0/11.9, 512 rows 16.1/15.3, 1024 rows 29.7/21.3
+_COLUMN_SUM_ROWS = 1024
 
 SIMPLEX = "simplex"
 EMBEDDED = "embedded"
+
+
+def _abs_row_sums(W: np.ndarray) -> np.ndarray:
+    """``np.abs(W).sum(axis=1)``, bit for bit, without a reduce call per row.
+
+    NumPy reduces each row of a C-ordered array in one inner-loop call, which
+    dominates on tall arrays of a few columns.  There, whole columns are added
+    in NumPy's own order: fewer than 8 terms left to right; for 8 to 15 terms
+    the 8 lane terms as ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest
+    left to right.  Short, wide (n >= 16, where NumPy accumulates lanes) and
+    F-ordered arrays go to NumPy as they are.
+    """
+    A = np.abs(W)
+    m, n = A.shape
+    if m < _COLUMN_SUM_ROWS or not 1 <= n < 16 or not A.flags.c_contiguous:
+        return A.sum(axis=1)
+    if n < 8:
+        s = A[:, 0].copy()
+        first = 1
+    else:
+        s = A[:, 0] + A[:, 1]
+        s += A[:, 2] + A[:, 3]
+        t = A[:, 4] + A[:, 5]
+        t += A[:, 6] + A[:, 7]
+        s += t
+        first = 8
+    for j in range(first, n):
+        s += A[:, j]
+    return s
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -69,17 +102,18 @@ class StateSpace:
     def norm_rows(self, W: np.ndarray) -> np.ndarray:
         """Base norm of each row of W; the one norm implementation.
 
-        A C-ordered W is reduced along its contiguous axis, so each value is
-        the same float that ``norm`` gives for that row alone.
+        For a W with contiguous rows, each value is the same float that
+        ``norm`` gives for that row alone.  l1 row sums come from
+        ``_abs_row_sums``, which equals NumPy's row reduce bit for bit and
+        adds whole columns on tall, narrow arrays.
         """
         W = np.asarray(W, dtype=float)
         if self.is_lattice:
-            return np.abs(W).sum(axis=1)
+            return _abs_row_sums(W)
         return np.maximum(np.abs(W[:, 0]), self._inner_norm_rows(W[:, 1:]))
 
     def _inner_norm_rows(self, V: np.ndarray) -> np.ndarray:
-        inner = np.abs(V)
-        return inner.sum(axis=1) if self.inner_ball == "l1" else inner.max(axis=1)
+        return _abs_row_sums(V) if self.inner_ball == "l1" else np.abs(V).max(axis=1)
 
     def in_cone(self, x: np.ndarray, tol: float = CONE_TOL) -> bool:
         return self.cone_defect(x) <= tol

@@ -33,7 +33,9 @@ def test_mc_max_ratio_min_den_skips_small_rows():
     assert _backend.mc_max_ratio(TK, K, Z, l1, 10.0)[:2] == (-1.0, -1)
 
 
-@pytest.mark.parametrize("n,m", [(2, 100), (5, 1000), (9, 500)])
+@pytest.mark.parametrize(
+    "n,m", [(2, 100), (5, 1000), (9, 500), (3, 20_000), (7, 20_000), (10, 20_000), (13, 9000)]
+)
 def test_mc_ratios_match_two_pass_reference(n, m, rng):
     # the ratios the kernel returns, and the polish starts ranked from them,
     # equal bit for bit the second pass the caller used to make after it

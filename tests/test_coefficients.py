@@ -618,9 +618,53 @@ def test_polish_starts_are_the_sorted_top_four(rng):
         for _ in range(20):
             ratios = np.where(rng.random(m) < 0.2, -1.0, rng.random(m))
             want = np.argsort(ratios)[::-1][:4]
+            want = want[ratios[want] >= 0]  # skipped rows are never starts
             if len(set(np.sort(ratios)[::-1][:5])) < min(5, m):
                 continue  # the picks are only defined up to ties
             assert coefficients._polish_starts(ratios).tolist() == want.tolist()
+
+
+def test_polish_starts_skip_the_rows_the_scan_skipped():
+    # a skipped row (ratio -1) is a near annihilated draw: it seeds no ascent
+    assert coefficients._polish_starts(np.array([0.5, -1.0, 0.3])).tolist() == [0, 2]
+    assert coefficients._polish_starts(np.array([-1.0, -1.0])).tolist() == []
+
+
+def test_two_samples_polish_only_the_kept_draw(two_state, count_calls):
+    # a seed whose two draws keep one row: the skipped draw seeds no ascent
+    s = two_state.T.space
+    D = np.eye(2) - coefficients._ker_f_projection(s).matrix
+    for seed in range(5000):
+        Z = _unit_samples(s, seed, 2)
+        kept = s.norm_rows(Z @ D.T) > coefficients.MC_DEN_FLOOR
+        if kept.sum() == 1:
+            break
+    else:
+        pytest.fail("no seed below 5000 keeps exactly one of two draws")
+    calls = count_calls("_lp_polish")
+    low = coefficient_lower_bound(two_state.T, samples=2, seed=seed)
+    starts = [args[2] for _, args, _ in calls["_lp_polish"]]
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], D @ Z[np.argmax(kept)])
+    assert 0.0 < low.value <= ergodicity_coefficient(two_state.T).value + 1e-12
+
+
+B = _backend._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 13])
+def test_blocked_draw_equals_one_shot_draw(dim):
+    # the draw is made and normalized block by block; it keeps the bits of
+    # one (samples, dim) draw normalized in one pass
+    s = make_simplex(dim)
+    for samples in (1, B - 1, B, B + 1, 100_000):
+        _SAMPLES.clear()
+        Z = _unit_samples(s, 17, samples)
+        want = np.random.default_rng(17).standard_normal((samples, dim))
+        l1 = np.abs(want).sum(axis=1)
+        want /= np.where(l1 > 0, l1, 1.0)[:, None]
+        assert Z.tobytes() == want.tobytes(), samples
+        assert Z.flags.writeable is False
 
 
 def test_five_properties_on_corpus(small_corpus):

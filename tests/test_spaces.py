@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ergokit import make_embedded, make_simplex, same_space
+from ergokit import make_embedded, make_simplex, same_space, spaces
 
 
 def ball_vertices(s):
@@ -144,3 +144,39 @@ def test_embedded_ball_membership_matches_norm(alpha, v, inner):
         method="highs",
     )
     assert res.success
+
+
+ROWS = spaces._COLUMN_SUM_ROWS
+
+
+def _spread(rng, shape):
+    """Signed entries whose magnitudes spread over 1e-8..1e8."""
+    return rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@pytest.mark.parametrize("rows", [ROWS - 1, ROWS, 8192, 20_000])
+def test_abs_row_sums_equal_numpy_bit_for_bit(rows, rng):
+    # the column-wise sums mirror NumPy's summation order on either side of
+    # 8 and of 16 columns; a NumPy that changes its order fails here
+    for n in range(1, 32):
+        W = _spread(rng, (rows, n))
+        Y = _spread(rng, (rows, 2 * n))
+        for layout, X in (("C", W), ("column slice", Y[:, :n]), ("F", np.asfortranarray(W))):
+            want = np.abs(X).sum(axis=1).tobytes()
+            assert spaces._abs_row_sums(X).tobytes() == want, (n, layout)
+            assert make_simplex(n).norm_rows(X).tobytes() == want, (n, layout)
+        inner = np.maximum(np.abs(W[:, 0]), np.abs(W[:, 1:]).sum(axis=1))
+        if n > 1:
+            got = make_embedded(n - 1, "l1").norm_rows(W)
+            assert got.tobytes() == inner.tobytes(), n
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 13, 15])
+def test_norm_of_a_row_is_its_entry_in_norm_rows(n, rng):
+    # norm_rows' docstring: each value is the float norm gives that row alone,
+    # also where the tall array's row sums are added column by column
+    W = _spread(rng, (8192, n))
+    for s in (make_simplex(n), make_embedded(n - 1, "l1")):
+        rows = s.norm_rows(W)
+        for i in range(0, len(W), 37):
+            assert s.norm(W[i]) == rows[i], (s, i)
