@@ -563,8 +563,7 @@ def coefficient_inequalities(
 @dataclass(frozen=True)
 class EigenBoundReport:
     eigenvalues: tuple
-    coefficient: float
-    n_unit: int
+    coefficient: float  # the upper side of delta_P(S), which bounds every |eig|
     max_excess: float
     ok: bool
 
@@ -573,11 +572,14 @@ def eigenvalue_bound_check(
     S: MarkovOperator, P: MarkovProjection, tol: float = 1e-9,
     *, delta: CoefficientResult | None = None,
 ) -> EigenBoundReport:
-    """Every eigenvalue of S on ker P away from 1 is bounded by the coefficient.
+    """Every eigenvalue of S on ker P is bounded by the coefficient.
 
     Requires S to commute with P (then ker P = range(I-P) is S-invariant);
-    the restriction is compressed with an orthonormal kernel basis from the
-    SVD of I - P, so its eigenvalues are exactly those of S on ker P.
+    the restriction is compressed with an orthonormal kernel basis, the
+    n - rank P leading left singular vectors of I - P, so its eigenvalues
+    are exactly those of S on ker P.  delta_P(S) is the norm of S there, so
+    |eig| <= delta_P(S) holds for an eigenvalue 1 too, and each |eig| is
+    read against the bracket's upper side.
     ``delta``: the caller's ``ergodicity_coefficient(S, P)``, if it holds one.
     """
     ok_c, defect = commutes(S, P)
@@ -585,20 +587,15 @@ def eigenvalue_bound_check(
         raise PreconditionError(
             f"operator does not commute with the projection (defect {defect:.3e})"
         )
-    delta = (delta if delta is not None else ergodicity_coefficient(S, P)).value
+    upper = (delta if delta is not None else ergodicity_coefficient(S, P)).upper_bound
     n = S.space.dim
-    comp = np.eye(n) - np.asarray(P.matrix)
-    U, sv, _ = np.linalg.svd(comp)
-    r = int((sv > 1e-10 * max(1.0, float(sv[0]) if sv.size else 1.0)).sum())
-    B = U[:, :r]  # r = 0 (P = I) leaves no eigenvalue to bound
-    M = B.T @ S.matrix @ B
-    eigs = np.linalg.eigvals(M)
-    non_unit = [z for z in eigs if abs(z - 1.0) > 1e-8]
-    max_excess = max((abs(z) - delta for z in non_unit), default=-np.inf)
+    U, _, _ = np.linalg.svd(np.eye(n) - np.asarray(P.matrix))
+    B = U[:, :n - P.rank()]  # P = I leaves no eigenvalue to bound
+    eigs = np.linalg.eigvals(B.T @ S.matrix @ B)
+    max_excess = max((abs(z) - upper for z in eigs), default=-np.inf)
     return EigenBoundReport(
         tuple(sorted(eigs, key=lambda z: (-abs(z), z.real, z.imag))),
-        delta,
-        len(eigs) - len(non_unit),
+        upper,
         max_excess,
         max_excess <= tol,
     )

@@ -11,6 +11,12 @@ Eigenvalues come from LAPACK's dense unsymmetric solver (balancing,
 Hessenberg reduction, shifted QR); failures surface as EigenSolverError,
 never silently.  Everything else is exact polytope-norm arithmetic.
 
+Which eigenvalues belong to P is a count, not a tolerance.  For a member
+(TP = PT = P), spec T = {1}^rank P + spec(T on ker P) and
+spec(T - P) = {0}^rank P + spec(T on ker P), so ``_without_nearest`` drops
+the rank P = trace P eigenvalues nearest 1 (or 0) and keeps the rest; an
+eigenvalue at 1 beyond rank P stays in view as a subdominant modulus of 1.
+
 ``classify`` gives an instance's one ``(verdict, report)``: the report
 holds the spectra of T and T - P, the verdict the membership defects.
 """
@@ -34,7 +40,7 @@ from .operators import (
     operator_norm,
 )
 
-UNIT_EIG_TOL = 1e-8  # identification of "this eigenvalue is 1"
+UNIT_EIG_TOL = 1e-8  # "this number reads as 1": one_isolated and at_tolerance
 RADIUS_THRESHOLD = 1 - 1e-10  # strictly-below-one cutoff for classification
 SQUARING_CAP = 48
 
@@ -91,7 +97,7 @@ def _scaled_power_logs(E: np.ndarray, scale, N: int):
 class SpectralReport:
     eigenvalues: tuple
     residual_radius: float  # spectral radius of T - P
-    subdominant_radius: float  # max |eig| of T excluding eigenvalues at 1
+    subdominant_radius: float  # max |eig| of T without its rank P eigenvalues nearest 1
     one_isolated: bool
     isolation_distance: float
     gap_norm: float  # norm of T(I - P)
@@ -126,14 +132,23 @@ class ErgodicityVerdict:
 Classification = tuple[ErgodicityVerdict, SpectralReport]  # what ``classify`` returns
 
 
+def _without_nearest(spec: np.ndarray, target: float, k: int) -> np.ndarray:
+    """``spec`` without its k entries nearest ``target``; the rest keep their order.
+
+    With k = rank P this is the one place that decides which eigenvalues
+    are P's."""
+    drop = np.argsort(np.abs(spec - target), kind="stable")[:k]
+    return np.delete(spec, drop)
+
+
 def spectral_report(T: MarkovOperator, P: MarkovProjection) -> SpectralReport:
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
     eigs = eigenvalues(A)
     shifted = eigenvalues(A - Pm)
-    away = eigs[np.abs(eigs - 1.0) > UNIT_EIG_TOL]
-    sub = float(np.abs(away).max()) if away.size else 0.0
-    iso = float(np.abs(away - 1.0).min()) if away.size else math.inf
+    away = _without_nearest(eigs, 1.0, P.rank())
+    sub = float(np.abs(away).max(initial=0.0))
+    iso = float(np.abs(away - 1.0).min(initial=math.inf))
     comp = np.eye(T.space.dim) - Pm
     return SpectralReport(
         eigenvalues=tuple(sorted(eigs, key=lambda z: (-abs(z), z.real, z.imag))),
@@ -274,7 +289,7 @@ def classify(
             "below_one_at": geometric_n,
             "extension_radius_floor": extension_floor,
             "at_tolerance": extension_floor is not None
-            and abs(extension_floor - 1.0) <= 1e-8,
+            and abs(extension_floor - 1.0) <= UNIT_EIG_TOL,
         },
     )
 
@@ -292,7 +307,7 @@ def classify(
         True,
         fixes_ok and r < theta,
         {"residual_radius": r, "fixes_defect": fix_defect,
-         "at_tolerance": abs(r - 1.0) <= 1e-8},
+         "at_tolerance": abs(r - 1.0) <= UNIT_EIG_TOL},
     )
 
     votes = [c.holds for c in (clause1, clause2, clause3) if c.applicable and c.holds is not None]
@@ -396,53 +411,30 @@ def gelfand_trail(
 
 @dataclass(frozen=True)
 class SpectrumShiftReport:
-    spectrum_T: tuple
-    spectrum_T_minus_P: tuple
-    excluded: tuple  # (n_excluded_from_T, n_excluded_from_T_minus_P)
-    count_match: bool
     max_match_distance: float
     ok: bool
-    fixes_defect: float
-    commute_defect: float
 
 
 def spectrum_shift_check(
     T: MarkovOperator, P: MarkovProjection,
     *, classification: Classification | None = None,
 ) -> SpectrumShiftReport:
-    """Subtracting P only moves spectrum at 0 and 1: multiset equality away.
+    """Subtracting P only moves P's eigenvalues, from 1 to 0.
 
-    The two spectra with eigenvalues within 1e-7 of 0 or 1 removed must
-    coincide as multisets; matching is a min-cost assignment on pairwise
-    distances in the complex plane, judged by the largest matched distance
-    (at most 1e-7).
+    spec T without its rank P eigenvalues nearest 1 must coincide, as a
+    multiset, with spec(T - P) without its rank P eigenvalues nearest 0;
+    matching is a min-cost assignment on pairwise distances in the complex
+    plane, judged by the largest matched distance (at most 1e-7).
     ``classification`` as in ``best_rate``: its report holds both spectra.
     """
-    verdict, report = classification or classify(T, P)
-    fd, cd = verdict.fixes_defect, verdict.commute_defect
-    a = np.asarray(report.spectrum_T)
-    b = np.asarray(report.spectrum_T_minus_P)
-
-    def keep(spec):
-        return spec[(np.abs(spec) > 1e-7) & (np.abs(spec - 1.0) > 1e-7)]
-
-    ka, kb = keep(a), keep(b)
-    if ka.size != kb.size:
-        return SpectrumShiftReport(
-            tuple(a), tuple(b), (a.size - ka.size, b.size - kb.size),
-            False, math.inf, False, fd, cd,
-        )
-    if ka.size == 0:
-        return SpectrumShiftReport(
-            tuple(a), tuple(b), (a.size, b.size), True, 0.0, True, fd, cd
-        )
-    cost = np.abs(ka[:, None] - kb[None, :])
+    _, report = classification or classify(T, P)
+    k = P.rank()
+    a = _without_nearest(np.asarray(report.spectrum_T), 1.0, k)
+    b = _without_nearest(np.asarray(report.spectrum_T_minus_P), 0.0, k)
+    cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max())
-    return SpectrumShiftReport(
-        tuple(a), tuple(b), (a.size - ka.size, b.size - kb.size),
-        True, worst, worst <= 1e-7, fd, cd,
-    )
+    worst = float(cost[rows, cols].max(initial=0.0))
+    return SpectrumShiftReport(worst, worst <= 1e-7)
 
 
 @dataclass(frozen=True)

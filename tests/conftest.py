@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from ergokit import corpus
+from ergokit import as_markov, corpus, make_simplex, rank_one_projection
 
 
 @pytest.fixture
@@ -30,6 +30,25 @@ def embedded():
 def small_corpus():
     # shared across test modules; keep it small so the unit suite stays fast
     return corpus.build_corpus(seed=0, dims=(2, 3, 4), chains_per_dim=2)
+
+
+@pytest.fixture(scope="session")
+def coupled_blocks():
+    """Builder of a chain of two blocks, n // 2 and n - n // 2 states, whose
+    columns are uniform on their own block and leak eps across, spread
+    uniformly.  spec T = {1, 1 - 2 eps, 0, ...}; P is rank one onto the
+    stationary vector, half its mass on each block."""
+
+    def build(n, eps):
+        sizes = (n // 2, n - n // 2)
+        block = np.repeat([0, 1], sizes)
+        same = block[:, None] == block[None, :]
+        width = np.array(sizes, dtype=float)[block][:, None]
+        s = make_simplex(n)
+        T = as_markov(np.where(same, 1 - eps, eps) / width, s)
+        return T, rank_one_projection(s, 0.5 / width[:, 0])
+
+    return build
 
 
 @pytest.fixture

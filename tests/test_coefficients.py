@@ -731,9 +731,26 @@ def test_eigenvalue_bound_on_corpus(small_corpus):
 def test_eigenvalue_bound_two_state(two_state):
     rep = eigenvalue_bound_check(two_state.T, two_state.P)
     # the kernel restriction has the single eigenvalue 0.6 = coefficient
-    assert rep.n_unit == 0
     assert rep.coefficient == pytest.approx(0.6, abs=1e-12)
     assert max(abs(z) for z in rep.eigenvalues) == pytest.approx(0.6, abs=1e-12)
+
+
+def test_eigenvalue_bound_reads_the_upper_side_of_a_bracket(two_state):
+    # |0.6| exceeds the lower side 0.56 of the bracket, not its upper side 0.6
+    from ergokit import CoefficientResult
+
+    bracket = CoefficientResult(0.56, "monte-carlo-lower-bound", None, False, 0.6)
+    assert eigenvalue_bound_check(two_state.T, two_state.P, delta=bracket).ok
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_eigenvalue_bound_keeps_eigenvalues_near_one(coupled_blocks, n, eps):
+    # 1 - 2 eps lies on ker P, dim ker P = n - rank P, and no filter drops
+    # it: delta_P(T) = 1 - 2 eps is met with equality
+    rep = eigenvalue_bound_check(*coupled_blocks(n, eps))
+    assert rep.ok
+    assert rep.max_excess >= -1e-12
 
 
 @settings(max_examples=40, deadline=None)

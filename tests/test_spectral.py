@@ -24,6 +24,7 @@ from ergokit import (
     tensor_rate_bound,
 )
 from ergokit.corpus import (
+    build_corpus,
     permutation_instance,
     recorded_nonmultiplicative_instance,
     reducible_instance,
@@ -179,14 +180,45 @@ def test_spectrum_shift_on_members(small_corpus):
     for inst in small_corpus:
         rep = spectrum_shift_check(inst.T, inst.P)
         assert rep.ok, (inst.label, rep.max_match_distance)
-        assert rep.count_match
 
 
 def test_spectrum_shift_two_state(two_state):
     rep = spectrum_shift_check(two_state.T, two_state.P)
     # P swallows the unit eigenvalue: sigma(T - P) = (sigma(T) - {1}) + {0}
-    assert rep.excluded == (1, 1)
     assert rep.max_match_distance < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_p_eigenvalues_by_count_near_one(coupled_blocks, n, eps):
+    # the eigenvalue 1 - 2 eps is T's on ker P however close to 1 it lies:
+    # only the rank P = 1 eigenvalue nearest 1 is P's
+    T, P = coupled_blocks(n, eps)
+    report = spectral_report(T, P)
+    assert report.subdominant_radius == pytest.approx(report.residual_radius, abs=1e-12)
+    assert report.isolation_distance == pytest.approx(2 * eps, abs=1e-12)
+    assert spectrum_shift_check(T, P).ok
+
+
+def test_best_rate_near_one(coupled_blocks):
+    T, P = coupled_blocks(4, 1e-9)
+    assert best_rate(T, P) == pytest.approx(1 - 2e-9, abs=1e-12)
+
+
+def test_reducible_keeps_its_second_unit_eigenvalue():
+    # rank P = 1 takes one of the two unit eigenvalues; the other is T's on ker P
+    inst = next(i for i in build_corpus(0) if i.label == "reducible-2+2")
+    report = spectral_report(inst.T, inst.P)
+    assert report.subdominant_radius == pytest.approx(1.0, abs=1e-12)
+    assert not report.one_isolated
+
+
+def test_identity_projection_owns_every_eigenvalue(two_state):
+    # P = I as a matrix: all rank P = 2 eigenvalues are P's, none is left
+    P = explicit_projection(two_state.T.space, np.eye(2))
+    report = spectral_report(two_state.T, P)
+    assert report.subdominant_radius == 0.0
+    assert report.isolation_distance == math.inf
 
 
 def test_multiplicativity_both_true(two_state):
