@@ -14,8 +14,12 @@ maximum over its vertices and can be computed exactly.
 Three independent routes are provided and cross-checked by the tests:
 vertex enumeration of the kernel ball, the half-distance formula over
 admissible base-vertex pairs, and a Monte-Carlo lower bound with LP
-refinement.  The pair scan and the ratio scan are ``_backend`` kernels
-that read the space's ``norm_rows``, one scan each on every space.  The
+refinement.  ``ergodicity_coefficient`` takes the pair formula for
+rank-one and block P on the simplex (P = None included), the vertices for
+every other exact case, and a Monte-Carlo bracket where neither is exact
+(an explicit P past the enumeration cap or on an embedded space).
+The pair scan and the ratio scan are ``_backend`` kernels that read the
+space's ``norm_rows``, one scan each on every space.  The
 refinement runs on the simplex; its LPs have a closed form (a half-range
 over each block) for rank-one and block P, and go to HiGHS only for
 explicit projections.  A matrix-written P that is rank-one
@@ -232,23 +236,39 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
 
 
 def _admissible_pair_groups(P: MarkovProjection, space: StateSpace):
+    """The base-vertex groups whose half differences span ker P; P structured."""
     if P.variant == "rank_one":
         return [np.arange(len(space.base_vertices))]
-    if P.variant == "block":
-        return [np.asarray(b) for b in P.blocks]
-    raise UnsupportedSpaceError("the pair formula needs a rank-one or block projection")
+    return [np.asarray(b) for b in P.blocks]
 
 
 def _pair_route(A, P, space) -> CoefficientResult:
-    images = space.base_vertices @ A.T  # row i = image of base vertex i
-    best, bi, bj = -1.0, -1, -1
-    for g in _admissible_pair_groups(P, space):
-        val, i, j = _backend.max_pair_half_l1(images[g], space.norm_rows)
-        if i >= 0 and val > best:
-            best, bi, bj = val, int(g[i]), int(g[j])
+    """Half the largest distance between images of two base vertices of a group.
+
+    The pair formula: for rank-one and block P on the simplex, the kernel
+    ball's vertices are the half differences (b_i - b_j)/2 inside a group,
+    so the sup is a max over pairs (Seneta, Non-negative Matrices and Markov
+    Chains, 2006, ch. 3).  Rank-one P has one group, every row, scanned on
+    the images as they are; its ties go to the first (i, j) in row order.
+    A block's ties go to its first pair in the block's order, and ties
+    between blocks to the earlier block.
+    """
+    # row i = image of base vertex i: column i of A on the simplex (b_i = e_i)
+    images = A.T if space.is_lattice else space.base_vertices @ A.T
+    if P.variant == "rank_one":
+        best, bi, bj = _backend.max_pair_half_l1(images, space.norm_rows)
+    elif P.variant == "block":
+        best, bi, bj = _backend.max_group_pair_half_l1(images, P.blocks, space.norm_rows)
+    else:
+        raise UnsupportedSpaceError("the pair formula needs a rank-one or block projection")
     if bi < 0:
         return CoefficientResult(0.0, "pair-formula", None, True, 0.0)
-    w = 0.5 * (space.base_vertices[bi] - space.base_vertices[bj])
+    if space.is_lattice:  # (e_i - e_j)/2, entry by entry
+        w = np.zeros(space.dim)
+        w[bi], w[bj] = 0.5, -0.5
+    else:
+        w = space.base_vertices[bi] - space.base_vertices[bj]
+        w *= 0.5
     return CoefficientResult(best, "pair-formula", w, True, best, pair=(bi, bj))
 
 
@@ -264,14 +284,20 @@ def ergodicity_coefficient(
 
     T may be a MarkovOperator or a raw matrix (the functional extends to
     arbitrary operators, which property checks on differences need).
-    method: "auto" (exact when possible, Monte-Carlo bracket otherwise),
-    "vertices", or "pairs" (rank-one or block P only; an explicit P raises
-    UnsupportedSpaceError).  P = None is ker f (the classical coefficient),
-    and P = identity (ker P = {0}) gives 0 on every exact route.  The
-    bracket's lower side samples 100_000 directions (``coefficient_lower_bound``).
+    method: "auto", "vertices", or "pairs" (rank-one or block P only; an
+    explicit P raises UnsupportedSpaceError).  "auto" takes the pair route
+    for rank-one and block P on the simplex, P = None included: the blocked
+    pair scan of the n base-vertex images, O(n^3), where the vertex route
+    multiplies the n(n - 1) x n pair-vertex matrix by T, O(n^4); both give
+    the same float.  Embedded spaces and explicit P take the vertex route;
+    an explicit P with no exact route (past the enumeration cap, or on an
+    embedded space) gets a Monte-Carlo bracket.
+    P = None is ker f (the classical coefficient), and P = identity
+    (ker P = {0}) gives 0 on every exact route.  The bracket's lower side
+    samples 100_000 directions (``coefficient_lower_bound``).
     """
     A, P, space = _resolve(T, P, space)
-    if method == "pairs":
+    if method == "pairs" or (method == "auto" and P.structured and space.is_lattice):
         return _pair_route(A, P, space)
     if method not in ("auto", "vertices"):
         raise ValueError(f"unknown method {method!r}")

@@ -27,7 +27,10 @@ import numpy as np
 CONE_TOL = 1e-10
 # from this many rows, adding whole columns beats NumPy's one reduce call per
 # row at every width below 16; µs NumPy/column-wise at n = 15 on a 2-CPU x86
-# host: 256 rows 9.0/11.9, 512 rows 16.1/15.3, 1024 rows 29.7/21.3
+# host: 256 rows 9.0/11.9, 512 rows 16.1/15.3, 1024 rows 29.7/21.3.  The
+# linf row max folds columns from the same cut; µs at m = 3, 12, 16: 256 rows
+# 16.7/4.9, 19.6/20.0, 25.1/23.9; 1024 rows 57.0/7.2, 73.5/23.3, 91.0/46.1;
+# one row 2.8/5.9, 1.6/12.9, 2.4/26.3
 _COLUMN_SUM_ROWS = 1024
 
 SIMPLEX = "simplex"
@@ -47,7 +50,7 @@ def _abs_row_sums(W: np.ndarray) -> np.ndarray:
     A = np.abs(W)
     m, n = A.shape
     if m < _COLUMN_SUM_ROWS or not 1 <= n < 16 or not A.flags.c_contiguous:
-        return A.sum(axis=1)
+        return np.add.reduce(A, axis=1)  # what A.sum(axis=1) calls, without its wrapper
     if n < 8:
         s = A[:, 0].copy()
         first = 1
@@ -60,6 +63,22 @@ def _abs_row_sums(W: np.ndarray) -> np.ndarray:
         first = 8
     for j in range(first, n):
         s += A[:, j]
+    return s
+
+
+def _abs_row_max(V: np.ndarray) -> np.ndarray:
+    """``np.abs(V).max(axis=1)``, bit for bit, without a reduce call per row.
+
+    A max has no order to mirror and |V| holds no -0.0, so from
+    ``_COLUMN_SUM_ROWS`` rows whole columns are folded with ``np.maximum``;
+    shorter arrays go to NumPy.
+    """
+    A = np.abs(V)
+    if len(A) < _COLUMN_SUM_ROWS:
+        return A.max(axis=1)
+    s = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        np.maximum(s, A[:, j], out=s)
     return s
 
 
@@ -104,8 +123,9 @@ class StateSpace:
 
         For a W with contiguous rows, each value is the same float that
         ``norm`` gives for that row alone.  l1 row sums come from
-        ``_abs_row_sums``, which equals NumPy's row reduce bit for bit and
-        adds whole columns on tall, narrow arrays.
+        ``_abs_row_sums`` and linf row maxima from ``_abs_row_max``; both
+        equal NumPy's row reduce bit for bit and work on whole columns of
+        tall arrays.
         """
         W = np.asarray(W, dtype=float)
         if self.is_lattice:
@@ -113,7 +133,7 @@ class StateSpace:
         return np.maximum(np.abs(W[:, 0]), self._inner_norm_rows(W[:, 1:]))
 
     def _inner_norm_rows(self, V: np.ndarray) -> np.ndarray:
-        return _abs_row_sums(V) if self.inner_ball == "l1" else np.abs(V).max(axis=1)
+        return _abs_row_sums(V) if self.inner_ball == "l1" else _abs_row_max(V)
 
     def in_cone(self, x: np.ndarray, tol: float = CONE_TOL) -> bool:
         return self.cone_defect(x) <= tol

@@ -396,8 +396,8 @@ def instance_theorems(
         detail = chk.details if chk.applicable else f"not applicable: {chk.details}"
         out.append((f"coefficient-{chk.name}", chk.ok, detail))
     if P.structured and space.is_lattice:
-        a = delta.value  # the vertex route, which structured P always takes
-        b = ergodicity_coefficient(T, P, method="pairs").value
+        a = delta.value  # the pair route, which auto takes for structured P here
+        b = ergodicity_coefficient(T, P, method="vertices").value
         out.append(("pair-formula", abs(a - b) <= 1e-12, f"gap {abs(a - b):.2e}"))
     try:
         rep = eigenvalue_bound_check(T, P, tol=tol, delta=delta)

@@ -120,3 +120,124 @@ def test_max_pair_half_l1_reads_the_given_norm():
     assert _backend.max_pair_half_l1(R, make_embedded(2, "linf").norm_rows) == (1.0, 0, 1)
     assert _backend.max_pair_half_l1(R, make_simplex(3).norm_rows) == (2.0, 0, 1)
 
+
+
+def _row_by_row_pairs(R, norm_rows):
+    # the reference: one norm_rows call per row i over the rows j > i
+    best, bi, bj = -1.0, -1, -1
+    for i in range(len(R) - 1):
+        d = 0.5 * norm_rows(R[i + 1 :] - R[i])
+        j = int(np.argmax(d))
+        if d[j] > best:
+            best, bi, bj = float(d[j]), i, i + 1 + j
+    return (best, bi, bj) if bi >= 0 else (0.0, -1, -1)
+
+
+@pytest.mark.parametrize("k, cols", [(2, 2), (7, 7), (33, 33), (60, 60), (100, 100), (64, 7), (300, 3)])
+def test_pair_scan_equals_the_row_by_row_scan(k, cols, rng):
+    # same value bit for bit and the same pair, on the simplex and under the
+    # embedded linf norm, in one gather and in many
+    R = rng.standard_normal((k, cols)) * 10.0 ** rng.uniform(-8, 8, (k, cols))
+    spaces = [make_simplex(cols)] + ([make_embedded(cols - 1, "linf")] if cols <= 13 else [])
+    for s in spaces:
+        want = _row_by_row_pairs(R, s.norm_rows)
+        got = _backend.max_pair_half_l1(R, s.norm_rows)
+        assert got[1:] == want[1:] and got[0].hex() == want[0].hex(), (k, cols, s)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 45, 46, 60, 100])
+@pytest.mark.parametrize("cols", [1, 60])
+def test_pair_blocks_are_the_upper_triangle_in_row_order(k, cols):
+    # the scan's blocks, laid end to end, are np.triu_indices(k, 1), read-only
+    pairs = k * (k - 1) // 2
+    step = _backend._PAIR_BLOCK_ENTRIES // (2 * cols)
+    blocks = [_backend._pair_block(k, s, min(s + step, pairs)) for s in range(0, pairs, step)]
+    assert not any(JI.flags.writeable for JI in blocks)
+    I, J = np.triu_indices(k, 1)
+    assert np.array_equal(np.concatenate(blocks, axis=1), [J, I])
+
+
+def _pair_scan_case():
+    # k = 60 rows of 60 columns: 1770 pairs over several blocks.  Every row
+    # is 0 but in column 0, so the distance of a pair is |x_i - x_j|.
+    k = 60
+    step = _backend._PAIR_BLOCK_ENTRIES // (2 * k)
+    I, J = np.triu_indices(k, 1)
+    assert len(I) > 2 * step
+    last = np.flatnonzero(J == k - 1)  # the position of (i, k - 1), per row i
+    u = int(np.flatnonzero(last < step)[-1])
+    assert last[u + 1] >= step  # (u, k - 1) ends the first block, (u + 1, k - 1) does not
+    return k, u, np.zeros((k, k))
+
+
+def test_pair_scan_tie_across_a_block_boundary_goes_to_the_first_pair():
+    # x = 1 at row k - 1 and -1 at rows u and u + 1: the two largest pairs,
+    # (u, k - 1) and (u + 1, k - 1), lie on both sides of a block boundary
+    k, u, R = _pair_scan_case()
+    R[k - 1, 0] = 1.0
+    R[[u, u + 1], 0] = -1.0
+    l1 = make_simplex(k).norm_rows
+    assert _backend.max_pair_half_l1(R, l1) == (1.0, u, k - 1)
+    assert _backend.max_pair_half_l1(R[::-1].copy(), l1) == (1.0, 0, k - 1 - u - 1)
+
+
+def test_pair_scan_finds_a_maximum_in_the_last_block():
+    # x = -1 at row k - 2 and 1 at row k - 1: the largest pair is the last one
+    k, _, R = _pair_scan_case()
+    R[k - 2, 0], R[k - 1, 0] = -1.0, 1.0
+    R[0, 0] = 0.25  # earlier pairs reach 1.25, not 2
+    assert _backend.max_pair_half_l1(R, make_simplex(k).norm_rows) == (1.0, k - 2, k - 1)
+
+
+def _group_scan_reference(R, groups, norm_rows):
+    # one full pair scan per group, ties to the earlier group
+    best = (0.0, -1, -1)
+    for g in groups:
+        v, i, j = _backend.max_pair_half_l1(R[list(g)], norm_rows)
+        if i >= 0 and (best[1] < 0 or v > best[0]):
+            best = (v, g[i], g[j])
+    return best
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [((0, 3, 5), (1, 2), (4,), tuple(range(6, 13))), ((12, 0, 7), (3,), (1, 2, 4, 5, 6, 8, 9, 10, 11))],
+    ids=["in order", "permuted"],
+)
+def test_group_scan_is_a_scan_per_group(groups, rng):
+    R = rng.standard_normal((13, 13))
+    l1 = make_simplex(13).norm_rows
+    assert _backend.max_group_pair_half_l1(R, groups, l1) == _group_scan_reference(R, groups, l1)
+
+
+def test_group_scan_ties_go_to_the_earlier_group_across_blocks():
+    # two groups of 30 rows of 60 columns: 870 pairs, several gathers; each
+    # group's largest pair is its last one, equal in both groups
+    k = 60
+    assert 2 * 435 > 2 * (_backend._PAIR_BLOCK_ENTRIES // (2 * k))
+    groups = (tuple(range(30)), tuple(range(30, 60)))
+    R = np.zeros((k, k))
+    R[[28, 58], 0], R[[29, 59], 0] = -1.0, 1.0
+    l1 = make_simplex(k).norm_rows
+    assert _backend.max_group_pair_half_l1(R, groups, l1) == (1.0, 28, 29)
+    assert _backend.max_group_pair_half_l1(R, groups[::-1], l1) == (1.0, 58, 59)
+    R[59, 0] = 1.5  # the larger pair now lies in the last gather
+    assert _backend.max_group_pair_half_l1(R, groups, l1) == (1.25, 58, 59)
+
+
+def test_group_scan_without_pairs():
+    l1 = make_simplex(3).norm_rows
+    assert _backend.max_group_pair_half_l1(np.eye(3), ((0,), (1,), (2,)), l1) == (0.0, -1, -1)
+
+
+def test_pair_scan_keeps_a_nan_distance():
+    # a NaN distance comes out as NaN at its pair, as an argmax over all pairs
+    # gives it, never as a smaller finite value or as "no pair"
+    R = np.zeros((60, 60))
+    R[40, 3] = np.nan
+    R[0, 0] = 5.0
+    l1 = make_simplex(60).norm_rows
+    value, i, j = _backend.max_pair_half_l1(R, l1)
+    assert np.isnan(value) and (i, j) == (0, 40)
+    value, i, j = _backend.max_group_pair_half_l1(R, (tuple(range(30)), tuple(range(30, 60))), l1)
+    assert np.isnan(value) and (i, j) == (30, 40)

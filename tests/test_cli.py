@@ -61,14 +61,14 @@ def test_analyze_one_state_reads_both_empty_kernels_as_zero(tmp_path, capsys):
     p = write(tmp_path, "one.json", ONE_STATE)
     code, out, _ = run(capsys, ["analyze", p])
     assert code == 0
-    assert "delta      = 0  [kernel-vertex-enumeration; exact]" in out
-    assert "delta_P    = 0  [kernel-vertex-enumeration; exact]" in out
+    assert "delta      = 0  [pair-formula; exact]" in out
+    assert "delta_P    = 0  [pair-formula; exact]" in out
     assert "[FAIL]" not in out
     assert "audit ok" in out
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     coefficients = json.loads(out)["coefficients"]
     for name in ("classical", "kernel"):
-        assert coefficients[name]["method"] == "kernel-vertex-enumeration", name
+        assert coefficients[name]["method"] == "pair-formula", name
         assert coefficients[name]["certified_exact"] is True, name
         assert float(coefficients[name]["value"]) == 0.0, name
 
@@ -82,7 +82,7 @@ def test_analyze_identity_on_two_states_fails_no_check(tmp_path, capsys):
     }
     code, out, _ = run(capsys, ["analyze", write(tmp_path, "identity.json", doc)])
     assert code == 0
-    assert "delta_P    = 0  [kernel-vertex-enumeration; exact]" in out
+    assert "delta_P    = 0  [pair-formula; exact]" in out
     assert "[FAIL]" not in out
     assert "audit ok" in out
     assert "theorems: 12/12 ok" in out
@@ -449,9 +449,9 @@ def test_analyze_computes_the_kernel_coefficient_once(tmp_path, capsys, count_ca
         if caller == "coefficient_inequalities":
             inequality_args.append(A)
         if caller == "instance_theorems":
-            assert kwargs.get("method") == "pairs"
+            assert kwargs.get("method") == "vertices"
         P = args[1] if len(args) > 1 else kwargs.get("P")
-        if P is not None and np.array_equal(A, T) and kwargs.get("method") != "pairs":
+        if P is not None and np.array_equal(A, T) and kwargs.get("method") != "vertices":
             own_delta.append(caller)
     assert own_delta == ["cmd_analyze"]
     assert len(inequality_args) == 2
@@ -470,7 +470,7 @@ def test_analyze_identity_projection_scores_every_theorem_ok(tmp_path, capsys):
     code, out, _ = run(capsys, ["analyze", p])
     assert code == 0
     assert "[FAIL]" not in out
-    assert "delta_P    = 0  [kernel-vertex-enumeration; exact]" in out
+    assert "delta_P    = 0  [pair-formula; exact]" in out
     assert out.count("[ok] coefficient-") == 5
     assert "theorems: 8/8 ok" in out
 

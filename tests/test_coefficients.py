@@ -150,7 +150,7 @@ def test_identity_projection_has_coefficient_zero():
     s = make_simplex(3)
     P = explicit_projection(s, np.eye(3))
     res = ergodicity_coefficient(np.eye(3), P, space=s)
-    assert (res.value, res.method, res.certified_exact) == (0.0, "kernel-vertex-enumeration", True)
+    assert (res.value, res.method, res.certified_exact) == (0.0, "pair-formula", True)
     assert res.witness is None
     assert ergodicity_coefficient(np.eye(3), P, space=s, method="pairs").value == 0.0
 
@@ -175,7 +175,7 @@ def test_ker_f_on_one_state_is_the_empty_kernel():
     s = make_simplex(1)
     T = as_markov(np.eye(1), s)
     res = ergodicity_coefficient(T)
-    assert (res.value, res.method, res.certified_exact) == (0.0, "kernel-vertex-enumeration", True)
+    assert (res.value, res.method, res.certified_exact) == (0.0, "pair-formula", True)
     pairs = ergodicity_coefficient(T, method="pairs")
     assert (pairs.value, pairs.method) == (0.0, "pair-formula")
     low = coefficient_lower_bound(T, None)
@@ -430,6 +430,48 @@ def test_embedded_pair_route_matches_the_vertices(rng):
     B = s.base_vertices
     assert np.array_equal(b.witness, 0.5 * (B[i] - B[j]))
     assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b.value, abs=1e-12)
+
+
+ROUTE_DIMS = (1, 2, 3, 7, 10, 13, 30, 60, 100)
+
+
+def _route_case(n, kind):
+    # a random column-stochastic T on n states, and P = None, a rank-one P
+    # or a two-block P (one block for n = 1)
+    rng = np.random.default_rng(n)
+    s = make_simplex(n)
+    T = as_markov(rng.dirichlet(np.ones(n), size=n).T, s)
+    if kind == "none":
+        return T, None
+    if kind == "rank-one":
+        return T, rank_one_projection(s, rng.dirichlet(np.ones(n)))
+    h = max(1, n // 2)
+    return T, block_projection(s, [b for b in (range(h), range(h, n)) if len(b)])
+
+
+@pytest.mark.parametrize("kind", ["none", "rank-one", "block"])
+@pytest.mark.parametrize("n", ROUTE_DIMS)
+def test_auto_takes_the_pair_route_with_the_vertex_floats(n, kind, count_calls):
+    # auto reads rank-one and block P on the simplex by the pair formula and
+    # never builds the kernel vertices; the value and upper side are the
+    # vertex route's floats, bit for bit
+    T, P = _route_case(n, kind)
+    calls = count_calls("kernel_ball_vertices")
+    auto = ergodicity_coefficient(T, P)
+    assert calls["kernel_ball_vertices"] == []
+    pairs = ergodicity_coefficient(T, P, method="pairs")
+    vertices = ergodicity_coefficient(T, P, method="vertices")
+    assert (auto.method, auto.certified_exact, auto.pair) == ("pair-formula", True, pairs.pair)
+    for res in (pairs, vertices):
+        assert auto.value.hex() == res.value.hex(), res.method
+        assert auto.upper_bound.hex() == res.upper_bound.hex(), res.method
+    if auto.pair is None:  # no pair in any group: ker P = {0}
+        assert auto.value == 0.0 and auto.witness is None
+        assert len(kernel_ball_vertices(P, T.space)) == 0
+    else:
+        i, j = auto.pair
+        B = T.space.base_vertices
+        assert np.array_equal(auto.witness, 0.5 * (B[i] - B[j]))
 
 
 def _half_absorbed(sizes, rng):

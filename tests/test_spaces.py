@@ -180,3 +180,19 @@ def test_norm_of_a_row_is_its_entry_in_norm_rows(n, rng):
         rows = s.norm_rows(W)
         for i in range(0, len(W), 37):
             assert s.norm(W[i]) == rows[i], (s, i)
+
+
+@pytest.mark.parametrize("rows", [1, ROWS - 1, ROWS, 8192])
+def test_abs_row_max_equals_numpy_bit_for_bit(rows, rng):
+    # the column fold of the linf row max, with signed zeros among the entries,
+    # on the layouts norm_rows hands it (a column slice of the embedded W)
+    for m in range(1, 17):
+        W = _spread(rng, (rows, m + 1))
+        W[rng.random(W.shape) < 0.2] = 0.0
+        W[rng.random(W.shape) < 0.2] = -0.0
+        for layout, X in (("C", W[:, 1:].copy()), ("column slice", W[:, 1:]),
+                          ("F", np.asfortranarray(W[:, 1:]))):
+            want = np.abs(X).max(axis=1).tobytes()
+            assert spaces._abs_row_max(X).tobytes() == want, (m, layout)
+        want = np.maximum(np.abs(W[:, 0]), np.abs(W[:, 1:]).max(axis=1)).tobytes()
+        assert make_embedded(m, "linf").norm_rows(W).tobytes() == want, m

@@ -281,3 +281,34 @@ def test_shared_audit_raises_the_certificate_error_again():
     with pytest.raises(ErgokitError) as again:
         ctx.shared("audit", inst)
     assert again.value is first.value
+
+
+@pytest.mark.parametrize("route", ["_pair_route", "_exact_from_vertices"])
+def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch):
+    # analyze's pair-formula theorem compares the pair route (auto's delta)
+    # with the vertex route: inflating either one by 1e-6 must fail it
+    import dataclasses
+
+    from ergokit import classify, coefficients, ergodicity_coefficient
+    from ergokit.corpus import dirichlet_instance
+    from ergokit.verification import instance_theorems
+
+    inst = dirichlet_instance(7, np.random.default_rng(0), "dirichlet-7")
+    assert inst.P.variant == "rank_one" and inst.T.space.is_lattice
+
+    def pair_formula():
+        verdict, report = classify(inst.T, inst.P)
+        delta = ergodicity_coefficient(inst.T, inst.P)
+        theorems = instance_theorems(inst.T, inst.P, verdict, report, delta)
+        return next(ok for name, ok, _ in theorems if name == "pair-formula")
+
+    assert pair_formula()
+    real = getattr(coefficients, route)
+
+    def mutant(*args, **kwargs):
+        res = real(*args, **kwargs)
+        scale = 1 + 1e-6
+        return dataclasses.replace(res, value=res.value * scale, upper_bound=res.upper_bound * scale)
+
+    monkeypatch.setattr(coefficients, route, mutant)
+    assert not pair_formula()
