@@ -10,10 +10,11 @@ column-wise l1 row sums of ``spaces._abs_row_sums``.  The pair scans gather
 the differences of their pairs in row order, at most
 ``_PAIR_BLOCK_ENTRIES`` entries at a time, with one ``norm_rows`` call per
 gather.  The full scan builds its pairs one gather at a time, so k rows take
-no O(k^2) memory; the group scan caches each group tuple's pairs.  They are
-the route ``ergodicity_coefficient`` takes for rank-one and block P on the
-simplex.  ``BACKEND`` is always "python".  The kernels keep a module of
-their own because the benchmark tracer rebinds them by module name.
+no O(k^2) memory; the group scan caches each group tuple's pairs.  They
+take any ``norm_rows``, but the package runs them on the simplex only, as
+the route ``ergodicity_coefficient`` takes for rank-one and block P there.
+``BACKEND`` is always "python".  The kernels keep a module of their own
+because the benchmark tracer rebinds them by module name.
 """
 
 from __future__ import annotations

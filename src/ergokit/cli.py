@@ -20,7 +20,12 @@ import time
 
 from . import __version__
 from .coefficients import ergodicity_coefficient
-from .doeblin import certificate_from_convergence, search_certificates, verify_certificate
+from .doeblin import (
+    certificate_from_convergence,
+    default_q_candidates,
+    search_certificates,
+    verify_certificate,
+)
 from .errors import (
     ErgokitError,
     ParseError,
@@ -30,7 +35,7 @@ from .errors import (
 )
 from .instances import ParsedInstance, dumps_structured, instance_hash, load_instance
 from .operators import VALIDATION_TOL
-from .spectral import classify, rate_profile
+from .spectral import classify, rate_profile, tensor_rate_bound
 from .verification import CHECK_NAMES, instance_theorems, run_verification
 
 EXIT_OK = 0
@@ -243,8 +248,6 @@ def cmd_doeblin(args) -> int:
         )
     candidates = None
     if inst.sub is not None:
-        from .doeblin import default_q_candidates
-
         candidates = [inst.sub] + default_q_candidates(inst.projection)
     outcome = search_certificates(
         inst.operator, inst.projection, n0_cap=args.n0_cap, Q_candidates=candidates,
@@ -325,8 +328,6 @@ def cmd_doeblin(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    from .spectral import tensor_rate_bound
-
     t0 = time.perf_counter()
     left = load_instance(args.path_s)
     right = load_instance(args.path_t)

@@ -17,16 +17,17 @@ admissible base-vertex pairs, and a Monte-Carlo lower bound with LP
 refinement.  ``ergodicity_coefficient`` takes the pair formula for
 rank-one and block P on the simplex (P = None included), the vertices for
 every other exact case, and a Monte-Carlo bracket where neither is exact
-(an explicit P past the enumeration cap or on an embedded space).
-The pair scan and the ratio scan are ``_backend`` kernels that read the
-space's ``norm_rows``, one scan each on every space.  The
-refinement runs on the simplex; its LPs have a closed form (a half-range
-over each block) for rank-one and block P, and go to HiGHS only for
-explicit projections.  A matrix-written P that is rank-one
-or a partition is built in its structured form (``explicit_projection``),
-so only a P with neither form, such as one absorbing a transient state
-into two classes, takes the explicit routes: support-pattern enumeration
-up to dim 12, a Monte-Carlo bracket past it.  P = identity (kernel {0},
+(an explicit P past the enumeration cap or on an embedded space);
+``method="vertices"`` forces the enumeration, the cross-checks' reference.
+The ratio scan (every space) and the pair scan (simplex only) are
+``_backend`` kernels that read a ``norm_rows``.  The refinement runs on
+the simplex; its LPs have a closed form (a half-range over each block) for
+rank-one and block P, and go to HiGHS only for explicit projections.  A
+matrix-written P that is rank-one or a partition is built in its
+structured form (``explicit_projection``), so only a P with neither form,
+such as one absorbing a transient state into two classes, takes the
+explicit routes: support-pattern enumeration up to dim 12, a Monte-Carlo
+bracket past it.  P = identity (kernel {0},
 as for ker f on one state) needs no convention: the sup over no x is 0,
 which every exact route returns from its empty vertex or pair set.
 """
@@ -243,32 +244,26 @@ def _admissible_pair_groups(P: MarkovProjection, space: StateSpace):
 
 
 def _pair_route(A, P, space) -> CoefficientResult:
-    """Half the largest distance between images of two base vertices of a group.
+    """Half the largest l1 distance between images T e_i, T e_j inside a group.
 
-    The pair formula: for rank-one and block P on the simplex, the kernel
-    ball's vertices are the half differences (b_i - b_j)/2 inside a group,
-    so the sup is a max over pairs (Seneta, Non-negative Matrices and Markov
-    Chains, 2006, ch. 3).  Rank-one P has one group, every row, scanned on
-    the images as they are; its ties go to the first (i, j) in row order.
-    A block's ties go to its first pair in the block's order, and ties
-    between blocks to the earlier block.
+    The pair formula: for rank-one and block P on the simplex (the only
+    case ``ergodicity_coefficient`` sends here), the kernel ball's vertices
+    are the half differences (e_i - e_j)/2 inside a group, so the sup is a
+    max over pairs (Seneta, Non-negative Matrices and Markov Chains, 2006,
+    ch. 3).  Rank-one P has one group, every state, scanned on the images
+    as they are; its ties go to the first (i, j) in row order.  A block's
+    ties go to its first pair in the block's order, and ties between blocks
+    to the earlier block.
     """
-    # row i = image of base vertex i: column i of A on the simplex (b_i = e_i)
-    images = A.T if space.is_lattice else space.base_vertices @ A.T
+    images = A.T  # row i = T e_i, the image of base vertex i
     if P.variant == "rank_one":
         best, bi, bj = _backend.max_pair_half_l1(images, space.norm_rows)
-    elif P.variant == "block":
-        best, bi, bj = _backend.max_group_pair_half_l1(images, P.blocks, space.norm_rows)
     else:
-        raise UnsupportedSpaceError("the pair formula needs a rank-one or block projection")
+        best, bi, bj = _backend.max_group_pair_half_l1(images, P.blocks, space.norm_rows)
     if bi < 0:
         return CoefficientResult(0.0, "pair-formula", None, True, 0.0)
-    if space.is_lattice:  # (e_i - e_j)/2, entry by entry
-        w = np.zeros(space.dim)
-        w[bi], w[bj] = 0.5, -0.5
-    else:
-        w = space.base_vertices[bi] - space.base_vertices[bj]
-        w *= 0.5
+    w = np.zeros(space.dim)  # (e_i - e_j)/2, entry by entry
+    w[bi], w[bj] = 0.5, -0.5
     return CoefficientResult(best, "pair-formula", w, True, best, pair=(bi, bj))
 
 
@@ -284,23 +279,24 @@ def ergodicity_coefficient(
 
     T may be a MarkovOperator or a raw matrix (the functional extends to
     arbitrary operators, which property checks on differences need).
-    method: "auto", "vertices", or "pairs" (rank-one or block P only; an
-    explicit P raises UnsupportedSpaceError).  "auto" takes the pair route
-    for rank-one and block P on the simplex, P = None included: the blocked
-    pair scan of the n base-vertex images, O(n^3), where the vertex route
+    method: "auto" or "vertices".  "auto" takes the exact route: the pair
+    formula for rank-one and block P on the simplex, P = None included (the
+    blocked pair scan of the n images T e_i, O(n^3), where the vertex route
     multiplies the n(n - 1) x n pair-vertex matrix by T, O(n^4); both give
-    the same float.  Embedded spaces and explicit P take the vertex route;
-    an explicit P with no exact route (past the enumeration cap, or on an
-    embedded space) gets a Monte-Carlo bracket.
+    the same float), and the vertex route for embedded spaces and explicit
+    P.  An explicit P with no exact route (past the enumeration cap, or on
+    an embedded space) gets a Monte-Carlo bracket.  "vertices" is the
+    enumeration reference the cross-checks compare "auto" against; it
+    raises where no vertex set can be built.
     P = None is ker f (the classical coefficient), and P = identity
     (ker P = {0}) gives 0 on every exact route.  The bracket's lower side
     samples 100_000 directions (``coefficient_lower_bound``).
     """
     A, P, space = _resolve(T, P, space)
-    if method == "pairs" or (method == "auto" and P.structured and space.is_lattice):
-        return _pair_route(A, P, space)
     if method not in ("auto", "vertices"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto" and P.structured and space.is_lattice:
+        return _pair_route(A, P, space)
     try:
         V = kernel_ball_vertices(P, space)
     except (DimensionTooLargeError, UnsupportedSpaceError):

@@ -170,11 +170,18 @@ def _minorization_outcome(
     return MinorizationOutcome(True, tau, cert, implied, delta, delta <= implied + 1e-9)
 
 
-def _max_tau_given_power(
-    Tn: np.ndarray, delta: float, Q: MarkovProjection, n0: int
-) -> MinorizationOutcome:
-    tau = float(_max_tau(Tn[None], np.asarray(Q.matrix)[None])[0, 0])
-    return _minorization_outcome(Tn, delta, Q, n0, tau)
+def _power_and_delta(
+    T: MarkovOperator, P: MarkovProjection, Q: MarkovProjection, n0: int
+) -> tuple[np.ndarray, float]:
+    """T^n0 and delta_P(T^n0), after the checks both single-power entry points make."""
+    _require_simplex(T.space)
+    _require_membership(T, P)
+    if not sub_projection(Q, P):
+        raise PreconditionError("Q is not a sub-projection of P (QP = PQ = Q fails)")
+    if n0 < 1:
+        raise ValueError("n0 must be >= 1")
+    Tn = np.linalg.matrix_power(np.asarray(T.matrix), n0)
+    return Tn, ergodicity_coefficient(Tn, P, space=T.space).value
 
 
 def max_minorization_weight(
@@ -185,15 +192,9 @@ def max_minorization_weight(
     Requires Q <= P in the projection order and TP = PT = P.  Infeasible
     below tau = 1e-6 is reported, not raised.
     """
-    _require_simplex(T.space)
-    _require_membership(T, P)
-    if not sub_projection(Q, P):
-        raise PreconditionError("Q is not a sub-projection of P (QP = PQ = Q fails)")
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    Tn = np.linalg.matrix_power(np.asarray(T.matrix), n0)
-    delta = ergodicity_coefficient(Tn, P, space=T.space).value
-    return _max_tau_given_power(Tn, delta, Q, n0)
+    Tn, delta = _power_and_delta(T, P, Q, n0)
+    tau = float(_max_tau(Tn[None], np.asarray(Q.matrix)[None])[0, 0])
+    return _minorization_outcome(Tn, delta, Q, n0, tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,14 +281,7 @@ def overlap_certificate(
     The threshold is strict: lambda must exceed 1/2 (the sufficiency proof
     needs 2(1 - lambda) < 1).
     """
-    _require_simplex(T.space)
-    _require_membership(T, P)
-    if not sub_projection(Q, P):
-        raise PreconditionError("Q is not a sub-projection of P (QP = PQ = Q fails)")
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    Tn = np.linalg.matrix_power(np.asarray(T.matrix), n0)
-    delta = ergodicity_coefficient(Tn, P, space=T.space).value
+    Tn, delta = _power_and_delta(T, P, Q, n0)
     return _overlap_given_power(Tn, delta, Q, n0)
 
 

@@ -231,7 +231,7 @@ def _check_pair_formula(ctx, inst):
     if ann > 1e-10:
         return f"kernel vertex not annihilated ({ann:.2e})"
     a = ergodicity_coefficient(inst.T, inst.P, method="vertices").value
-    b = ergodicity_coefficient(inst.T, inst.P, method="pairs").value
+    b = ergodicity_coefficient(inst.T, inst.P).value  # auto: the pair route here
     if abs(a - b) > 1e-12:
         return f"vertex {a!r} vs pair {b!r}"
     return None

@@ -394,6 +394,21 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in cap.err
 
 
+def test_analyze_exits_3_when_the_certificate_misses_n0_cap(tmp_path, capsys):
+    # the two-state chain's honest certificate needs n0 = 4: one power less
+    # is a precondition failure, not a report
+    p = write(tmp_path, "two.json", TWO_STATE)
+    code, out, err = run(capsys, ["analyze", "--n0-cap", "3", p])
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "precondition failed: power norms did not reach 1/4 within n0_cap=3: "
+    )
+    code, out, err = run(capsys, ["analyze", "--format", "structured", "--n0-cap", "4", p])
+    assert (code, err) == (0, "")
+    cert = json.loads(out)["certificate"]
+    assert (cert["n0"], cert["audit_ok"]) == (4, True)
+
+
 def test_analyze_classifies_once(tmp_path, capsys, count_calls):
     calls = count_calls("classify")
     p = write(tmp_path, "two.json", TWO_STATE)

@@ -24,7 +24,6 @@ from scipy.optimize import linprog
 from ergokit import (
     DimensionTooLargeError,
     MarkovProjection,
-    UnsupportedSpaceError,
     as_markov,
     block_projection,
     coefficient_inequalities,
@@ -120,14 +119,14 @@ def test_embedded_fixture_coefficient_frozen(embedded):
 def test_pair_formula_equals_enumeration(small_corpus):
     for inst in small_corpus:
         a = ergodicity_coefficient(inst.T, inst.P, method="vertices")
-        b = ergodicity_coefficient(inst.T, inst.P, method="pairs")
-        assert b.method == "pair-formula"
+        b = ergodicity_coefficient(inst.T, inst.P)
+        assert b.method == "pair-formula", inst.label
         assert a.value == pytest.approx(b.value, abs=1e-12), inst.label
 
 
 def test_pair_witness_annihilated(two_state):
-    res = ergodicity_coefficient(two_state.T, two_state.P, method="pairs")
-    assert res.pair is not None
+    res = ergodicity_coefficient(two_state.T, two_state.P)
+    assert res.method == "pair-formula" and res.pair is not None
     assert np.abs(np.asarray(two_state.P.matrix) @ res.witness).max() < 1e-12
 
 
@@ -152,7 +151,6 @@ def test_identity_projection_has_coefficient_zero():
     res = ergodicity_coefficient(np.eye(3), P, space=s)
     assert (res.value, res.method, res.certified_exact) == (0.0, "pair-formula", True)
     assert res.witness is None
-    assert ergodicity_coefficient(np.eye(3), P, space=s, method="pairs").value == 0.0
 
 
 @pytest.mark.parametrize(
@@ -176,8 +174,6 @@ def test_ker_f_on_one_state_is_the_empty_kernel():
     T = as_markov(np.eye(1), s)
     res = ergodicity_coefficient(T)
     assert (res.value, res.method, res.certified_exact) == (0.0, "pair-formula", True)
-    pairs = ergodicity_coefficient(T, method="pairs")
-    assert (pairs.value, pairs.method) == (0.0, "pair-formula")
     low = coefficient_lower_bound(T, None)
     assert (low.value, low.upper_bound, low.witness) == (0.0, np.inf, None)
     assert kernel_ball_vertices(None, s).shape == (0, 1)
@@ -356,8 +352,7 @@ def test_explicit_projection_enumeration_matches_block(rng, n):
     assert b.method == "kernel-vertex-enumeration"
     assert a.value == pytest.approx(b.value, abs=1e-12)
     # the pair route reads its groups from a rank-one or block P only
-    with pytest.raises(UnsupportedSpaceError):
-        ergodicity_coefficient(T, E, space=s, method="pairs")
+    assert a.method == "pair-formula"
 
 
 def test_pair_route_refuses_a_kernel_no_pair_spans():
@@ -369,24 +364,24 @@ def test_pair_route_refuses_a_kernel_no_pair_spans():
     T = np.array([[1, 0, 0.3], [0, 1, 0.3], [0, 0, 0.4]])
     exact = ergodicity_coefficient(T, E, space=s, method="vertices")
     assert exact.value == pytest.approx(0.4, abs=1e-12)
-    assert ergodicity_coefficient(T, E, space=s).value == exact.value
-    with pytest.raises(UnsupportedSpaceError):
-        ergodicity_coefficient(T, E, space=s, method="pairs")
+    # auto never takes the pair maximum where no pair spans ker P
+    auto = ergodicity_coefficient(T, E, space=s)
+    assert (auto.value, auto.method) == (exact.value, "kernel-vertex-enumeration")
 
 
 def test_pair_route_on_explicit_rank_one_embedded():
     # a rank-one P written as a matrix on an embedded space is built as
-    # rank-one: every base vertex pair is admissible, and the pair route
-    # matches the vertices
+    # rank-one: every base vertex pair is admissible, and the pair scan of
+    # the base-vertex images matches the vertices
     s = make_embedded(2, "linf")
     T = as_markov(np.array([[1, 0, 0], [0.1, 0.5, 0.2], [0, -0.1, 0.3]]), s)
     R = rank_one_projection(s, np.array([1.0, 0.2, -0.1]))
     E = explicit_projection(s, np.asarray(R.matrix))
     assert E.variant == "rank_one"
     a = ergodicity_coefficient(T, E, method="vertices")
-    b = ergodicity_coefficient(T, E, method="pairs")
-    assert a.certified_exact and b.certified_exact
-    assert b.value == pytest.approx(a.value, abs=1e-12)
+    b, _, _ = _backend.max_pair_half_l1(s.base_vertices @ T.matrix.T, s.norm_rows)
+    assert a.certified_exact
+    assert b == pytest.approx(a.value, abs=1e-12)
     assert a.value == pytest.approx(ergodicity_coefficient(T, R).value, abs=1e-12)
 
 
@@ -424,12 +419,10 @@ def test_embedded_pair_route_matches_the_vertices(rng):
     T = as_markov(M, s)
     P = rank_one_projection(s, np.eye(m + 1)[0])
     a = ergodicity_coefficient(T, P, method="vertices")
-    b = ergodicity_coefficient(T, P, method="pairs")
-    assert b.value == pytest.approx(a.value, abs=1e-12)
-    i, j = b.pair
     B = s.base_vertices
-    assert np.array_equal(b.witness, 0.5 * (B[i] - B[j]))
-    assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b.value, abs=1e-12)
+    b, i, j = _backend.max_pair_half_l1(B @ M.T, s.norm_rows)
+    assert b == pytest.approx(a.value, abs=1e-12)
+    assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b, abs=1e-12)
 
 
 ROUTE_DIMS = (1, 2, 3, 7, 10, 13, 30, 60, 100)
@@ -459,12 +452,10 @@ def test_auto_takes_the_pair_route_with_the_vertex_floats(n, kind, count_calls):
     calls = count_calls("kernel_ball_vertices")
     auto = ergodicity_coefficient(T, P)
     assert calls["kernel_ball_vertices"] == []
-    pairs = ergodicity_coefficient(T, P, method="pairs")
     vertices = ergodicity_coefficient(T, P, method="vertices")
-    assert (auto.method, auto.certified_exact, auto.pair) == ("pair-formula", True, pairs.pair)
-    for res in (pairs, vertices):
-        assert auto.value.hex() == res.value.hex(), res.method
-        assert auto.upper_bound.hex() == res.upper_bound.hex(), res.method
+    assert (auto.method, auto.certified_exact) == ("pair-formula", True)
+    assert auto.value.hex() == vertices.value.hex()
+    assert auto.upper_bound.hex() == vertices.upper_bound.hex()
     if auto.pair is None:  # no pair in any group: ker P = {0}
         assert auto.value == 0.0 and auto.witness is None
         assert len(kernel_ball_vertices(P, T.space)) == 0
@@ -472,6 +463,13 @@ def test_auto_takes_the_pair_route_with_the_vertex_floats(n, kind, count_calls):
         i, j = auto.pair
         B = T.space.base_vertices
         assert np.array_equal(auto.witness, 0.5 * (B[i] - B[j]))
+
+
+def test_pairs_is_an_unknown_method(two_state):
+    # method is "auto" or "vertices": auto is the pair route wherever the
+    # pair formula holds
+    with pytest.raises(ValueError, match="unknown method 'pairs'"):
+        ergodicity_coefficient(two_state.T, two_state.P, method="pairs")
 
 
 def _half_absorbed(sizes, rng):

@@ -115,6 +115,38 @@ def test_wrong_shape_phi_rejected(two_state):
     assert any("wrong shape" in v for v in rep.violations)
 
 
+def _forge(cert, space, how):
+    """The honest two-state certificate (tau = 1, n0 = 4) with one field broken."""
+    phi = cert.phi_table.copy()
+    if how == "n0":
+        return dataclasses.replace(cert, n0=0)
+    if how == "Q":
+        return dataclasses.replace(cert, Q=rank_one_projection(space, np.array([0.5, 0.5])))
+    if how == "cone":
+        phi[0, 0] -= 1e-6
+        return dataclasses.replace(cert, phi_table=phi)
+    if how == "budget":
+        phi[0] += 0.15
+        return dataclasses.replace(cert, phi_table=phi, sup_phi_norm=float(phi.sum(axis=1).max()))
+    return dataclasses.replace(cert, n0=1)  # tau = 1 claimed at the first power
+
+
+@pytest.mark.parametrize("how, message", [
+    ("n0", "n0 0 not a positive integer"),
+    ("Q", "Q is not a sub-projection of P"),
+    ("cone", "a corrector phi_x leaves the cone"),
+    ("budget", "corrector budget exceeded"),
+    ("power", "implied coefficient bound 1 - tau/2 fails"),
+], ids=["n0", "Q", "cone", "budget", "power"])
+def test_audit_names_each_broken_field(two_state, how, message):
+    cert = certificate_from_convergence(two_state.T, two_state.P)
+    assert (cert.tau, cert.n0) == (1.0, 4)
+    assert verify_certificate(cert, two_state.T, two_state.P).ok
+    rep = verify_certificate(_forge(cert, two_state.T.space, how), two_state.T, two_state.P)
+    assert not rep.ok
+    assert any(v.startswith(message) for v in rep.violations), rep.violations
+
+
 def test_search_two_state(two_state):
     out = search_certificates(two_state.T, two_state.P, n0_cap=40)
     assert not out.exhausted_minorization
@@ -321,7 +353,7 @@ def _per_power_search(T, P, n0_cap):
     best_min = best_over = None
     for n0, Tn in powers(np.asarray(T.matrix), n0_cap):
         for k, Q in enumerate(default_q_candidates(P)):
-            tau = doeblin._max_tau_given_power(Tn, 0.0, Q, n0).tau
+            tau = float(doeblin._max_tau(Tn[None], np.asarray(Q.matrix)[None])[0, 0])
             lam = doeblin._overlap_given_power(Tn, 0.0, Q, n0).overlap
             if tau > doeblin.TAU_FLOOR and (best_min is None or tau > best_min[0]):
                 best_min = (tau, n0, k, Tn)

@@ -10,6 +10,7 @@ from ergokit import (
     PreconditionError,
     as_markov,
     best_rate,
+    block_projection,
     classify,
     ergodicity_coefficient,
     explicit_projection,
@@ -283,6 +284,20 @@ def test_tensor_bound_refuses_nonergodic_factor(two_state):
     perm = permutation_instance(3)
     with pytest.raises(PreconditionError):
         tensor_rate_bound(two_state.T, two_state.P, perm.T, perm.P)
+
+
+def test_tensor_bound_refuses_a_uniform_non_member_factor(two_state):
+    # T fixes P's range but does not commute with P (TP = P, PT != P): the
+    # classification still reads T as uniform and consistent, and the
+    # annihilation identities of the product bound fail
+    s = make_simplex(3)
+    T = as_markov(np.array([[1, 0.5, 0], [0, 0, 0], [0, 0.5, 1]]), s)
+    P = block_projection(s, [[0, 1], [2]], [np.array([1.0, 0.0]), np.array([1.0])])
+    verdict, _ = classify(T, P)
+    assert (verdict.uniform, verdict.consistent, verdict.member) == (True, True, False)
+    assert verdict.commute_defect == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(PreconditionError, match="right factor breaks the annihilation identities"):
+        tensor_rate_bound(two_state.T, two_state.P, T, P)
 
 
 def _half_absorbed_member():

@@ -285,16 +285,20 @@ def test_shared_audit_raises_the_certificate_error_again():
 
 @pytest.mark.parametrize("route", ["_pair_route", "_exact_from_vertices"])
 def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch):
-    # analyze's pair-formula theorem compares the pair route (auto's delta)
-    # with the vertex route: inflating either one by 1e-6 must fail it
+    # analyze's pair-formula theorem and verify's pair-formula check both
+    # compare the pair route (auto) with the vertex route: inflating either
+    # one by 1e-6 must fail the theorem and every case of the check
     import dataclasses
 
-    from ergokit import classify, coefficients, ergodicity_coefficient
-    from ergokit.corpus import dirichlet_instance
+    from ergokit import classify, coefficients, ergodicity_coefficient, verification
+    from ergokit.corpus import block_instance, dirichlet_instance
     from ergokit.verification import instance_theorems
 
-    inst = dirichlet_instance(7, np.random.default_rng(0), "dirichlet-7")
-    assert inst.P.variant == "rank_one" and inst.T.space.is_lattice
+    rng = np.random.default_rng(0)
+    inst = dirichlet_instance(7, rng, "dirichlet-7")
+    corpus = [inst, block_instance([3, 4], rng, "block-7"), dirichlet_instance(3, rng, "d-3")]
+    assert [i.P.variant for i in corpus] == ["rank_one", "block", "rank_one"]
+    assert all(i.T.space.is_lattice for i in corpus)
 
     def pair_formula():
         verdict, report = classify(inst.T, inst.P)
@@ -302,7 +306,13 @@ def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch)
         theorems = instance_theorems(inst.T, inst.P, verdict, report, delta)
         return next(ok for name, ok, _ in theorems if name == "pair-formula")
 
+    def pair_formula_check():
+        check = dict(verification.CHECKS)["pair-formula"]
+        return check(corpus, verification.VerifyContext())
+
     assert pair_formula()
+    honest = pair_formula_check()
+    assert (honest.passed, honest.failed) == (len(corpus), 0)
     real = getattr(coefficients, route)
 
     def mutant(*args, **kwargs):
@@ -312,3 +322,5 @@ def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch)
 
     monkeypatch.setattr(coefficients, route, mutant)
     assert not pair_formula()
+    broken = pair_formula_check()
+    assert (broken.passed, broken.failed) == (0, len(corpus)), broken.messages
