@@ -14,6 +14,7 @@ per-stage wall times.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -480,7 +481,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_FAIL
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in it."""
     # a subcommand takes only the flags it reads; any other is a parse error
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

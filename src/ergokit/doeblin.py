@@ -202,9 +202,9 @@ class CertificateReport:
     ok: bool
     violations: tuple[str, ...]
     implied_bound: float
-    actual_coefficient: float
+    actual_coefficient: float  # NaN when n0 is not a positive integer
     bound_holds: bool
-    power: np.ndarray  # the recomputed T^n0, which the audit read
+    power: np.ndarray | None  # the recomputed T^n0, which the audit read
 
 
 def verify_certificate(
@@ -216,16 +216,21 @@ def verify_certificate(
     the sub-projection order independently of how the certificate was
     produced, and checks the implied coefficient bound against the exact
     coefficient (``seed`` seeds its sampling fallback, past the exact routes).
+    When n0 is not a positive integer there is no power to read: the
+    minorization inequality and the bound go unchecked, ``power`` is None
+    and ``actual_coefficient`` is NaN.
     """
     _require_simplex(T.space)
     violations = []
     if not (0.0 < cert.tau <= 1.0):
         violations.append(f"tau {cert.tau!r} outside (0, 1]")
-    if cert.n0 < 1:
+    n0 = cert.n0
+    has_power = isinstance(n0, (int, np.integer)) and not isinstance(n0, bool) and n0 >= 1
+    if not has_power:
         violations.append(f"n0 {cert.n0!r} not a positive integer")
     if not sub_projection(cert.Q, P):
         violations.append("Q is not a sub-projection of P")
-    Tn = np.linalg.matrix_power(np.asarray(T.matrix), max(cert.n0, 1))
+    Tn = np.linalg.matrix_power(np.asarray(T.matrix), cert.n0) if has_power else None
     Qm = np.asarray(cert.Q.matrix)
     phi = np.asarray(cert.phi_table)
     if phi.shape != (T.space.dim, T.space.dim):
@@ -233,11 +238,12 @@ def verify_certificate(
     else:
         if phi.min() < -CONE_SLACK:
             violations.append("a corrector phi_x leaves the cone")
-        slack = (Tn + phi.T - cert.tau * Qm).min()
-        if slack < -CONE_SLACK:
-            violations.append(
-                f"minorization inequality fails at a vertex (worst entry {slack:.3e})"
-            )
+        if has_power:
+            slack = (Tn + phi.T - cert.tau * Qm).min()
+            if slack < -CONE_SLACK:
+                violations.append(
+                    f"minorization inequality fails at a vertex (worst entry {slack:.3e})"
+                )
         sup_phi = float(phi.sum(axis=1).max())
         if abs(sup_phi - cert.sup_phi_norm) > 1e-9:
             violations.append("recorded sup_phi_norm does not match the table")
@@ -246,11 +252,13 @@ def verify_certificate(
                 f"corrector budget exceeded: sup norm(phi) = {sup_phi:.3e} "
                 f"> tau/4 = {0.25 * cert.tau:.3e}"
             )
-    delta = ergodicity_coefficient(Tn, P, space=T.space, seed=seed).value
     implied = 1.0 - 0.5 * cert.tau
-    bound_holds = delta <= implied + 1e-9
-    if not bound_holds:
-        violations.append("implied coefficient bound 1 - tau/2 fails")
+    delta, bound_holds = float("nan"), False
+    if has_power:
+        delta = ergodicity_coefficient(Tn, P, space=T.space, seed=seed).value
+        bound_holds = delta <= implied + 1e-9
+        if not bound_holds:
+            violations.append("implied coefficient bound 1 - tau/2 fails")
     return CertificateReport(
         not violations, tuple(violations), implied, delta, bound_holds, Tn
     )

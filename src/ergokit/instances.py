@@ -12,9 +12,20 @@ The on-disk format is JSON with four top-level keys::
       "sub_projection": { same shapes as projection }   # optional
     }
 
-Structural problems (syntax, shapes, indices, numbers that are not
-finite) raise ParseError; a well-formed file whose numbers fail
-mathematical validation raises ValidationError.  The distinction drives the CLI exit codes.
+Structural problems (syntax, a key repeated in one object, shapes, indices,
+numbers that are not finite) raise ParseError; a well-formed file whose
+numbers fail mathematical validation raises ValidationError.  The
+distinction drives the CLI exit codes.
+
+Canonical form.  Every document this module writes, an instance or a
+structured report, is the text ``json.dumps(doc, indent=2,
+sort_keys=True) + "\n"``: two-space indents, sorted keys, non-ASCII
+characters as ``\\uXXXX`` escapes.  Report floats are shortest-repr
+strings (``repr(float(x))``); instance floats are JSON numbers in the same
+shortest repr.  The instance hash is the first 16 hex digits of the sha256
+of ``serialize_instance``'s UTF-8 bytes; ``json.loads`` and ``json.dumps``
+give that text back unchanged, so the standard library alone recomputes
+the hash from a canonical file.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -74,20 +86,43 @@ def _require_rows(entries, dim: int, location: str):
              f"expected {dim} rows", location)
 
 
+_NUMBER_TYPES = {int, float}  # bool is a subclass of int, not int itself
+
+
+def _floats(entries, flat, name) -> np.ndarray:
+    """``entries`` as a float array, when every entry is a finite number.
+
+    One type test over ``flat`` (the entries in order), one conversion and
+    one finiteness test.  Otherwise ``_number`` walks the entries in
+    order and names the first bad one (``name(k)`` is the location of the
+    k-th); the walk serves only to raise.
+    """
+    if set(map(type, flat)) <= _NUMBER_TYPES:
+        try:
+            a = np.array(entries, dtype=float)
+        except OverflowError:  # an integer past the float range
+            pass
+        else:
+            if np.isfinite(a).all():
+                return a
+    for k, v in enumerate(flat):
+        _number(v, name(k))
+    raise AssertionError("every entry is a finite number, yet the array is not")
+
+
 def _as_matrix(entries, dim: int, location: str) -> np.ndarray:
     _require_rows(entries, dim, location)
-    rows = []
     for i, row in enumerate(entries):
-        _require(isinstance(row, list) and len(row) == dim,
-                 f"expected {dim} entries", f"{location}[{i}]")
-        rows.append([_number(v, f"{location}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(rows)
+        if not (isinstance(row, list) and len(row) == dim):
+            raise ParseError(f"expected {dim} entries", f"{location}[{i}]")
+    return _floats(entries, list(chain.from_iterable(entries)),
+                   lambda k: f"{location}[{k // dim}][{k % dim}]")
 
 
 def _as_vector(entries, dim: int, location: str) -> np.ndarray:
     _require(isinstance(entries, list) and len(entries) == dim,
              f"expected {dim} entries", location)
-    return np.array([_number(v, f"{location}[{j}]") for j, v in enumerate(entries)])
+    return _floats(entries, entries, lambda k: f"{location}[{k}]")
 
 
 def _positive_int(doc, key: str) -> int:
@@ -164,15 +199,54 @@ def _parse_projection(doc, space: StateSpace, location: str) -> MarkovProjection
     raise ParseError(f"unknown projection type {kind!r}", f"{location}.type")
 
 
+class _Repeated(dict):
+    """A JSON object in which ``key`` appeared more than once."""
+
+    def __init__(self, pairs, key):
+        super().__init__(pairs)
+        self.key = key
+
+
+def _first_repeat(pairs):
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return key
+        seen.add(key)
+
+
+def _refuse_repeats(node, location: str) -> None:
+    """Raise for the first object, in document order, that repeats a key."""
+    if isinstance(node, _Repeated):
+        raise ParseError(f"duplicate key {node.key!r}", location)
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _refuse_repeats(value, key if location == "$" else f"{location}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _refuse_repeats(value, f"{location}[{i}]")
+
+
 def parse_instance(text: str) -> ParsedInstance:
     """Parse and validate one instance document from its JSON text."""
+    repeats = []
+
+    def to_object(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            doc = _Repeated(doc, _first_repeat(pairs))
+            repeats.append(doc)
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=to_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          f"line {exc.lineno}, column {exc.colno}") from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(f"invalid JSON: {exc}", "$") from exc
+    if repeats:
+        _refuse_repeats(doc, "$")
     _require(isinstance(doc, dict), "top level must be an object", "$")
     space_doc = _get(doc, "space", "$")
     operator = _get(doc, "operator", "$")
@@ -200,6 +274,71 @@ def load_instance(path: str) -> ParsedInstance:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _scalar(obj) -> str:
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode(obj, indent: str) -> str:
+    if type(obj) is str:  # most report values
+        return _string(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [_string(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            body = sep.join(map(_string, obj))
+        elif kinds == {float} and all(map(math.isfinite, obj)):
+            body = sep.join(map(float.__repr__, obj))
+        else:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _scalar(obj)
+
+
+def _canonical(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
+    is set; here each flat list of strings or finite floats is one
+    ``str.join`` in C.  Object keys must be strings.
+    """
+    return _encode(doc, "") + "\n"
+
+
+def _floats_doc(a) -> list:
+    return np.asarray(a, dtype=float).tolist()
+
 
 def _space_doc(space: StateSpace) -> dict:
     if space.kind == "embedded":
@@ -210,21 +349,20 @@ def _space_doc(space: StateSpace) -> dict:
 
 def _projection_doc(P: MarkovProjection) -> dict:
     if P.variant == "rank_one":
-        return {"type": "rank_one", "y": [float(v) for v in P.y]}
+        return {"type": "rank_one", "y": _floats_doc(P.y)}
     if P.variant == "block":
         return {
             "type": "block",
             "blocks": [list(b) for b in P.blocks],
-            "anchors": [[float(v) for v in a] for a in P.anchors],
+            "anchors": [_floats_doc(a) for a in P.anchors],
         }
-    return {"type": "matrix",
-            "entries": [[float(v) for v in row] for row in np.asarray(P.matrix)]}
+    return {"type": "matrix", "entries": _floats_doc(P.matrix)}
 
 
 def instance_document(inst: ParsedInstance) -> dict:
     doc = {
         "space": _space_doc(inst.space),
-        "operator": [[float(v) for v in row] for row in np.asarray(inst.operator.matrix)],
+        "operator": _floats_doc(inst.operator.matrix),
         "projection": _projection_doc(inst.projection),
     }
     if inst.sub is not None:
@@ -235,10 +373,10 @@ def instance_document(inst: ParsedInstance) -> dict:
 def serialize_instance(inst: ParsedInstance) -> str:
     """Canonical text: sorted keys, full float precision, trailing newline.
 
-    json round-trips Python floats through repr, so parse(serialize(x))
-    reproduces every matrix bit for bit.
+    Floats are written in repr, so parse(serialize(x)) reproduces every
+    matrix bit for bit.
     """
-    return json.dumps(instance_document(inst), indent=2, sort_keys=True) + "\n"
+    return _canonical(instance_document(inst))
 
 
 def instance_hash(inst: ParsedInstance) -> str:
@@ -260,6 +398,13 @@ def cnum(z) -> str:
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}j"
 
 
+def _float_strings(rows):
+    """``fnum`` of every float in the nested lists of a float64 array."""
+    if rows and type(rows[0]) is list:
+        return [_float_strings(r) for r in rows]
+    return list(map(float.__repr__, rows))
+
+
 def jsonable(obj):
     """Recursively coerce a report fragment to JSON-safe builtins.
 
@@ -267,17 +412,21 @@ def jsonable(obj):
     numpy) becomes its repr string, numpy bools and ints shed their
     wrappers, arrays become nested lists.
     """
+    if isinstance(obj, float):  # np.float64 too; the commonest leaf
+        return float.__repr__(obj)
     if obj is None or isinstance(obj, (str, bool)):
         return obj
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return fnum(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return cnum(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64:
+            return _float_strings(obj.tolist())
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
@@ -287,4 +436,4 @@ def jsonable(obj):
 
 
 def dumps_structured(doc: dict) -> str:
-    return json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+    return _canonical(jsonable(doc))

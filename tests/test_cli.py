@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ergokit import __version__, block_projection, cli, make_simplex, parse_instance
+from ergokit import __version__, block_projection, cli, corpus, make_simplex, parse_instance
+from ergokit.instances import ParsedInstance, instance_document
 
 TWO_STATE = {
     "space": {"type": "simplex", "dim": 2},
@@ -632,3 +637,54 @@ def test_doeblin_audits_draw_with_the_seed(tmp_path, capsys):
         assert doc["overlap"]["n0"] == 1
         assert doc["minorization"]["certificate"]["actual_coefficient"] == kernel["value"]
         assert doc["overlap"]["actual_coefficient"] == kernel["value"]
+
+
+FIXTURES = ("two_state_fixture", "fast_two_state_fixture", "block_fixture", "embedded_fixture")
+
+
+def _fixture_files(tmp_path):
+    paths = {}
+    for name in FIXTURES:
+        inst = getattr(corpus, name)()
+        doc = instance_document(ParsedInstance(inst.T.space, inst.T, inst.P))
+        paths[name] = write(tmp_path, f"{name}.json", doc)
+    return paths
+
+
+def test_structured_output_is_in_canonical_form(tmp_path, capsys):
+    # canonical: what the standard library writes from the same document
+    paths = _fixture_files(tmp_path)
+    lattice = [p for name, p in paths.items() if name != "embedded_fixture"]
+    runs = [["analyze", p] for p in paths.values()]
+    runs += [["doeblin", p] for p in lattice]
+    runs += [["tensor", a, b] for a, b in zip(lattice, lattice[1:])]
+    runs += [["verify", "--count", "1", "--dims", "2..3"]]
+    for argv in runs:
+        code, out, err = run(capsys, [*argv, "--format", "structured"])
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    p = write(tmp_path, "two.json", TWO_STATE)
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", "--seed", "5",
+                                "--n0-cap", "3", p])
+    assert (code, out) == (3, "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--no-such-flag", p])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "ergokit.cli", "analyze", "--format", "structured", p],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out == fresh.stdout
+    assert cli.build_parser() is cli.build_parser()

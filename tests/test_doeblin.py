@@ -145,6 +145,32 @@ def test_audit_names_each_broken_field(two_state, how, message):
     rep = verify_certificate(_forge(cert, two_state.T.space, how), two_state.T, two_state.P)
     assert not rep.ok
     assert any(v.startswith(message) for v in rep.violations), rep.violations
+    if how == "n0":  # no power to judge: only the broken field is reported
+        assert rep.violations == (message,)
+
+
+@pytest.mark.parametrize("n0", [0, -2, 2.5, True, 4.0], ids=repr)
+def test_audit_without_a_positive_integer_n0_reads_no_power(two_state, n0):
+    # T^1 is not the certificate's power: its inequality and delta are not judged
+    cert = certificate_from_convergence(two_state.T, two_state.P)
+    rep = verify_certificate(dataclasses.replace(cert, n0=n0), two_state.T, two_state.P)
+    assert rep.violations == (f"n0 {n0!r} not a positive integer",)
+    assert not rep.ok and not rep.bound_holds
+    assert rep.power is None and np.isnan(rep.actual_coefficient)
+    assert rep.implied_bound == 0.5
+    # the checks that need no power still run
+    broken = dataclasses.replace(cert, n0=n0, tau=1.5, phi_table=np.zeros((3, 3)))
+    rep = verify_certificate(broken, two_state.T, two_state.P)
+    assert rep.violations == (
+        "tau 1.5 outside (0, 1]", f"n0 {n0!r} not a positive integer",
+        "phi_table has the wrong shape",
+    )
+
+
+def test_audit_takes_a_numpy_integer_n0(two_state):
+    cert = certificate_from_convergence(two_state.T, two_state.P)
+    rep = verify_certificate(dataclasses.replace(cert, n0=np.int64(4)), two_state.T, two_state.P)
+    assert rep.ok and rep.power.shape == (2, 2)
 
 
 def test_search_two_state(two_state):

@@ -4,17 +4,34 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergokit import (
     ParseError,
     UnsupportedSpaceError,
     ValidationError,
+    as_markov,
+    corpus,
     instance_hash,
     load_instance,
+    make_simplex,
     parse_instance,
+    rank_one_projection,
     serialize_instance,
 )
-from ergokit.instances import cnum, dumps_structured, fnum, instance_document, jsonable
+from ergokit.instances import (
+    ParsedInstance,
+    _as_matrix,
+    _as_vector,
+    _canonical,
+    _number,
+    cnum,
+    dumps_structured,
+    fnum,
+    instance_document,
+    jsonable,
+)
 
 TWO_STATE_DOC = {
     "space": {"type": "simplex", "dim": 2},
@@ -300,3 +317,172 @@ def test_an_integer_no_float_holds_is_a_parse_error(key, digits, location, messa
     with pytest.raises(ParseError, match=message) as info:
         parse_instance(text)
     assert info.value.location == location
+
+
+# ---------------------------------------------------------------------------
+# the vectorized parse against the per-entry walk
+
+
+def _per_entry(rows, location):
+    """The parse entry by entry: ``_number`` of each, in row-major order."""
+    return np.array([
+        [_number(v, f"{location}[{i}][{j}]") for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ])
+
+
+NEAR_LIMITS = [base + d for base in (2**53, 2**63, 2**64) for d in (-3, -1, 0, 1, 3)]
+
+
+@pytest.mark.parametrize("value", NEAR_LIMITS + [-v for v in NEAR_LIMITS] + [-0.0, 0, 7])
+def test_vectorized_parse_reads_each_number_as_the_walk_does(value):
+    # mixed int and float rows, the value at three places, -0.0 beside it
+    rows = [[value, 0.5, 1], [2**53 + 1, -0.0, value], [3, value, 0.25]]
+    want = _per_entry(rows, "operator")
+    got = _as_matrix(rows, 3, "operator")
+    assert got.dtype == want.dtype == np.float64
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+    got = _as_vector(rows[1], 3, "projection.y")
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want[1].tolist()]
+
+
+BAD_ENTRIES = [True, False, "0.5", None, [0.5], float("nan"), float("inf"),
+               float("-inf"), 1e400, 10**400, -(10**400)]
+
+
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)], ids=str)
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=repr)
+def test_vectorized_parse_names_the_first_bad_entry_as_the_walk_does(bad, where):
+    rows = [[0.5, 1, 0.25], [0, 2**64, 0.5], [0.125, 3, -0.0]]
+    rows[where[0]][where[1]] = bad
+    rows[2][2] = 10**400  # a later bad entry is not the one named
+    with pytest.raises(ParseError) as want:
+        _per_entry(rows, "operator")
+    assert want.value.location == "operator[%d][%d]" % where
+    with pytest.raises(ParseError) as got:
+        _as_matrix(rows, 3, "operator")
+    assert (str(got.value), got.value.location) == (str(want.value), want.value.location)
+    with pytest.raises(ParseError) as want:
+        _per_entry([rows[where[0]]], "y")
+    with pytest.raises(ParseError) as got:
+        _as_vector(rows[where[0]], 3, "y[0]")
+    assert (str(got.value), got.value.location) == (str(want.value), want.value.location)
+
+
+# ---------------------------------------------------------------------------
+# duplicate keys
+
+
+def test_a_repeated_top_level_key_is_a_parse_error():
+    # json.loads keeps the last value: the second operator would be read and hashed
+    text = json.dumps(TWO_STATE_DOC)[:-1] + ', "operator": [[0.5, 0.5], [0.5, 0.5]]}'
+    assert json.loads(text)["operator"] == [[0.5, 0.5], [0.5, 0.5]]
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == "$: duplicate key 'operator'"
+
+
+def test_a_repeated_nested_key_is_a_parse_error():
+    text = json.dumps(TWO_STATE_DOC).replace(
+        '"type": "rank_one"', '"type": "block", "type": "rank_one"'
+    )
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == "projection: duplicate key 'type'"
+
+
+def test_the_first_repeat_in_document_order_is_named():
+    doc = dict(TWO_STATE_DOC, sub_projection={"type": "rank_one", "y": [0.25, 0.75]})
+    text = json.dumps(doc).replace('"dim": 2', '"dim": 2, "dim": 2')
+    text = text.replace('"y": [0.25, 0.75]}', '"y": [0.25, 0.75], "y": [0.5, 0.5]}')
+    with pytest.raises(ParseError, match=r"^space: duplicate key 'dim'$"):
+        parse_instance(text)
+    text = text.replace('"dim": 2, "dim": 2', '"dim": 2')
+    with pytest.raises(ParseError, match=r"^projection: duplicate key 'y'$"):
+        parse_instance(text)
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer and the public identifiers
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       float("nan"), float("inf"), float("-inf"), 1e16, 1e-5])
+)
+FLAT_LISTS = (
+    st.lists(st.text(max_size=6), max_size=6)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
+    | st.lists(st.floats(), max_size=6)
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | FLAT_LISTS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_canonical_writer_is_json_dumps_byte_for_byte(doc):
+    assert _canonical(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "", {"": []}, [[], {}, ()], {"é": "ü\u2028\x00", "a": {"b": [{}]}},
+    [0.1, -0.0, 5e-324, 1e308], [0.1, float("nan")], [1, 1.5], [True, 1], ["a", None],
+    {"z": [float("-inf"), 2**64], "a": (1.0, "x")},
+], ids=repr)
+def test_canonical_writer_edge_cases(doc):
+    assert _canonical(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _pinned_instances():
+    out = [(f.__name__, f()) for f in (
+        corpus.two_state_fixture, corpus.fast_two_state_fixture,
+        corpus.block_fixture, corpus.embedded_fixture,
+    )]
+    insts = [(name, ParsedInstance(i.T.space, i.T, i.P)) for name, i in out]
+    # seeded Dirichlet columns: a draw free of BLAS, so equal bits on every host
+    space = make_simplex(100)
+    T = as_markov(corpus.dirichlet_matrix(100, np.random.default_rng(0)), space)
+    insts.append(("dirichlet-100", ParsedInstance(
+        space, T, rank_one_projection(space, np.full(100, 0.01)))))
+    return insts
+
+
+PINNED_HASHES = {
+    "two_state_fixture": "ab12901062855743",
+    "fast_two_state_fixture": "9ce374c5509d5ce6",
+    "block_fixture": "01b7e063c622de5c",
+    "embedded_fixture": "27aa4a8b429ffafd",
+    "dirichlet-100": "6f94849c59aed912",
+}
+
+
+def test_instance_hashes_are_pinned():
+    got = {name: instance_hash(inst) for name, inst in _pinned_instances()}
+    assert got == PINNED_HASHES
+
+
+def test_instance_hash_is_recomputed_by_the_standard_library():
+    import hashlib
+
+    for _, inst in _pinned_instances():
+        text = serialize_instance(inst)
+        assert text == json.dumps(instance_document(inst), indent=2, sort_keys=True) + "\n"
+        # the canonical file itself, read and written back by json alone
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert instance_hash(inst) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_jsonable_float_arrays_read_as_fnum():
+    a = np.array([[0.1, -0.0, 5e-324], [np.nan, np.inf, 1 / 3]])
+    want = [[fnum(v) for v in row] for row in a]
+    assert jsonable(a) == want
+    assert jsonable(a[0]) == want[0]
+    assert jsonable(np.zeros((2, 0))) == [[], []]
+    assert jsonable(np.array([1, 2])) == [1, 2]
