@@ -9,8 +9,9 @@ eigenvalue bounds), or converts it into operational certificates
 (Doeblin-type minorization and overlap conditions).
 
 The hot kernels (the Monte-Carlo ratio scan and the blocked scan of
-pairwise distances, which is the default exact route for rank-one and block
-projections on the simplex) are NumPy code in ``ergokit._backend``;
+pairwise distances inside groups of states, the default exact route for
+rank-one P, one group of every state, and block P, its blocks, on the
+simplex) are NumPy code in ``ergokit._backend``;
 ``ergokit.BACKEND`` names that implementation and is always "python".
 """
 

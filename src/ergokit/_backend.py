@@ -1,20 +1,19 @@
 """The package's hot kernels, in NumPy, each under a space's norm.
 
 ``mc_max_ratio`` scans Monte-Carlo sample directions for the best ratio,
-and ``max_pair_half_l1`` row pairs for the largest half distance, each in
-the ``norm_rows`` it is given (l1 on a simplex); ``max_group_pair_half_l1``
-is the pair scan restricted to pairs inside groups of rows.  The ratio scan
-reads Z in blocks of ``_BLOCK_ROWS`` rows, the blocks in which
-``_unit_samples`` draws and normalizes it; a block is tall enough for the
-column-wise l1 row sums of ``spaces._abs_row_sums``.  The pair scans gather
-the differences of their pairs in row order, at most
-``_PAIR_BLOCK_ENTRIES`` entries at a time, with one ``norm_rows`` call per
-gather.  The full scan builds its pairs one gather at a time, so k rows take
-no O(k^2) memory; the group scan caches each group tuple's pairs.  They
-take any ``norm_rows``, but the package runs them on the simplex only, as
-the route ``ergodicity_coefficient`` takes for rank-one and block P there.
-``BACKEND`` is always "python".  The kernels keep a module of their own
-because the benchmark tracer rebinds them by module name.
+and ``max_pair_half_l1`` the row pairs inside groups of rows for the
+largest half distance, each in the ``norm_rows`` it is given (l1 on a
+simplex).  The ratio scan reads Z in blocks of ``_BLOCK_ROWS`` rows, the
+blocks in which ``_unit_samples`` draws and normalizes it; a block is tall
+enough for the column-wise l1 row sums of ``spaces._abs_row_sums``.  The
+pair scan reads the cached pair list of its groups (``_group_pairs``; k
+rows in one group take k(k - 1) indices) and gathers the differences of at
+most ``_PAIR_BLOCK_ENTRIES`` entries at a time, with one ``norm_rows`` call
+per gather.  It takes any ``norm_rows``, but the package runs it on the
+simplex only, as the route ``ergodicity_coefficient`` takes for rank-one P
+(one group of every state) and block P (its blocks) there.  ``BACKEND`` is
+always "python".  The kernels keep a module of their own because the
+benchmark tracer rebinds them by module name.
 """
 
 from __future__ import annotations
@@ -57,24 +56,6 @@ def mc_max_ratio(TK, K, Z, norm_rows, min_den=1e-300):
 
 
 @functools.lru_cache(maxsize=128)
-def _pair_block(k: int, start: int, stop: int) -> np.ndarray:
-    """Rows of the pairs start .. stop - 1 of k rows: J in row 0, I < J in row 1.
-
-    Pairs are numbered in row order, (0, 1), (0, 2), ..., (0, k - 1), (1, 2),
-    ..., the order of ``np.triu_indices(k, 1)``; row i's first pair is
-    first[i].  Blocks are built one at a time, so no scan holds all k² / 2
-    pairs.  The cache shares the (2, stop - start) array, hence read-only.
-    """
-    first = np.zeros(k, dtype=np.intp)
-    np.cumsum(np.arange(k - 1, 0, -1), out=first[1:])
-    p = np.arange(start, stop)
-    I = np.searchsorted(first, p, side="right") - 1
-    JI = np.array((p - first[I] + I + 1, I))
-    JI.flags.writeable = False
-    return JI
-
-
-@functools.lru_cache(maxsize=128)
 def _group_pairs(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """The pairs inside each group, J in row 0 and I in row 1, read-only.
 
@@ -90,61 +71,38 @@ def _group_pairs(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return JI
 
 
-def _columns(JI: np.ndarray, start: int, stop: int) -> np.ndarray:
-    return JI[:, start:stop]
+def max_pair_half_l1(R, groups, norm_rows):
+    """Max of half norm_rows(R_i - R_j) over the pairs (i, j) inside each group.
 
-
-def _scan(R, norm_rows, pairs: int, block, key):
-    """(value, i, j) of the largest half distance over pairs 0 .. pairs - 1.
-
-    ``block(key, start, stop)`` gives the pairs start .. stop - 1 as a
-    (2, stop - start) array, J in row 0 and I in row 1.  They are read
-    ``step`` at a time, so that one gather of 2 x step rows of R holds at
-    most ``_PAIR_BLOCK_ENTRIES`` entries; every pair of an n x n R with
-    n <= 32 fits in one gather.
+    ``groups`` is a tuple of tuples of row indices: one group of every row,
+    ``((0, 1, ..., k - 1),)``, for a rank-one projection, its blocks for a
+    block projection; a group g's pairs are (g[a], g[b]), a < b.  Returns
+    (value, i, j), ties to the earlier group and within a group to its first
+    pair in row order of its members; (0.0, -1, -1) when no group has two
+    rows.  The pairs are read ``step`` at a time, so that one gather of
+    2 x step rows of R holds at most ``_PAIR_BLOCK_ENTRIES`` entries (every
+    pair of an n x n R with n <= 32 fits in one); a gather is one indexing
+    call and one ``norm_rows`` call.  Halving after the max is exact, so the
+    value is the float that a row-by-row scan gives.  A NaN distance ends
+    the scan as NaN at its pair, as an argmax over all pairs takes it.
     """
+    R = np.asarray(R)
+    JI = _group_pairs(groups)
     step = max(1, _PAIR_BLOCK_ENTRIES // (2 * max(1, R.shape[1])))
     best, at = -1.0, None
-    for start in range(0, pairs, step):
-        JI = block(key, start, min(start + step, pairs))
-        X = R.take(JI, axis=0)  # X[0] holds the rows R_j, X[1] the rows R_i
+    for start in range(0, JI.shape[1], step):
+        cols = JI[:, start : start + step]
+        X = R.take(cols, axis=0)  # X[0] holds the rows R_j, X[1] the rows R_i
         D = X[0]
         D -= X[1]
         d = norm_rows(D)
         t = d.argmax()
         v = float(d[t])
-        if not v <= best:  # a tie keeps the earlier block's pair
-            best, at = v, JI[:, t]
+        if not v <= best:  # a tie keeps the earlier gather's pair
+            best, at = v, cols[:, t]
             if v != v:  # NaN, as argmax takes it: no later pair replaces it
                 break
     if at is None:
         return 0.0, -1, -1
     j, i = at.tolist()
     return 0.5 * best, i, j
-
-
-def max_pair_half_l1(R, norm_rows):
-    """Max over row pairs i < j of half the distance norm_rows(R_i - R_j) / 2.
-
-    Returns (value, i, j), ties to the first (i, j) in row order; (0.0, -1, -1)
-    when R has fewer than two rows.  Each block of pair rows R_j - R_i is
-    gathered in one indexing call and normed in one ``norm_rows`` call;
-    halving after the max is exact, so the value is the float that a
-    row-by-row scan gives.
-    """
-    R = np.asarray(R)
-    k = R.shape[0]
-    return _scan(R, norm_rows, k * (k - 1) // 2, _pair_block, k)
-
-
-def max_group_pair_half_l1(R, groups, norm_rows):
-    """``max_pair_half_l1`` over the pairs inside each group of rows only.
-
-    ``groups`` is a tuple of tuples of row indices, such as a block
-    projection's blocks; all groups are scanned in the same blocked pass.
-    Ties go to the earlier group, and within a group to its first pair in
-    the group's order.
-    """
-    R = np.asarray(R)
-    JI = _group_pairs(groups)
-    return _scan(R, norm_rows, JI.shape[1], _columns, JI)

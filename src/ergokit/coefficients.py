@@ -20,7 +20,9 @@ every other exact case, and a Monte-Carlo bracket where neither is exact
 (an explicit P past the enumeration cap or on an embedded space);
 ``method="vertices"`` forces the enumeration, the cross-checks' reference.
 The ratio scan (every space) and the pair scan (simplex only) are
-``_backend`` kernels that read a ``norm_rows``.  The refinement runs on
+``_backend`` kernels that read a ``norm_rows``; the pair scan runs over the
+groups of ``_admissible_pair_groups``, one group of every state for
+rank-one P and the blocks for block P.  The refinement runs on
 the simplex; its LPs have a closed form (a half-range over each block) for
 rank-one and block P, and go to HiGHS only for explicit projections.  A
 matrix-written P that is rank-one or a partition is built in its
@@ -34,6 +36,7 @@ which every exact route returns from its empty vertex or pair set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import weakref
@@ -118,23 +121,16 @@ def _lex_rows(V: np.ndarray) -> np.ndarray:
 
 
 def _pair_diff_vertices(space: StateSpace, groups) -> np.ndarray:
-    """Rows (b_i - b_j)/2 over the pairs i != j of each group, in row order."""
-    n = space.dim
-    out = np.empty((sum(len(g) * (len(g) - 1) for g in groups), n))
-    start = 0
-    for g in groups:
-        k, B = len(g), space.base_vertices[g]
-        D = B[:, None, :] - B[None, :, :]
-        D *= 0.5
-        # off the diagonal without a mask's copy: past row (0, 0), each
-        # diagonal row closes a run of k + 1, led by k rows (i, j), i != j
-        rows = D.reshape(k * k, n)[1:].reshape(k - 1, k + 1, n)[:, :k]
-        out[start : start + k * (k - 1)].reshape(k - 1, k, n)[...] = rows
-        start += k * (k - 1)
+    """Rows (b_i - b_j)/2 over the pairs of ``_backend._group_pairs``, both ways."""
+    J, I = _backend._group_pairs(groups)
+    first, second = np.concatenate((I, J)), np.concatenate((J, I))
+    B = space.base_vertices
+    out = B[first] - B[second]
+    out *= 0.5
     return out
 
 
-def _support_pattern_vertices(P_mat: np.ndarray, n: int) -> np.ndarray:
+def _support_pattern_vertices(P: MarkovProjection) -> np.ndarray:
     # Vertices of {z : P z = 0, l1(z) <= 1}.  At a vertex with support S the
     # column-restricted kernel of P must be one-dimensional: a second kernel
     # direction supported on S gives a sign-preserving perturbation writing
@@ -142,11 +138,13 @@ def _support_pattern_vertices(P_mat: np.ndarray, n: int) -> np.ndarray:
     # |S| = rank(P[:,S]) + 1 <= rank(P) + 1.  Every candidate below is
     # feasible, so a convex objective maximized over this superset of the
     # vertex set attains exactly the max over the polytope.
+    n = P.space.dim
     if n > ENUMERATION_CAP:
         raise DimensionTooLargeError(
             f"support-pattern enumeration capped at dim {ENUMERATION_CAP}, got {n}"
         )
-    rank = int(round(float(np.trace(P_mat))))
+    P_mat = np.asarray(P.matrix)
+    rank = P.rank()
     seen = {}
     for size in range(1, min(n, rank + 1) + 1):
         for S in itertools.combinations(range(n), size):
@@ -224,7 +222,7 @@ def _kernel_ball_vertices(P: MarkovProjection, space: StateSpace) -> np.ndarray:
             "no exact kernel enumeration for unstructured projections on "
             "embedded spaces; use the Monte-Carlo bounds"
         )
-    return _lex_rows(_support_pattern_vertices(np.asarray(P.matrix), n))
+    return _lex_rows(_support_pattern_vertices(P))
 
 
 def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
@@ -236,11 +234,19 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
     return CoefficientResult(v, method, V[i].copy(), True, v)
 
 
+@functools.lru_cache(maxsize=128)
+def _all_states(n: int) -> tuple[tuple[int, ...], ...]:
+    return (tuple(range(n)),)
+
+
 def _admissible_pair_groups(P: MarkovProjection, space: StateSpace):
-    """The base-vertex groups whose half differences span ker P; P structured."""
+    """The base-vertex groups whose half differences span ker P; P structured.
+
+    One group of every state for rank-one P, P's blocks for block P: a
+    tuple of index tuples, the key of ``_backend._group_pairs``."""
     if P.variant == "rank_one":
-        return [np.arange(len(space.base_vertices))]
-    return [np.asarray(b) for b in P.blocks]
+        return _all_states(len(space.base_vertices))
+    return P.blocks
 
 
 def _pair_route(A, P, space) -> CoefficientResult:
@@ -248,18 +254,16 @@ def _pair_route(A, P, space) -> CoefficientResult:
 
     The pair formula: for rank-one and block P on the simplex (the only
     case ``ergodicity_coefficient`` sends here), the kernel ball's vertices
-    are the half differences (e_i - e_j)/2 inside a group, so the sup is a
-    max over pairs (Seneta, Non-negative Matrices and Markov Chains, 2006,
-    ch. 3).  Rank-one P has one group, every state, scanned on the images
-    as they are; its ties go to the first (i, j) in row order.  A block's
-    ties go to its first pair in the block's order, and ties between blocks
-    to the earlier block.
+    are the half differences (e_i - e_j)/2 inside a group of
+    ``_admissible_pair_groups``, so the sup is a max over pairs (Seneta,
+    Non-negative Matrices and Markov Chains, 2006, ch. 3).  One scan covers
+    both: rank-one P is its one-group case.  Ties go to the earlier group,
+    then to the group's first pair in row order of its members.
     """
     images = A.T  # row i = T e_i, the image of base vertex i
-    if P.variant == "rank_one":
-        best, bi, bj = _backend.max_pair_half_l1(images, space.norm_rows)
-    else:
-        best, bi, bj = _backend.max_group_pair_half_l1(images, P.blocks, space.norm_rows)
+    best, bi, bj = _backend.max_pair_half_l1(
+        images, _admissible_pair_groups(P, space), space.norm_rows
+    )
     if bi < 0:
         return CoefficientResult(0.0, "pair-formula", None, True, 0.0)
     w = np.zeros(space.dim)  # (e_i - e_j)/2, entry by entry
@@ -323,7 +327,7 @@ def _polish_step(P: MarkovProjection, space: StateSpace):
     """
     n = space.dim
     if P.structured:
-        groups = _admissible_pair_groups(P, space)
+        groups = [np.asarray(g) for g in _admissible_pair_groups(P, space)]
 
         def half_range(c):
             best, bi, bj = -1.0, 0, 0

@@ -266,7 +266,7 @@ def classify(
                     elif _dips(log_norm, d.value, power, theta):
                         dip_undecided = True
                     dip_done = dip_n is not None or dip_undecided
-                if log_norm < math.log(tolerance):
+                if tolerance > 0 and log_norm < math.log(tolerance):
                     converged_n = converged_n or power
                 if geometric_n is not None and dip_done:
                     break

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ergokit import BACKEND, _backend, coefficients, make_embedded, make_simplex
+from ergokit.coefficients import _all_states  # the one group of every row, as rank-one P scans it
 
 
 def test_backend_is_numpy():
@@ -110,16 +111,15 @@ def test_mc_ratio_blocks_cover_every_row(rows, rng):
 
 def test_max_pair_half_l1_single_row():
     norm_rows = make_simplex(4).norm_rows
-    assert _backend.max_pair_half_l1(np.ones((1, 4)), norm_rows) == (0.0, -1, -1)
+    assert _backend.max_pair_half_l1(np.ones((1, 4)), _all_states(1), norm_rows) == (0.0, -1, -1)
 
 
 def test_max_pair_half_l1_reads_the_given_norm():
     # (1, 1, 1) - (1, -1, -1) = (0, 2, 2): half of it has norm 1 under the
     # embedded linf norm max(|alpha|, max|x|), and 2 under l1
     R = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
-    assert _backend.max_pair_half_l1(R, make_embedded(2, "linf").norm_rows) == (1.0, 0, 1)
-    assert _backend.max_pair_half_l1(R, make_simplex(3).norm_rows) == (2.0, 0, 1)
-
+    assert _backend.max_pair_half_l1(R, _all_states(2), make_embedded(2, "linf").norm_rows) == (1.0, 0, 1)
+    assert _backend.max_pair_half_l1(R, _all_states(2), make_simplex(3).norm_rows) == (2.0, 0, 1)
 
 
 def _row_by_row_pairs(R, norm_rows):
@@ -141,24 +141,25 @@ def test_pair_scan_equals_the_row_by_row_scan(k, cols, rng):
     spaces = [make_simplex(cols)] + ([make_embedded(cols - 1, "linf")] if cols <= 13 else [])
     for s in spaces:
         want = _row_by_row_pairs(R, s.norm_rows)
-        got = _backend.max_pair_half_l1(R, s.norm_rows)
+        got = _backend.max_pair_half_l1(R, _all_states(k), s.norm_rows)
         assert got[1:] == want[1:] and got[0].hex() == want[0].hex(), (k, cols, s)
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 45, 46, 60, 100])
 @pytest.mark.parametrize("cols", [1, 60])
 def test_pair_blocks_are_the_upper_triangle_in_row_order(k, cols):
-    # the scan's blocks, laid end to end, are np.triu_indices(k, 1), read-only
-    pairs = k * (k - 1) // 2
+    # the one group's pairs, read in the scan's gathers of 2 x step rows of
+    # a k x cols R and laid end to end, are np.triu_indices(k, 1), read-only
+    JI = _backend._group_pairs(_all_states(k))
+    assert not JI.flags.writeable
     step = _backend._PAIR_BLOCK_ENTRIES // (2 * cols)
-    blocks = [_backend._pair_block(k, s, min(s + step, pairs)) for s in range(0, pairs, step)]
-    assert not any(JI.flags.writeable for JI in blocks)
+    blocks = [JI[:, s : s + step] for s in range(0, JI.shape[1], step)]
     I, J = np.triu_indices(k, 1)
     assert np.array_equal(np.concatenate(blocks, axis=1), [J, I])
 
 
 def _pair_scan_case():
-    # k = 60 rows of 60 columns: 1770 pairs over several blocks.  Every row
+    # k = 60 rows of 60 columns: 1770 pairs over several gathers.  Every row
     # is 0 but in column 0, so the distance of a pair is |x_i - x_j|.
     k = 60
     step = _backend._PAIR_BLOCK_ENTRIES // (2 * k)
@@ -166,19 +167,19 @@ def _pair_scan_case():
     assert len(I) > 2 * step
     last = np.flatnonzero(J == k - 1)  # the position of (i, k - 1), per row i
     u = int(np.flatnonzero(last < step)[-1])
-    assert last[u + 1] >= step  # (u, k - 1) ends the first block, (u + 1, k - 1) does not
+    assert last[u + 1] >= step  # (u, k - 1) ends the first gather, (u + 1, k - 1) does not
     return k, u, np.zeros((k, k))
 
 
 def test_pair_scan_tie_across_a_block_boundary_goes_to_the_first_pair():
     # x = 1 at row k - 1 and -1 at rows u and u + 1: the two largest pairs,
-    # (u, k - 1) and (u + 1, k - 1), lie on both sides of a block boundary
+    # (u, k - 1) and (u + 1, k - 1), lie on both sides of a gather boundary
     k, u, R = _pair_scan_case()
     R[k - 1, 0] = 1.0
     R[[u, u + 1], 0] = -1.0
     l1 = make_simplex(k).norm_rows
-    assert _backend.max_pair_half_l1(R, l1) == (1.0, u, k - 1)
-    assert _backend.max_pair_half_l1(R[::-1].copy(), l1) == (1.0, 0, k - 1 - u - 1)
+    assert _backend.max_pair_half_l1(R, _all_states(k), l1) == (1.0, u, k - 1)
+    assert _backend.max_pair_half_l1(R[::-1].copy(), _all_states(k), l1) == (1.0, 0, k - 1 - u - 1)
 
 
 def test_pair_scan_finds_a_maximum_in_the_last_block():
@@ -186,14 +187,14 @@ def test_pair_scan_finds_a_maximum_in_the_last_block():
     k, _, R = _pair_scan_case()
     R[k - 2, 0], R[k - 1, 0] = -1.0, 1.0
     R[0, 0] = 0.25  # earlier pairs reach 1.25, not 2
-    assert _backend.max_pair_half_l1(R, make_simplex(k).norm_rows) == (1.0, k - 2, k - 1)
+    assert _backend.max_pair_half_l1(R, _all_states(k), make_simplex(k).norm_rows) == (1.0, k - 2, k - 1)
 
 
 def _group_scan_reference(R, groups, norm_rows):
-    # one full pair scan per group, ties to the earlier group
+    # one row-by-row scan per group, ties to the earlier group
     best = (0.0, -1, -1)
     for g in groups:
-        v, i, j = _backend.max_pair_half_l1(R[list(g)], norm_rows)
+        v, i, j = _row_by_row_pairs(R[list(g)], norm_rows)
         if i >= 0 and (best[1] < 0 or v > best[0]):
             best = (v, g[i], g[j])
     return best
@@ -207,7 +208,7 @@ def _group_scan_reference(R, groups, norm_rows):
 def test_group_scan_is_a_scan_per_group(groups, rng):
     R = rng.standard_normal((13, 13))
     l1 = make_simplex(13).norm_rows
-    assert _backend.max_group_pair_half_l1(R, groups, l1) == _group_scan_reference(R, groups, l1)
+    assert _backend.max_pair_half_l1(R, groups, l1) == _group_scan_reference(R, groups, l1)
 
 
 def test_group_scan_ties_go_to_the_earlier_group_across_blocks():
@@ -219,15 +220,15 @@ def test_group_scan_ties_go_to_the_earlier_group_across_blocks():
     R = np.zeros((k, k))
     R[[28, 58], 0], R[[29, 59], 0] = -1.0, 1.0
     l1 = make_simplex(k).norm_rows
-    assert _backend.max_group_pair_half_l1(R, groups, l1) == (1.0, 28, 29)
-    assert _backend.max_group_pair_half_l1(R, groups[::-1], l1) == (1.0, 58, 59)
+    assert _backend.max_pair_half_l1(R, groups, l1) == (1.0, 28, 29)
+    assert _backend.max_pair_half_l1(R, groups[::-1], l1) == (1.0, 58, 59)
     R[59, 0] = 1.5  # the larger pair now lies in the last gather
-    assert _backend.max_group_pair_half_l1(R, groups, l1) == (1.25, 58, 59)
+    assert _backend.max_pair_half_l1(R, groups, l1) == (1.25, 58, 59)
 
 
 def test_group_scan_without_pairs():
     l1 = make_simplex(3).norm_rows
-    assert _backend.max_group_pair_half_l1(np.eye(3), ((0,), (1,), (2,)), l1) == (0.0, -1, -1)
+    assert _backend.max_pair_half_l1(np.eye(3), ((0,), (1,), (2,)), l1) == (0.0, -1, -1)
 
 
 def test_pair_scan_keeps_a_nan_distance():
@@ -237,7 +238,7 @@ def test_pair_scan_keeps_a_nan_distance():
     R[40, 3] = np.nan
     R[0, 0] = 5.0
     l1 = make_simplex(60).norm_rows
-    value, i, j = _backend.max_pair_half_l1(R, l1)
+    value, i, j = _backend.max_pair_half_l1(R, _all_states(60), l1)
     assert np.isnan(value) and (i, j) == (0, 40)
-    value, i, j = _backend.max_group_pair_half_l1(R, (tuple(range(30)), tuple(range(30, 60))), l1)
+    value, i, j = _backend.max_pair_half_l1(R, (tuple(range(30)), tuple(range(30, 60))), l1)
     assert np.isnan(value) and (i, j) == (30, 40)

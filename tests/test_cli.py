@@ -381,6 +381,22 @@ def test_tolerance_must_be_finite_and_nonnegative(command, paths, tmp_path, caps
         assert err.startswith("parse error: --tolerance: must be a finite number >= 0")
 
 
+def test_analyze_at_tolerance_zero_extends_the_trail_of_a_periodic_chain(tmp_path, capsys):
+    # the 3-cycle never converges, so classify extends its trail by squaring;
+    # a zero slack there compares with no log(0) and reports in full
+    p = write(tmp_path, "cycle.json", CYCLE)
+    code, out, err = run(capsys, ["analyze", "--tolerance", "0", "--format", "structured", p])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["flags"]["tolerance"] == "0.0"
+    assert doc["verdict"]["uniform"] is False
+    power = doc["verdict"]["clauses"][0]
+    assert power["name"] == "power-norms" and power["holds"] is False
+    assert power["detail"]["converged_at"] is None
+    assert float(power["detail"]["extension_radius_floor"]) == pytest.approx(1.0)
+    assert len(doc["theorems"]) == 10
+
+
 # (subcommand argv, one flag the subcommand does not read)
 IGNORED_FLAGS = [
     (["tensor", "a.json", "b.json"], ["--max-power", "3"]),

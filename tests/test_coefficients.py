@@ -379,7 +379,8 @@ def test_pair_route_on_explicit_rank_one_embedded():
     E = explicit_projection(s, np.asarray(R.matrix))
     assert E.variant == "rank_one"
     a = ergodicity_coefficient(T, E, method="vertices")
-    b, _, _ = _backend.max_pair_half_l1(s.base_vertices @ T.matrix.T, s.norm_rows)
+    every = coefficients._all_states(len(s.base_vertices))
+    b, _, _ = _backend.max_pair_half_l1(s.base_vertices @ T.matrix.T, every, s.norm_rows)
     assert a.certified_exact
     assert b == pytest.approx(a.value, abs=1e-12)
     assert a.value == pytest.approx(ergodicity_coefficient(T, R).value, abs=1e-12)
@@ -398,7 +399,7 @@ def test_pair_group_vertices_match_the_support_pattern_search(sizes, rng):
         blocks = [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
         P = block_projection(s, blocks, [rng.dirichlet(np.ones(k)) for k in sizes])
     V = kernel_ball_vertices(P)
-    W = coefficients._support_pattern_vertices(np.asarray(P.matrix), n)
+    W = coefficients._support_pattern_vertices(P)
 
     def rows(X):
         return sorted(map(tuple, np.round(X, 10)))
@@ -420,7 +421,7 @@ def test_embedded_pair_route_matches_the_vertices(rng):
     P = rank_one_projection(s, np.eye(m + 1)[0])
     a = ergodicity_coefficient(T, P, method="vertices")
     B = s.base_vertices
-    b, i, j = _backend.max_pair_half_l1(B @ M.T, s.norm_rows)
+    b, i, j = _backend.max_pair_half_l1(B @ M.T, coefficients._all_states(len(B)), s.norm_rows)
     assert b == pytest.approx(a.value, abs=1e-12)
     assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b, abs=1e-12)
 
@@ -516,7 +517,7 @@ def test_mc_bracket_contains_exact(rng, monkeypatch):
     assert not bracket.certified_exact
     assert bracket.method == "monte-carlo-lower-bound"
     monkeypatch.setattr(coefficients, "ENUMERATION_CAP", 13)
-    V = coefficients._support_pattern_vertices(np.asarray(E.matrix), 13)
+    V = coefficients._support_pattern_vertices(E)
     exact = float(np.abs(V @ np.asarray(T.matrix).T).sum(axis=1).max())
     assert bracket.value <= exact + 1e-12
     assert exact <= bracket.upper_bound + 1e-12

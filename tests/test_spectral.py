@@ -32,6 +32,21 @@ from ergokit.corpus import (
 )
 
 
+def test_classify_at_tolerance_zero(two_state):
+    # zero is a legal slack: the squaring extension of a chain that never
+    # converges reads no log(0), and a contracting chain stays uniform
+    s = make_simplex(3)
+    T = as_markov(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), s)
+    P = rank_one_projection(s, np.full(3, 1 / 3))
+    verdict, _ = classify(T, P, tolerance=0.0)
+    power = verdict.clauses[0]
+    assert (verdict.uniform, power.holds) == (False, False)
+    assert power.detail["converged_at"] is None
+    assert power.detail["extension_radius_floor"] == pytest.approx(1.0)
+    verdict, _ = classify(two_state.T, two_state.P, tolerance=0.0)
+    assert verdict.uniform is True and verdict.consistent
+
+
 def test_classify_two_state(two_state):
     verdict, report = classify(two_state.T, two_state.P)
     assert verdict.uniform is True

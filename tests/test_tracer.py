@@ -107,3 +107,23 @@ def test_embedded_lower_bound_records_one_ratio_scan(tracer_mod):
     names = [span[0] for span in tracer.spans]
     assert names.count("backend.mc_max_ratio") == 1
     assert tracer.counts["backend.mc_max_ratio.samples"] == 700
+
+
+def test_block_projection_records_one_pair_scan(tracer_mod):
+    # block P takes the same traced pair scan as rank-one P, once per call
+    import numpy as np
+
+    from ergokit import as_markov, block_projection, ergodicity_coefficient, make_simplex
+
+    s = make_simplex(5)
+    T = as_markov(np.random.default_rng(4).dirichlet(np.ones(5), size=5).T, s)
+    P = block_projection(s, [[0, 1, 2], [3, 4]])
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        result = ergodicity_coefficient(T, P)
+    finally:
+        tracer.uninstall()
+    assert result.method == "pair-formula"
+    names = [span[0] for span in tracer.spans]
+    assert names.count("backend.max_pair_half_l1") == 1
