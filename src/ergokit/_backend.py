@@ -1,19 +1,21 @@
 """The package's hot kernels, in NumPy, each under a space's norm.
 
 ``mc_max_ratio`` scans Monte-Carlo sample directions for the best ratio,
-and ``max_pair_half_l1`` the row pairs inside groups of rows for the
-largest half distance, each in the ``norm_rows`` it is given (l1 on a
-simplex).  The ratio scan reads Z in blocks of ``_BLOCK_ROWS`` rows, the
-blocks in which ``_unit_samples`` draws and normalizes it; a block is tall
-enough for the column-wise l1 row sums of ``spaces._abs_row_sums``.  The
+``max_pair_half_l1`` the row pairs inside groups of rows for the largest
+half distance, and ``max_combination_norm`` weighted sums of rows for the
+largest norm, each in the ``norm_rows`` it is given (l1 on a simplex).
+The ratio scan reads Z in blocks of ``_BLOCK_ROWS`` rows, the blocks in
+which ``_unit_samples`` draws and normalizes it; a block is tall enough for
+the column-wise l1 row sums of ``spaces._abs_row_sums``.  The
 pair scan reads the cached pair list of its groups (``_group_pairs``; k
 rows in one group take k(k - 1) indices) and gathers the differences of at
 most ``_PAIR_BLOCK_ENTRIES`` entries at a time, with one ``norm_rows`` call
 per gather.  It takes any ``norm_rows``, but the package runs it on the
-simplex only, as the route ``ergodicity_coefficient`` takes for rank-one P
-(one group of every state) and block P (its blocks) there.  ``BACKEND`` is
-always "python".  The kernels keep a module of their own because the
-benchmark tracer rebinds them by module name.
+simplex only, over the types of P (one group of every state for rank-one
+P, the blocks for block P); the combination scan reads the cross-type
+candidates of an explicit P there, in gathers of the same bound.
+``BACKEND`` is always "python".  The kernels keep a module of their own
+because the benchmark tracer rebinds them by module name.
 """
 
 from __future__ import annotations
@@ -106,3 +108,27 @@ def max_pair_half_l1(R, groups, norm_rows):
         return 0.0, -1, -1
     j, i = at.tolist()
     return 0.5 * best, i, j
+
+
+def max_combination_norm(R, members, coefs, norm_rows):
+    """Max of norm_rows(sum_a coefs[k, a] R[members[k, a]]) over the rows k.
+
+    ``members`` and ``coefs`` are (N, s).  Returns (value, k), ties to the
+    first row, or (-1.0, -1) for N = 0.  One gather holds at most
+    ``_PAIR_BLOCK_ENTRIES`` entries of R; a NaN ends the scan at its row,
+    as in ``max_pair_half_l1``.
+    """
+    R = np.asarray(R)
+    step = max(1, _PAIR_BLOCK_ENTRIES // (members.shape[1] * max(1, R.shape[1])))
+    best, at = -1.0, -1
+    for start in range(0, len(members), step):
+        X = R.take(members[start : start + step].T, axis=0)  # X[a] holds the rows R[members[:, a]]
+        X *= coefs[start : start + step].T[:, :, None]
+        d = norm_rows(X.sum(axis=0))
+        t = int(d.argmax())
+        v = float(d[t])
+        if not v <= best:
+            best, at = v, start + t
+            if v != v:
+                break
+    return best, at

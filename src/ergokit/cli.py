@@ -394,6 +394,7 @@ FLAG_FLOORS = (
     ("n0_cap", "--n0-cap", 1),
     ("samples", "--samples", 1),
     ("count", "--count", 0),
+    ("seed", "--seed", 0),  # NumPy seeds are non-negative
 )
 
 

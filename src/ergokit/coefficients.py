@@ -11,27 +11,31 @@ operator's is refused with a ValueError.  On the polytopal spaces built
 here the kernel unit ball is itself a polytope, so the sup is a finite
 maximum over its vertices and can be computed exactly.
 
-Three independent routes are provided and cross-checked by the tests:
-vertex enumeration of the kernel ball, the half-distance formula over
-admissible base-vertex pairs, and a Monte-Carlo lower bound with LP
-refinement.  ``ergodicity_coefficient`` takes the pair formula for
-rank-one and block P on the simplex (P = None included), the vertices for
-every other exact case, and a Monte-Carlo bracket where neither is exact
-(an explicit P past the enumeration cap or on an embedded space);
+Three routes are provided and cross-checked by the tests: an exact scan
+over the types of P, vertex enumeration of the kernel ball (rows built
+from the same candidates, evaluated by one product), and a Monte-Carlo
+lower bound with LP refinement; the tests keep an independent
+support-pattern search as the referee.  On the simplex
+``ergodicity_coefficient`` takes one route for every P (P =
+None included), ``_type_route``: states whose columns of P are equal form a
+type (``MarkovProjection.types``), and a kernel-ball vertex is either a
+half difference inside one type, Dobrushin's pair formula, or a cross-type
+candidate from the null vector of 2 to rank P + 1 type columns
+(``_type_circuits``).  A P with cross-type candidates, an explicit P
+with more types than its rank, prints "type-formula"; every other P,
+rank-one and block P among them, "pair-formula".  Embedded spaces take
+the vertex route for rank-one P and the identity.  A Monte-Carlo bracket
+is left for any other P on an embedded space and for a P past
+CANDIDATE_BUDGET;
 ``method="vertices"`` forces the enumeration, the cross-checks' reference.
-The ratio scan (every space) and the pair scan (simplex only) are
-``_backend`` kernels that read a ``norm_rows``; the pair scan runs over the
-groups of ``_admissible_pair_groups``, one group of every state for
-rank-one P and the blocks for block P.  The refinement runs on
-the simplex; its LPs have a closed form (a half-range over each block) for
-rank-one and block P, and go to HiGHS only for explicit projections.  A
-matrix-written P that is rank-one or a partition is built in its
-structured form (``explicit_projection``), so only a P with neither form,
-such as one absorbing a transient state into two classes, takes the
-explicit routes: support-pattern enumeration up to dim 12, a Monte-Carlo
-bracket past it.  P = identity (kernel {0},
-as for ker f on one state) needs no convention: the sup over no x is 0,
-which every exact route returns from its empty vertex or pair set.
+The ratio scan (every space), the pair scan and the combination scan
+(simplex only) are ``_backend`` kernels that read a ``norm_rows``.  The
+refinement runs on the simplex; its LPs have a closed form (a half-range
+over each type) for rank-one and block P, and go to HiGHS for an explicit
+P.  A matrix-written P that is rank-one or a partition is built in its
+structured form (``explicit_projection``).  P = identity (kernel {0}, as
+for ker f on one state) needs no convention: the sup over no x is 0, which
+every exact route returns from its empty candidate set.
 """
 
 from __future__ import annotations
@@ -51,7 +55,12 @@ from .operators import MarkovOperator, MarkovProjection, commutes, operator_norm
 from .spaces import StateSpace, _abs_row_sums, _frozen, same_space
 
 KERNEL_TOL = 1e-10
-ENUMERATION_CAP = 12
+# the most cross-type candidates (``_type_circuits``) the exact route builds
+# for one P, counted before any array; every P on 13 states fits.  At the
+# budget a first call takes up to about 100 ms (one-state types on 13 to 36
+# states, a 2-CPU x86 host), about what the Monte-Carlo bracket that a P past
+# it gets costs at that size (50 to 120 ms)
+CANDIDATE_BUDGET = 1 << 13
 # skip sampled directions whose deflected image keeps less than this share
 # of their l1 mass: deflection roundoff is absolute, and dividing by a tiny
 # image norm would turn it into a relative error above the bound tolerances
@@ -130,44 +139,81 @@ def _pair_diff_vertices(space: StateSpace, groups) -> np.ndarray:
     return out
 
 
-def _support_pattern_vertices(P: MarkovProjection) -> np.ndarray:
-    # Vertices of {z : P z = 0, l1(z) <= 1}.  At a vertex with support S the
-    # column-restricted kernel of P must be one-dimensional: a second kernel
-    # direction supported on S gives a sign-preserving perturbation writing
-    # the point as a proper convex combination of feasible points.  Then
-    # |S| = rank(P[:,S]) + 1 <= rank(P) + 1.  Every candidate below is
-    # feasible, so a convex objective maximized over this superset of the
-    # vertex set attains exactly the max over the polytope.
-    n = P.space.dim
-    if n > ENUMERATION_CAP:
-        raise DimensionTooLargeError(
-            f"support-pattern enumeration capped at dim {ENUMERATION_CAP}, got {n}"
-        )
-    P_mat = np.asarray(P.matrix)
-    rank = P.rank()
-    seen = {}
-    for size in range(1, min(n, rank + 1) + 1):
-        for S in itertools.combinations(range(n), size):
-            cols = P_mat[:, S]
-            s = np.linalg.svd(cols, compute_uv=False)
-            tol = n * 1e-9 * max(1.0, float(s[0]))
-            if int((s <= tol).sum()) != 1:
-                continue
-            _, _, vt = np.linalg.svd(cols)
-            z = np.zeros(n)
-            z[list(S)] = vt[-1]
-            z /= np.abs(z).sum()
-            for cand in (z, -z):
-                seen.setdefault(tuple(np.round(cand, 10)), cand)
-    if not seen:
-        return np.zeros((0, n))
-    return np.array(list(seen.values()))
-
-
-# kernel vertices per projection, or per space for ker f; weak keys, so an
-# entry lives exactly as long as the P or space it was built for
+# per-projection caches (kernel vertices, or per space for ker f; cross-type
+# candidates); weak keys, so an entry lives exactly as long as its key
 _KERNEL_VERTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_KERNEL_VERTICES_LOCK = threading.Lock()
+_CIRCUITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_CACHE_LOCK = threading.Lock()
+
+
+def _cached(cache: weakref.WeakKeyDictionary, key, build):
+    """cache[key], from ``build()`` on a miss; the first value stored wins."""
+    with _CACHE_LOCK:
+        got = cache.get(key)
+    if got is None:
+        got = build()
+        with _CACHE_LOCK:
+            got = cache.setdefault(key, got)
+    return got
+
+
+def _type_circuits(P: MarkovProjection) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The cross-type candidates of P on the simplex, one (members, coefs) per size.
+
+    At a vertex of {z : P z = 0, l1(z) <= 1} with support S the kernel of
+    P's columns on S is one-dimensional (else the vertex is a proper convex
+    combination), so |S| <= rank P + 1.  S is a pair inside a type, or one
+    member m_k of each of 2 to rank P + 1 types whose columns have a
+    one-dimensional null space, spanned by an l1-normalized c: the vertices
+    +-sum_k c_k e_{m_k}.  Row t of ``members`` holds one choice of the m_k,
+    row t of ``coefs`` its c.  Every size is searched, so each vertex comes
+    from its own support: a c with an entry within KERNEL_TOL of 0 belongs
+    to a smaller subset and is dropped, and no vertex repeats or multiplies
+    its member choices by a type that drops out.  Rank-one and block P have
+    independent type columns.  The member choices are counted before any
+    array is built; past CANDIDATE_BUDGET, DimensionTooLargeError.  Built
+    once per P.
+    """
+    if P.structured:
+        return ()
+    return _cached(_CIRCUITS, P, lambda: _circuits(P))
+
+
+def _circuits(P: MarkovProjection):
+    types, rank, n = P.types, P.rank(), P.space.dim
+    if len(types) <= rank:  # independent type columns, as for P = identity
+        return ()
+    choices = [1] + [0] * (rank + 1)  # choices[s]: member choices over s types
+    for g in types:
+        for s in range(rank + 1, 0, -1):
+            choices[s] += len(g) * choices[s - 1]
+    if sum(choices[2:]) > CANDIDATE_BUDGET:
+        raise DimensionTooLargeError(
+            f"{sum(choices[2:])} cross-type candidates, past the budget of {CANDIDATE_BUDGET}"
+        )
+    Q = np.asarray(P.matrix)[:, [g[0] for g in types]]  # one column per type
+    out = []
+    for s in range(2, min(len(types), rank + 1) + 1):
+        subsets = itertools.combinations(range(len(types)), s)
+        step = max(1, _backend._PAIR_BLOCK_ENTRIES // (n * s))
+        members, coefs = [], []
+        while chunk := list(itertools.islice(subsets, step)):
+            cols = Q[:, chunk].transpose(1, 0, 2)
+            sv = np.linalg.svd(cols, compute_uv=False)
+            keep = (sv <= n * 1e-9 * np.maximum(1.0, sv[:, :1])).sum(axis=1) == 1
+            if keep.any():
+                c = np.linalg.svd(cols[keep], full_matrices=False)[2][:, -1]
+                c /= np.abs(c).sum(axis=1, keepdims=True)
+                full = (np.abs(c) > KERNEL_TOL).all(axis=1)
+                for K, ck in zip(np.array(chunk)[keep][full], c[full]):
+                    choice = list(itertools.product(*(types[k] for k in K)))
+                    members += choice
+                    coefs += [ck] * len(choice)
+        if members:
+            members = np.array(members, dtype=np.intp)
+            members.flags.writeable = False
+            out.append((members, _frozen(coefs)))
+    return tuple(out)
 
 
 def kernel_ball_vertices(
@@ -177,11 +223,14 @@ def kernel_ball_vertices(
 
     P = None means the kernel of f, read as the rank-one projection onto
     the first base vertex (every rank-one P has that kernel); a P whose
-    space is not ``space`` is a ValueError.  Closed forms cover rank-one
-    and block projections; explicit projections (neither form) on the
-    simplex go through support-pattern enumeration, capped at dim 12
-    (DimensionTooLargeError beyond, callers fall back to bounds), and have
-    no exact route on embedded spaces.
+    space is not ``space`` is a ValueError.  On the simplex the rows are the
+    half differences (e_i - e_j)/2 inside each type of P, both ways, and
+    the cross-type candidates of ``_type_circuits``, both signs: the same
+    candidates the exact route scans.  Past CANDIDATE_BUDGET that is a
+    DimensionTooLargeError.  On an embedded space rank-one P has the closed
+    form {0} x inner ball and the identity has no vertex (ker P = {0}); any
+    other P there has no exact route (UnsupportedSpaceError), and callers
+    fall back to bounds.
 
     The result is a shared read-only array: it is built once per P, or once
     per space for ker f (P = None and every rank-one P), and later calls
@@ -193,36 +242,33 @@ def kernel_ball_vertices(
         space = P.space
     P = _on_space(P, space)
     key = space if P.variant == "rank_one" else P
-    with _KERNEL_VERTICES_LOCK:
-        V = _KERNEL_VERTICES.get(key)
-    if V is None:
-        V = _kernel_ball_vertices(P, space)
-        V.flags.writeable = False
-        with _KERNEL_VERTICES_LOCK:
-            V = _KERNEL_VERTICES.setdefault(key, V)
-    return V
+    return _cached(_KERNEL_VERTICES, key, lambda: _kernel_ball_vertices(P, space))
 
 
 def _kernel_ball_vertices(P: MarkovProjection, space: StateSpace) -> np.ndarray:
     n = space.dim
-    if P.structured:
-        if space.is_lattice:
-            return _lex_rows(_pair_diff_vertices(space, _admissible_pair_groups(P, space)))
+    if space.is_lattice:
+        V = _pair_diff_vertices(space, P.types)
+        for members, coefs in _type_circuits(P):
+            Z = np.zeros((len(members), n))
+            np.put_along_axis(Z, members, coefs, axis=1)
+            V = np.concatenate((V, Z, -Z))
+        V = _lex_rows(V)
+    elif P.structured:
         # embedded (P rank-one): ker f = {(0, x)}, its ball section {0} x inner ball
         inner = space.base_vertices[:, 1:]  # base vertices are (1, w)
         V = np.zeros((inner.shape[0], n))
         V[:, 1:] = inner
-        return _lex_rows(V)
-
-    # explicit
-    if P.is_identity():
-        return np.zeros((0, n))
-    if not space.is_lattice:
+        V = _lex_rows(V)
+    elif P.rank() == n:  # an idempotent of full rank is the identity: ker P = {0}
+        V = np.zeros((0, n))
+    else:
         raise UnsupportedSpaceError(
             "no exact kernel enumeration for unstructured projections on "
             "embedded spaces; use the Monte-Carlo bounds"
         )
-    return _lex_rows(_support_pattern_vertices(P))
+    V.flags.writeable = False
+    return V
 
 
 def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
@@ -234,41 +280,37 @@ def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
     return CoefficientResult(v, method, V[i].copy(), True, v)
 
 
-@functools.lru_cache(maxsize=128)
-def _all_states(n: int) -> tuple[tuple[int, ...], ...]:
-    return (tuple(range(n)),)
+def _type_route(A, P, space) -> CoefficientResult:
+    """The largest image norm over the kernel-ball vertices from P's types.
 
-
-def _admissible_pair_groups(P: MarkovProjection, space: StateSpace):
-    """The base-vertex groups whose half differences span ker P; P structured.
-
-    One group of every state for rank-one P, P's blocks for block P: a
-    tuple of index tuples, the key of ``_backend._group_pairs``."""
-    if P.variant == "rank_one":
-        return _all_states(len(space.base_vertices))
-    return P.blocks
-
-
-def _pair_route(A, P, space) -> CoefficientResult:
-    """Half the largest l1 distance between images T e_i, T e_j inside a group.
-
-    The pair formula: for rank-one and block P on the simplex (the only
-    case ``ergodicity_coefficient`` sends here), the kernel ball's vertices
-    are the half differences (e_i - e_j)/2 inside a group of
-    ``_admissible_pair_groups``, so the sup is a max over pairs (Seneta,
-    Non-negative Matrices and Markov Chains, 2006, ch. 3).  One scan covers
-    both: rank-one P is its one-group case.  Ties go to the earlier group,
-    then to the group's first pair in row order of its members.
+    On the simplex a vertex is a half difference (e_i - e_j)/2 inside a
+    type of P, the pair formula (Seneta, Non-negative Matrices and Markov
+    Chains, 2006, ch. 3), or a cross-type candidate of ``_type_circuits``.
+    So the coefficient is the larger of two scans of the images T e_i: the
+    pair scan over the types, O(n^3) where the vertex route's product with
+    the n(n - 1) x n pair-vertex matrix is O(n^4) (both give the same float),
+    and the scan of the candidates, which rank-one and block P (P = None
+    included) do not have.  A P with candidates prints "type-formula", any
+    other "pair-formula"; past CANDIDATE_BUDGET, DimensionTooLargeError
+    before either scan.  Ties go to the pairs, then to the earlier
+    candidate; ``pair`` is set when a pair gives the value.
     """
+    circuits = _type_circuits(P)
     images = A.T  # row i = T e_i, the image of base vertex i
-    best, bi, bj = _backend.max_pair_half_l1(
-        images, _admissible_pair_groups(P, space), space.norm_rows
-    )
-    if bi < 0:
-        return CoefficientResult(0.0, "pair-formula", None, True, 0.0)
-    w = np.zeros(space.dim)  # (e_i - e_j)/2, entry by entry
-    w[bi], w[bj] = 0.5, -0.5
-    return CoefficientResult(best, "pair-formula", w, True, best, pair=(bi, bj))
+    best, bi, bj = _backend.max_pair_half_l1(images, P.types, space.norm_rows)
+    w = None
+    if bi >= 0:
+        w = np.zeros(space.dim)  # (e_i - e_j)/2, entry by entry
+        w[bi], w[bj] = 0.5, -0.5
+    for members, coefs in circuits:
+        v, k = _backend.max_combination_norm(images, members, coefs, space.norm_rows)
+        if k >= 0 and best == best and (w is None or not v <= best):
+            best, bi, w = v, -1, np.zeros(space.dim)
+            w[members[k]] = coefs[k]
+    method = "type-formula" if circuits else "pair-formula"
+    if w is None:
+        return CoefficientResult(0.0, method, None, True, 0.0)
+    return CoefficientResult(best, method, w, True, best, pair=(bi, bj) if bi >= 0 else None)
 
 
 def ergodicity_coefficient(
@@ -283,25 +325,24 @@ def ergodicity_coefficient(
 
     T may be a MarkovOperator or a raw matrix (the functional extends to
     arbitrary operators, which property checks on differences need).
-    method: "auto" or "vertices".  "auto" takes the exact route: the pair
-    formula for rank-one and block P on the simplex, P = None included (the
-    blocked pair scan of the n images T e_i, O(n^3), where the vertex route
-    multiplies the n(n - 1) x n pair-vertex matrix by T, O(n^4); both give
-    the same float), and the vertex route for embedded spaces and explicit
-    P.  An explicit P with no exact route (past the enumeration cap, or on
-    an embedded space) gets a Monte-Carlo bracket.  "vertices" is the
-    enumeration reference the cross-checks compare "auto" against; it
-    raises where no vertex set can be built.
+    method: "auto" or "vertices".  "auto" takes the exact route: on the
+    simplex, for every P, the scans of ``_type_route`` over P's types; on
+    an embedded space the vertex route.  Where neither is exact (an
+    explicit P on an embedded space other than the identity, or past
+    CANDIDATE_BUDGET) it gets a Monte-Carlo bracket.  "vertices" is the enumeration reference the
+    cross-checks compare "auto" against; it raises where no vertex set can
+    be built.
     P = None is ker f (the classical coefficient), and P = identity
-    (ker P = {0}) gives 0 on every exact route.  The bracket's lower side
-    samples 100_000 directions (``coefficient_lower_bound``).
+    (ker P = {0}: on the simplex n one-state types, no candidate) gives 0
+    on every exact route.  The bracket's lower side samples 100_000 directions
+    (``coefficient_lower_bound``).
     """
     A, P, space = _resolve(T, P, space)
     if method not in ("auto", "vertices"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and P.structured and space.is_lattice:
-        return _pair_route(A, P, space)
     try:
+        if method == "auto" and space.is_lattice:
+            return _type_route(A, P, space)
         V = kernel_ball_vertices(P, space)
     except (DimensionTooLargeError, UnsupportedSpaceError):
         if method == "vertices":
@@ -317,8 +358,7 @@ def _polish_step(P: MarkovProjection, space: StateSpace):
     """The polish's LP, c -> a maximizer of c.z over {P z = 0, l1(z) <= 1}.
 
     For rank-one P (ker f, which P = None stands for) and block P on the
-    simplex the kernel is {z : z sums to 0 on each group of
-    ``_admissible_pair_groups``}.  By LP duality the optimum is then the
+    simplex the kernel is {z : z sums to 0 on each type of P}.  By LP duality the optimum is then the
     largest half-range (max c - min c)/2 over the groups, reached at (e_i - e_j)/2 with i = argmax and
     j = argmin of c on the best group: the dual form of Dobrushin's
     coefficient (Seneta, Non-negative Matrices and Markov Chains, 2006,
@@ -327,7 +367,7 @@ def _polish_step(P: MarkovProjection, space: StateSpace):
     """
     n = space.dim
     if P.structured:
-        groups = [np.asarray(g) for g in _admissible_pair_groups(P, space)]
+        groups = [np.asarray(g) for g in P.types]
 
         def half_range(c):
             best, bi, bj = -1.0, 0, 0

@@ -12,6 +12,7 @@ All values are immutable after validation and every function is pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +125,10 @@ class MarkovProjection:
     ``rank_one`` realizes x -> f(x) y for a base element y, and ``block``
     averages each coordinate block onto a per-block anchor distribution.
     ``explicit`` is an idempotent Markov matrix with neither form, such as
-    one that absorbs a transient state into two classes; exact kernel
-    enumeration then needs the generic polytope routine.  A matrix with
+    one that absorbs a transient state into two classes.  A matrix with
     one of the forms is built as that variant (``explicit_projection``).
+    On the simplex every variant has ``types``, the groups of states whose
+    columns of P are equal, from which the exact coefficient is computed.
     """
 
     matrix: np.ndarray
@@ -141,8 +143,25 @@ class MarkovProjection:
         """Whether ker P has pair groups: rank-one or block, not explicit."""
         return self.variant in ("rank_one", "block")
 
-    def is_identity(self) -> bool:
-        return bool(np.abs(self.matrix - np.eye(self.space.dim)).max() <= VALIDATION_TOL)
+    @property
+    def types(self) -> tuple[tuple[int, ...], ...]:
+        """The groups of states with equal columns of P, on the simplex.
+
+        One group of every state for rank-one P (one shared object per n,
+        so that caches keyed on it compare by identity) and the blocks for
+        block P; for an explicit P the groups of ``_column_types``, in order
+        of their first member, found once per projection (by
+        ``explicit_projection`` when it builds P).
+        """
+        if self.variant == "block":
+            return self.blocks
+        if self.variant == "rank_one":
+            return _all_states(self.space.dim)
+        types = self.__dict__.get("_types")
+        if types is None:
+            types = _column_types(np.asarray(self.matrix))
+            object.__setattr__(self, "_types", types)
+        return types
 
     def rank(self) -> int:
         # trace of an idempotent is its rank
@@ -150,6 +169,11 @@ class MarkovProjection:
 
     def __repr__(self) -> str:
         return f"MarkovProjection(variant={self.variant!r}, dim={self.space.dim})"
+
+
+@functools.lru_cache(maxsize=128)
+def _all_states(n: int) -> tuple[tuple[int, ...], ...]:
+    return (tuple(range(n)),)
 
 
 def _check_projection(matrix: np.ndarray, space: StateSpace, tol: float) -> None:
@@ -226,42 +250,47 @@ def explicit_projection(space: StateSpace, matrix: np.ndarray) -> MarkovProjecti
     by at most 2 * NORMAL_FORM_TOL per entry and equals the matrix of a P
     written in structured form bit for bit.  Any other P is ``explicit``,
     as is one that is idempotent and Markov within 1e-9 but fails the
-    structured form's own checks.
+    structured form's own checks; on the simplex its equal-column groups
+    are its ``types``, and it takes the same exact route as the others.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (space.dim, space.dim):
         raise ValueError("projection matrix has the wrong shape")
     _check_projection(matrix, space, 1e-9)
     y = matrix @ space.base_vertices[0]
+    types = ()
     try:
         if np.abs(matrix - np.outer(y, space.f_coefficients)).max() <= NORMAL_FORM_TOL:
             return rank_one_projection(space, y)
-        blocks = _partition_blocks(matrix) if space.is_lattice else None
-        if blocks is not None:
-            return block_projection(space, blocks, [matrix[b, b[0]] for b in blocks])
+        types = _column_types(matrix) if space.is_lattice else ()
+        # a partition: no type's column has mass outside the type (a
+        # fractional absorption has)
+        if types and all(np.abs(np.delete(matrix[:, g[0]], g)).max(initial=0.0)
+                         <= NORMAL_FORM_TOL for g in types):
+            return block_projection(space, types, [matrix[g, g[0]] for g in types])
     except ValueError:
         pass  # e.g. an anchor entry in [-1e-9, -1e-10): block_projection's bound
-    return MarkovProjection(_frozen(matrix), space, "explicit")
+    P = MarkovProjection(_frozen(matrix), space, "explicit")
+    if types:  # the groups P.types would find again
+        object.__setattr__(P, "_types", types)
+    return P
 
 
-def _partition_blocks(matrix: np.ndarray) -> list[np.ndarray] | None:
-    """Groups of equal columns, each supported inside its group, or None.
+def _column_types(matrix: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Groups of equal columns, within NORMAL_FORM_TOL, partitioning the indices.
 
     A group is the first unassigned column with every unassigned column
-    within NORMAL_FORM_TOL of it, so the groups partition the indices.
+    within NORMAL_FORM_TOL of it.
     """
     unassigned = np.ones(len(matrix), dtype=bool)
-    blocks = []
+    groups = []
     for j in range(len(matrix)):
-        if not unassigned[j]:
-            continue
-        col = matrix[:, j]
-        members = unassigned & (np.abs(matrix - col[:, None]).max(axis=0) <= NORMAL_FORM_TOL)
-        if np.abs(col[~members]).max(initial=0.0) > NORMAL_FORM_TOL:
-            return None  # mass outside the group: a fractional absorption
-        unassigned &= ~members
-        blocks.append(np.flatnonzero(members))
-    return blocks
+        if unassigned[j]:
+            col = matrix[:, j]
+            members = unassigned & (np.abs(matrix - col[:, None]).max(axis=0) <= NORMAL_FORM_TOL)
+            unassigned &= ~members
+            groups.append(tuple(np.flatnonzero(members).tolist()))
+    return tuple(groups)
 
 
 def power(T: MarkovOperator, n: int) -> MarkovOperator:

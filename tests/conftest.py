@@ -52,6 +52,22 @@ def coupled_blocks():
 
 
 @pytest.fixture
+def embedded_bracket_doc():
+    """An explicit P on embedded linf m = 3, P(alpha, x) = (alpha, x1, 0, 0).
+
+    Its kernel {(0, 0, x2, x3)} has no exact route, so delta_P(T) is a
+    Monte-Carlo bracket, and with no LP polish off the simplex its lower
+    side moves with the seed.  T = diag(1, 1, B) keeps x1, so the upper
+    side, the classical coefficient, is 1; delta_P(T) = 0.8, the largest
+    row l1 sum of B."""
+    return {
+        "space": {"type": "embedded", "inner_dim": 3, "inner_ball": "linf"},
+        "operator": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.5, 0.3], [0, 0, -0.2, 0.6]],
+        "projection": {"type": "matrix", "entries": np.diag([1.0, 1, 0, 0]).tolist()},
+    }
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(42)
 

@@ -1,10 +1,14 @@
-"""Contracts of the two NumPy kernels in ergokit._backend."""
+"""Contracts of the NumPy kernels in ergokit._backend."""
 
 import numpy as np
 import pytest
 
 from ergokit import BACKEND, _backend, coefficients, make_embedded, make_simplex
-from ergokit.coefficients import _all_states  # the one group of every row, as rank-one P scans it
+
+
+def _all_states(k):
+    """The one group of every row, the type of a rank-one P on k states."""
+    return (tuple(range(k)),)
 
 
 def test_backend_is_numpy():

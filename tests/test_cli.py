@@ -351,13 +351,17 @@ FLAG_FLOORS = [
     ("--n0-cap", 1, ["doeblin"]),
     ("--samples", 1, ["verify", "--count", "1", "--dims", "2"]),
     ("--count", 0, ["verify"]),
+    ("--seed", 0, ["analyze"]),
+    ("--seed", 0, ["doeblin"]),
+    ("--seed", 0, ["tensor"]),
+    ("--seed", 0, ["verify", "--count", "1", "--dims", "2"]),
 ]
 
 
 @pytest.mark.parametrize("flag,low,argv", FLAG_FLOORS)
 def test_integer_flag_floor(flag, low, argv, tmp_path, capsys):
     if argv[0] != "verify":
-        argv = argv + [write(tmp_path, "two.json", TWO_STATE)]
+        argv = argv + [write(tmp_path, "two.json", TWO_STATE)] * (2 if argv[0] == "tensor" else 1)
     code, out, err = run(capsys, argv + [flag, str(low)])
     assert (code, err) == (0, "")
     assert out
@@ -512,9 +516,8 @@ def test_analyze_identity_projection_scores_every_theorem_ok(tmp_path, capsys):
 
 
 def _past_cap_doc():
-    # 13 states, past the enumeration cap: two 6-state blocks and a transient
-    # state absorbed half and half, with P written as a matrix.  delta_P(T)
-    # is a Monte-Carlo bracket whose polished value differs at seeds 0 and 5.
+    # 13 states: two 6-state blocks and a transient state absorbed half and
+    # half, with P written as a matrix, so P stays explicit
     from ergokit import corpus
 
     rng = np.random.default_rng(5)
@@ -534,12 +537,30 @@ def _past_cap_doc():
     }
 
 
-def test_analyze_computes_the_seeded_bracket_once(tmp_path, capsys, count_calls):
-    # past the cap delta_P(T) is a 100k-sample bracket: analyze draws it once,
-    # with --seed, and classify's n = 1 term reads that one
+def test_past_cap_instance_is_exact_and_decides_the_dip_clause(tmp_path, capsys):
+    # 13 states with a fractional absorption: the type route gives delta_P(T)
+    # exactly, below 1, so T itself witnesses the coefficient dip
+    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
+    assert code == 0
+    doc = json.loads(out)
+    kernel = doc["coefficients"]["kernel"]
+    assert (kernel["certified_exact"], kernel["method"]) == (True, "type-formula")
+    assert kernel["value"] == kernel["upper_bound"] == "0.6014728164622822"
+    verdict = doc["verdict"]
+    clauses = {c["name"]: c for c in verdict["clauses"]}
+    assert clauses["coefficient-dip"]["holds"] is True
+    assert verdict["witness_n0"] == 1
+    assert (verdict["uniform"], verdict["consistent"]) == (True, True)
+    assert all(t["ok"] for t in doc["theorems"])
+
+
+def test_analyze_computes_the_seeded_bracket_once(tmp_path, capsys, count_calls, embedded_bracket_doc):
+    # an explicit P off the simplex gives a 100k-sample bracket: analyze
+    # draws it once, with --seed, and classify's n = 1 term reads that one
     calls = count_calls("ergodicity_coefficient")
-    doc = _past_cap_doc()
-    p = write(tmp_path, "past-cap.json", doc)
+    doc = embedded_bracket_doc
+    p = write(tmp_path, "bracket.json", doc)
     code, out, _ = run(capsys, ["analyze", "--seed", "5", "--format", "structured", p])
     assert code == 0
     assert json.loads(out)["coefficients"]["kernel"]["certified_exact"] is False
@@ -553,17 +574,17 @@ def test_analyze_computes_the_seeded_bracket_once(tmp_path, capsys, count_calls)
     assert own_delta == [("cmd_analyze", 5)]
 
 
-def test_a_straddling_bracket_leaves_the_dip_clause_undecided(tmp_path, capsys):
-    # delta_P(T) is a bracket [0.60, 1.0] that straddles the threshold 1, so
-    # no power is a witness; TP = P with two closed classes keeps the upper
-    # side, the classical coefficient, at 1 for every power
-    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+def test_a_straddling_bracket_leaves_the_dip_clause_undecided(tmp_path, capsys, embedded_bracket_doc):
+    # delta_P(T) is a bracket [0.79, 1.0] that straddles the threshold 1, so
+    # no power is a witness; T keeps x1, which keeps the upper side, the
+    # classical coefficient, at 1 for every power
+    p = write(tmp_path, "bracket.json", embedded_bracket_doc)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
     assert code == 0
     doc = json.loads(out)
     kernel = doc["coefficients"]["kernel"]
     assert kernel["certified_exact"] is False
-    assert float(kernel["value"]) < 1.0 <= float(kernel["upper_bound"])
+    assert 0.79 < float(kernel["value"]) <= 0.8 < 1.0 == float(kernel["upper_bound"])
     verdict = doc["verdict"]
     clauses = {c["name"]: c for c in verdict["clauses"]}
     assert clauses["coefficient-dip"]["holds"] is None
@@ -574,8 +595,8 @@ def test_a_straddling_bracket_leaves_the_dip_clause_undecided(tmp_path, capsys):
     assert verdict["consistent"] is True
 
 
-def test_analyze_theorems_read_the_seeded_kernel_coefficient(tmp_path, capsys):
-    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+def test_analyze_theorems_read_the_seeded_kernel_coefficient(tmp_path, capsys, embedded_bracket_doc):
+    p = write(tmp_path, "bracket.json", embedded_bracket_doc)
     code, out, _ = run(capsys, ["analyze", "--seed", "5", "--format", "structured", p])
     assert code == 0
     doc = json.loads(out)
@@ -585,10 +606,10 @@ def test_analyze_theorems_read_the_seeded_kernel_coefficient(tmp_path, capsys):
     assert kernel["value"] == rng["detail"]["value_T"]
 
 
-def test_analyze_inequalities_draw_with_the_seed(tmp_path, capsys):
+def test_analyze_inequalities_draw_with_the_seed(tmp_path, capsys, embedded_bracket_doc):
     # T(I - P) equals T on ker P, so the commuting-factor lhs is the kernel
     # coefficient again, and its bracket follows --seed as the kernel's does
-    p = write(tmp_path, "past-cap.json", _past_cap_doc())
+    p = write(tmp_path, "bracket.json", embedded_bracket_doc)
     lhs = {}
     for seed in (0, 5):
         code, out, _ = run(capsys, ["analyze", "--seed", str(seed), "--format", "structured", p])
@@ -636,9 +657,14 @@ def test_analyze_member_keeps_its_fitted_prefactor(tmp_path, capsys):
     assert float(json.loads(out)["rate_profile"]["fitted_prefactor"]) == pytest.approx(1.5)
 
 
-def test_doeblin_audits_draw_with_the_seed(tmp_path, capsys):
-    # at n0 = 1 both certificates print delta_P(T), a Monte-Carlo bracket on
-    # this past-cap instance; each reads --seed as analyze's kernel coefficient does
+def test_doeblin_audits_draw_with_the_seed(tmp_path, capsys, monkeypatch):
+    # at n0 = 1 both certificates print delta_P(T).  Certificates need the
+    # simplex, where a bracket comes only past the candidate budget; a
+    # budget of 0 sends this 13-state explicit P there, and each certificate
+    # reads --seed as analyze's kernel coefficient does
+    from ergokit import coefficients
+
+    monkeypatch.setattr(coefficients, "CANDIDATE_BUDGET", 0)
     p = write(tmp_path, "past-cap.json", _past_cap_doc())
     for seed in (0, 5):
         argv = ["--seed", str(seed), "--format", "structured", p]

@@ -9,6 +9,7 @@ cheap to solve.
 
 import gc
 import itertools
+import json
 import sys
 import threading
 import weakref
@@ -24,6 +25,7 @@ from scipy.optimize import linprog
 from ergokit import (
     DimensionTooLargeError,
     MarkovProjection,
+    UnsupportedSpaceError,
     as_markov,
     block_projection,
     coefficient_inequalities,
@@ -34,6 +36,7 @@ from ergokit import (
     kernel_ball_vertices,
     make_embedded,
     make_simplex,
+    parse_instance,
     rank_one_projection,
 )
 from ergokit import _backend, coefficients
@@ -331,11 +334,214 @@ def test_sample_draw_is_released_with_its_space_or_the_next_draw():
     assert len(_SAMPLES) == 0
 
 
+def support_pattern_vertices(P):
+    """The referee: vertices of {z : P z = 0, l1(z) <= 1} by a search over supports.
+
+    At a vertex with support S the column-restricted kernel of P must be
+    one-dimensional: a second kernel direction supported on S gives a
+    sign-preserving perturbation writing the point as a proper convex
+    combination of feasible points.  Then |S| = rank(P[:, S]) + 1 <=
+    rank(P) + 1.  Every candidate is feasible, so a convex objective
+    maximized over this superset of the vertex set attains exactly the max
+    over the polytope.  Two SVDs per subset of states: kept for n <= 13.
+    """
+    n = P.space.dim
+    P_mat = np.asarray(P.matrix)
+    seen = {}
+    for size in range(1, min(n, P.rank() + 1) + 1):
+        for S in itertools.combinations(range(n), size):
+            cols = P_mat[:, S]
+            sv = np.linalg.svd(cols, compute_uv=False)
+            tol = n * 1e-9 * max(1.0, float(sv[0]))
+            if int((sv <= tol).sum()) != 1:
+                continue
+            _, _, vt = np.linalg.svd(cols)
+            z = np.zeros(n)
+            z[list(S)] = vt[-1]
+            z /= np.abs(z).sum()
+            for cand in (z, -z):
+                seen.setdefault(tuple(np.round(cand, 10)), cand)
+    if not seen:
+        return np.zeros((0, n))
+    return np.array(list(seen.values()))
+
+
+def _rows(X):
+    return sorted(map(tuple, np.round(X, 10)))
+
+
+def _referee_value(T, P):
+    V = support_pattern_vertices(P)
+    A = np.asarray(getattr(T, "matrix", T))
+    return float(np.abs(V @ A.T).sum(axis=1).max()) if len(V) else 0.0
+
+
+def _assert_route_matches_the_referee(T, E):
+    # auto, the vertex route and the vertex set, against the support search
+    ref = _referee_value(T, E)
+    auto = ergodicity_coefficient(T, E)
+    assert (auto.method, auto.certified_exact) == ("type-formula", True)
+    assert abs(auto.value - ref) <= 1e-15
+    assert abs(ergodicity_coefficient(T, E, method="vertices").value - ref) <= 1e-15
+    assert _rows(kernel_ball_vertices(E)) == _rows(support_pattern_vertices(E))
+    if auto.witness is not None:  # a feasible kernel point that attains the value
+        assert np.abs(np.asarray(E.matrix) @ auto.witness).max() <= 1e-9
+        assert np.abs(auto.witness).sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(np.asarray(T.matrix) @ auto.witness).sum() == pytest.approx(
+            auto.value, abs=1e-15)
+
+
+def _absorption_case(n, rank, rng):
+    """``rank`` closed classes of one or two states and transient types of
+    one or two states, each absorbed into two or more classes with random
+    weights: an explicit P of rank ``rank``; T is a random chain."""
+    while True:
+        class_sizes = rng.integers(1, 3, size=rank)
+        if class_sizes.sum() < n:
+            break
+    s = make_simplex(n)
+    P = np.zeros((n, n))
+    start, laws = 0, []
+    for size in class_sizes:
+        idx = np.arange(start, start + size)
+        laws.append((idx, smoothed_target(int(size), rng)))
+        P[np.ix_(idx, idx)] = laws[-1][1][:, None]
+        start += size
+    while start < n:
+        k = min(int(rng.integers(1, 3)), n - start)
+        into = rng.choice(rank, size=int(rng.integers(2, rank + 1)), replace=False)
+        for c, w in zip(into, rng.dirichlet(np.ones(len(into)))):
+            idx, pi = laws[c]
+            P[np.ix_(idx, range(start, start + k))] = w * pi[:, None]
+        start += k
+    E = explicit_projection(s, P)
+    assert (E.variant, E.rank()) == ("explicit", rank)
+    return as_markov(rng.dirichlet(np.ones(n), size=n).T, s), E
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_type_route_matches_the_support_pattern_referee(rank):
+    rng = np.random.default_rng(rank)
+    for _ in range(20):
+        n = int(rng.integers(rank + 2, 13))
+        _assert_route_matches_the_referee(*_absorption_case(n, rank, rng))
+
+
+def _two_transients(w3, w4):
+    # states 0, 1, 2 absorb; 3 and 4 are absorbed into 0 and 1 only, with
+    # weights w3 and w4 on state 0
+    P = np.zeros((5, 5))
+    P[0, 0] = P[1, 1] = P[2, 2] = 1.0
+    P[:2, 3] = w3, 1 - w3
+    P[:2, 4] = w4, 1 - w4
+    return explicit_projection(make_simplex(5), P)
+
+
+@pytest.mark.parametrize("gap", [0.3, 1e-7, 1e-11])
+def test_type_route_on_degenerate_and_near_equal_types(gap, rng):
+    # the type columns of 0, 1, 3 and 4 span two dimensions, so every
+    # subset of four types holding them has a two-dimensional null space;
+    # at gaps of 1e-7 and 1e-11, just above NORMAL_FORM_TOL, columns 3 and
+    # 4 are distinct types and the SVD tolerance decides as the referee does
+    E = _two_transients(0.3, 0.3 + gap)
+    assert len(E.types) == 5
+    s = E.space
+    for _ in range(10):
+        _assert_route_matches_the_referee(as_markov(rng.dirichlet(np.ones(5), size=5).T, s), E)
+
+
+def test_type_route_merges_columns_within_the_normal_form_tolerance(rng):
+    # 1e-13 apart, states 3 and 4 are one type: the route takes the exact
+    # half difference, where the referee's SVD null vector of the two
+    # columns is off by about 1e-13
+    E = _two_transients(0.4, 0.4 + 1e-13)
+    assert E.types == ((0,), (1,), (2,), (3, 4))
+    T = as_markov(rng.dirichlet(np.ones(5), size=5).T, E.space)
+    assert ergodicity_coefficient(T, E).value == pytest.approx(_referee_value(T, E), abs=1e-12)
+
+
+def _typed_absorption(class_sizes, type_sizes, rng):
+    """Closed classes of the given sizes, then transient types whose members
+    share one column, absorbed into every class; T is a random chain."""
+    n = sum(class_sizes) + sum(type_sizes)
+    P = np.zeros((n, n))
+    laws, start = [], 0
+    for size in class_sizes:
+        idx = np.arange(start, start + size)
+        laws.append((idx, smoothed_target(size, rng)))
+        P[np.ix_(idx, idx)] = laws[-1][1][:, None]
+        start += size
+    for size in type_sizes:
+        for (idx, pi), w in zip(laws, rng.dirichlet(np.ones(len(laws)))):
+            P[np.ix_(idx, range(start, start + size))] = w * pi[:, None]
+        start += size
+    s = make_simplex(n)
+    return as_markov(rng.dirichlet(np.ones(n), size=n).T, s), explicit_projection(s, P)
+
+
+@pytest.mark.parametrize("class_sizes,type_sizes", [
+    ((3, 4), (5, 6, 6, 6)),  # n = 30, rank 2
+    ((3, 3, 4), (10, 10)),  # n = 30, rank 3
+    ((2, 2), (16, 80)),  # n = 100, rank 2
+    ((1, 1, 2), (6, 90)),  # n = 100, rank 3
+])
+def test_type_route_past_twelve_states(class_sizes, type_sizes):
+    # no referee reaches these sizes: the witness must be a unit kernel
+    # point that attains the value, and every sampled bound stays below it
+    rng = np.random.default_rng(sum(type_sizes))
+    T, E = _typed_absorption(class_sizes, type_sizes, rng)
+    assert E.rank() == len(class_sizes)
+    assert len(E.types) == len(class_sizes) + len(type_sizes)
+    auto = ergodicity_coefficient(T, E)
+    assert (auto.method, auto.certified_exact) == ("type-formula", True)
+    w = auto.witness
+    assert np.abs(np.asarray(E.matrix) @ w).max() <= 1e-12
+    assert np.abs(w).sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(np.asarray(T.matrix) @ w).sum() == pytest.approx(auto.value, abs=1e-15)
+    low = coefficient_lower_bound(T, E, samples=2000, seed=1)
+    assert low.value <= auto.value + 1e-12
+    if T.space.dim <= 30:
+        vertices = ergodicity_coefficient(T, E, method="vertices")
+        assert vertices.value == pytest.approx(auto.value, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_identity_as_an_explicit_projection(n):
+    # n one-state types and rank n: no pair and no cross-type subset, at
+    # any n, so the kernel ball has no vertex and the coefficient is 0
+    s = make_simplex(n)
+    E = MarkovProjection(np.eye(n), s, "explicit")
+    assert E.types == tuple((i,) for i in range(n))
+    T = np.full((n, n), 1.0 / n)
+    auto = ergodicity_coefficient(T, E, space=s)
+    assert (auto.value, auto.method, auto.witness) == (0.0, "pair-formula", None)
+    assert auto.certified_exact
+    assert ergodicity_coefficient(T, E, space=s, method="vertices").value == 0.0
+    assert kernel_ball_vertices(E).shape == (0, n)
+    if n <= 12:
+        assert len(support_pattern_vertices(E)) == 0
+
+
+@pytest.mark.parametrize("inner", ["l1", "linf"])
+def test_identity_on_an_embedded_space_is_exact(inner, rng):
+    # no enumeration covers an explicit P on an embedded space, but the
+    # identity (full rank) has kernel {0}: 0 on both methods, not a bracket
+    s = make_embedded(3, inner)
+    E = explicit_projection(s, np.eye(s.dim))
+    assert (E.variant, E.rank()) == ("explicit", s.dim)
+    T = rng.standard_normal((s.dim, s.dim))
+    for method in ("auto", "vertices"):
+        res = ergodicity_coefficient(T, E, space=s, method=method)
+        assert (res.value, res.upper_bound, res.certified_exact) == (0.0, 0.0, True)
+        assert (res.method, res.witness) == ("kernel-vertex-enumeration", None)
+    assert kernel_ball_vertices(E).shape == (0, s.dim)
+
+
 @pytest.mark.parametrize("n", [4, 12])
 def test_explicit_projection_enumeration_matches_block(rng, n):
-    # dual route: the same matrix as a structured block projection (closed
-    # form) and stripped of its structure (support-pattern search); n = 12
-    # is the enumeration cap, the last dimension still exact.
+    # dual route: the same matrix as a structured block projection and
+    # stripped of its structure, where the types are found from the columns
+    # and agree with the support-pattern referee.
     # explicit_projection would recover the blocks, so the unstructured
     # twin is built directly
     h = n // 2
@@ -349,9 +555,11 @@ def test_explicit_projection_enumeration_matches_block(rng, n):
     a = ergodicity_coefficient(T, P, space=s)
     b = ergodicity_coefficient(T, E, space=s)
     assert b.certified_exact
-    assert b.method == "kernel-vertex-enumeration"
+    assert b.method == "pair-formula"  # no cross-type candidate
+    assert E.types == P.types
     assert a.value == pytest.approx(b.value, abs=1e-12)
-    # the pair route reads its groups from a rank-one or block P only
+    assert b.value == pytest.approx(_referee_value(T, E), abs=1e-15)
+    # structured P keep their method name
     assert a.method == "pair-formula"
 
 
@@ -364,9 +572,10 @@ def test_pair_route_refuses_a_kernel_no_pair_spans():
     T = np.array([[1, 0, 0.3], [0, 1, 0.3], [0, 0, 0.4]])
     exact = ergodicity_coefficient(T, E, space=s, method="vertices")
     assert exact.value == pytest.approx(0.4, abs=1e-12)
-    # auto never takes the pair maximum where no pair spans ker P
+    # auto scans the cross-type candidate as well as the (absent) pairs
     auto = ergodicity_coefficient(T, E, space=s)
-    assert (auto.value, auto.method) == (exact.value, "kernel-vertex-enumeration")
+    assert (auto.value, auto.method) == (exact.value, "type-formula")
+    assert auto.pair is None
 
 
 def test_pair_route_on_explicit_rank_one_embedded():
@@ -379,7 +588,7 @@ def test_pair_route_on_explicit_rank_one_embedded():
     E = explicit_projection(s, np.asarray(R.matrix))
     assert E.variant == "rank_one"
     a = ergodicity_coefficient(T, E, method="vertices")
-    every = coefficients._all_states(len(s.base_vertices))
+    every = (tuple(range(len(s.base_vertices))),)
     b, _, _ = _backend.max_pair_half_l1(s.base_vertices @ T.matrix.T, every, s.norm_rows)
     assert a.certified_exact
     assert b == pytest.approx(a.value, abs=1e-12)
@@ -398,13 +607,7 @@ def test_pair_group_vertices_match_the_support_pattern_search(sizes, rng):
         cuts = np.cumsum((0,) + sizes)
         blocks = [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
         P = block_projection(s, blocks, [rng.dirichlet(np.ones(k)) for k in sizes])
-    V = kernel_ball_vertices(P)
-    W = coefficients._support_pattern_vertices(P)
-
-    def rows(X):
-        return sorted(map(tuple, np.round(X, 10)))
-
-    assert rows(V) == rows(W)
+    assert _rows(kernel_ball_vertices(P)) == _rows(support_pattern_vertices(P))
 
 
 def test_embedded_pair_route_matches_the_vertices(rng):
@@ -421,7 +624,7 @@ def test_embedded_pair_route_matches_the_vertices(rng):
     P = rank_one_projection(s, np.eye(m + 1)[0])
     a = ergodicity_coefficient(T, P, method="vertices")
     B = s.base_vertices
-    b, i, j = _backend.max_pair_half_l1(B @ M.T, coefficients._all_states(len(B)), s.norm_rows)
+    b, i, j = _backend.max_pair_half_l1(B @ M.T, (tuple(range(len(B))),), s.norm_rows)
     assert b == pytest.approx(a.value, abs=1e-12)
     assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b, abs=1e-12)
 
@@ -473,54 +676,59 @@ def test_pairs_is_an_unknown_method(two_state):
         ergodicity_coefficient(two_state.T, two_state.P, method="pairs")
 
 
-def _half_absorbed(sizes, rng):
-    """Two Metropolis classes and a transient last state absorbed half and half.
+def _absorbing_chain(n, rank, seed):
+    """An absorbing chain on n states with its member projection.
 
-    P is a member projection with fractional absorption weights, so it has
-    neither normal form and stays explicit.
-    """
-    n = sum(sizes) + 1
+    States 0..rank - 1 absorb; the others are transient, each column drawn
+    from Dirichlet(1) over all n states.  P sends a transient state to its
+    absorption probabilities B = R (I - Q)^-1, so TP = PT = P and, for
+    generic draws, every state is its own type of P (an explicit P)."""
+    rng = np.random.default_rng(seed)
+    m = n - rank
+    RQ = rng.dirichlet(np.ones(n), size=m).T  # the transient columns of T
+    B = np.linalg.solve(np.eye(m) - RQ[rank:].T, RQ[:rank].T).T
+    T, P = np.eye(n), np.zeros((n, n))
+    T[:, rank:] = RQ
+    P[:rank, :rank] = np.eye(rank)
+    P[:rank, rank:] = B
     s = make_simplex(n)
-    T, P = np.zeros((n, n)), np.zeros((n, n))
-    start = 0
-    for size in sizes:
-        idx = np.arange(start, start + size)
-        pi = smoothed_target(size, rng)
-        T[np.ix_(idx, idx)] = metropolis_matrix(pi, rng)
-        T[idx, n - 1] = 0.35 * rng.dirichlet(np.ones(size))
-        P[np.ix_(idx, idx)] = pi[:, None]
-        P[idx, n - 1] = 0.5 * pi
-        start += size
-    T[n - 1, n - 1] = 0.3
-    E = explicit_projection(s, P)
-    assert E.variant == "explicit"
-    return s, as_markov(T, s), E
+    return as_markov(T, s), explicit_projection(s, P)
 
 
-def test_explicit_enumeration_cap(rng):
-    # n = 12 is the last dimension enumerated, n = 13 the first refused
-    s, T, E = _half_absorbed([6, 5], rng)
-    exact = ergodicity_coefficient(T, E, method="vertices")
-    assert exact.certified_exact
+def test_candidate_budget_edge():
+    # one-state types: 13 states at rank 11 count sum C(13, s), s = 2..12,
+    # = 8177 candidates, inside the budget, and 37 states at rank 2
+    # (s = 2, 3) 8436, past it, counted before any SVD
+    assert coefficients.CANDIDATE_BUDGET == 8192
+    T, E = _absorbing_chain(13, 11, 0)
+    assert (len(E.types), E.rank()) == (13, 11)
+    exact = ergodicity_coefficient(T, E)
+    assert (exact.method, exact.certified_exact) == ("type-formula", True)
     low = coefficient_lower_bound(T, E, samples=5000, seed=1)
     assert low.value <= exact.value + 1e-12
-    s, T, E = _half_absorbed([6, 6], rng)
-    with pytest.raises(DimensionTooLargeError):
+    T, E = _absorbing_chain(37, 2, 0)
+    with pytest.raises(DimensionTooLargeError, match="8436 cross-type candidates"):
         ergodicity_coefficient(T, E, method="vertices")
+    with pytest.raises(DimensionTooLargeError):
+        kernel_ball_vertices(E)
+    bracket = ergodicity_coefficient(T, E, seed=3)
+    assert (bracket.method, bracket.certified_exact) == ("monte-carlo-lower-bound", False)
+    assert bracket.value <= bracket.upper_bound
 
 
-def test_mc_bracket_contains_exact(rng, monkeypatch):
-    # beyond the enumeration cap auto degrades to a bracket; the support-
-    # pattern enumeration, run once with the cap lifted, must land inside it
-    s, T, E = _half_absorbed([6, 6], rng)
+def test_mc_bracket_contains_exact(embedded_bracket_doc):
+    # an explicit P on an embedded space has no exact route: auto gives a
+    # bracket, which must contain the value 0.8 known in closed form
+    inst = parse_instance(json.dumps(embedded_bracket_doc))
+    T, E = inst.operator, inst.projection
+    assert E.variant == "explicit"
     bracket = ergodicity_coefficient(T, E, seed=3)
     assert not bracket.certified_exact
     assert bracket.method == "monte-carlo-lower-bound"
-    monkeypatch.setattr(coefficients, "ENUMERATION_CAP", 13)
-    V = coefficients._support_pattern_vertices(E)
-    exact = float(np.abs(V @ np.asarray(T.matrix).T).sum(axis=1).max())
-    assert bracket.value <= exact + 1e-12
-    assert exact <= bracket.upper_bound + 1e-12
+    assert bracket.upper_bound == 1.0
+    assert 0.79 < bracket.value <= 0.8 + 1e-12
+    with pytest.raises(UnsupportedSpaceError):
+        ergodicity_coefficient(T, E, method="vertices")
 
 
 def test_lower_bound_close_after_polish(small_corpus):

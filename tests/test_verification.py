@@ -283,10 +283,10 @@ def test_shared_audit_raises_the_certificate_error_again():
     assert again.value is first.value
 
 
-@pytest.mark.parametrize("route", ["_pair_route", "_exact_from_vertices"])
+@pytest.mark.parametrize("route", ["_type_route", "_exact_from_vertices"])
 def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch):
     # analyze's pair-formula theorem and verify's pair-formula check both
-    # compare the pair route (auto) with the vertex route: inflating either
+    # compare the type route (auto) with the vertex route: inflating either
     # one by 1e-6 must fail the theorem and every case of the check
     import dataclasses
 
