@@ -124,7 +124,12 @@ def cmd_analyze(args) -> int:
     classical = ergodicity_coefficient(
         inst.operator, None, space=inst.space, seed=args.seed
     )
-    kernel = ergodicity_coefficient(inst.operator, inst.projection, seed=args.seed)
+    # a rank-one P has ker P = ker f, so its coefficient is the classical one
+    kernel = (
+        classical
+        if inst.projection.variant == "rank_one"
+        else ergodicity_coefficient(inst.operator, inst.projection, seed=args.seed)
+    )
     t_coeff = time.perf_counter() - t0
 
     t0 = time.perf_counter()

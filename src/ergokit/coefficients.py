@@ -536,7 +536,8 @@ def coefficient_inequalities(
 ) -> list[PropertyCheck]:
     """Numerical checks of the five basic coefficient inequalities.
 
-    (range) the coefficient of a Markov operator lies in [0, 1];
+    (range) the coefficient of a Markov operator lies in [0, 1], the lower
+    side at or above 0 and the upper side at or below 1;
     (difference-lipschitz) |c(T) - c(S)| <= c(T-S) <= ||T-S||;
     (commuting-factor) HP = PH implies c(TH) <= c(T) ||H||;
     (annihilated-factor) PH = 0 implies ||TH|| <= c(T) ||H||;
@@ -568,7 +569,7 @@ def coefficient_inequalities(
         PropertyCheck(
             "range",
             True,
-            -tol <= dT <= 1.0 + tol and -tol <= dS <= 1.0 + tol,
+            -tol <= dT and upT <= 1.0 + tol and -tol <= dS and upS <= 1.0 + tol,
             {"value_T": dT, "value_S": dS},
         )
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ergokit import __version__, block_projection, cli, corpus, make_simplex, parse_instance
-from ergokit.instances import ParsedInstance, instance_document
+from ergokit.instances import ParsedInstance, instance_document, serialize_instance
 
 TWO_STATE = {
     "space": {"type": "simplex", "dim": 2},
@@ -471,9 +471,10 @@ def test_analyze_reads_spectra_and_defects_off_its_classification(
 
 
 def test_analyze_computes_the_kernel_coefficient_once(tmp_path, capsys, count_calls):
-    # classify and the theorems read the delta_P(T) that analyze prints,
-    # T - T = 0 has no coefficient to compute, and the inequality suite asks
-    # only for those of T(I - P) and T^2
+    # classify and the theorems read the delta_P(T) that analyze prints, the
+    # classical one for this rank-one P (ker P = ker f), T - T = 0 has no
+    # coefficient to compute, the pair-formula theorem computes none of its
+    # own, and the inequality suite asks only for those of T(I - P) and T^2
     calls = count_calls("ergodicity_coefficient")
     p = write(tmp_path, "two.json", TWO_STATE)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", p])
@@ -488,15 +489,34 @@ def test_analyze_computes_the_kernel_coefficient_once(tmp_path, capsys, count_ca
         assert caller != "eigenvalue_bound_check"
         if caller == "coefficient_inequalities":
             inequality_args.append(A)
-        if caller == "instance_theorems":
-            assert kwargs.get("method") == "vertices"
-        P = args[1] if len(args) > 1 else kwargs.get("P")
-        if P is not None and np.array_equal(A, T) and kwargs.get("method") != "vertices":
-            own_delta.append(caller)
-    assert own_delta == ["cmd_analyze"]
+        assert caller != "instance_theorems"
+        if np.array_equal(A, T):
+            own_delta.append((caller, args[1] if len(args) > 1 else kwargs.get("P")))
+    assert own_delta == [("cmd_analyze", None)]
     assert len(inequality_args) == 2
     assert np.allclose(inequality_args[0], T @ (np.eye(2) - Pm), atol=1e-15)
     assert np.allclose(inequality_args[1], T @ T, atol=1e-15)
+
+
+@pytest.mark.parametrize("make", ["dirichlet-100", "block-10+10+10"])
+def test_analyze_builds_no_kernel_vertices_on_the_simplex(make, tmp_path, capsys, count_calls):
+    # rank-one and block P take the pair route, and the pair-formula theorem
+    # checks it with the overlap form: no vertex set is built
+    rng = np.random.default_rng(0)
+    inst = (
+        corpus.dirichlet_instance(100, rng, make)
+        if make == "dirichlet-100"
+        else corpus.block_instance([10, 10, 10], rng, make)
+    )
+    p = tmp_path / "inst.json"
+    p.write_text(serialize_instance(ParsedInstance(inst.T.space, inst.T, inst.P)))
+    calls = count_calls("_kernel_ball_vertices")
+    code, out, _ = run(capsys, ["analyze", "--format", "structured", str(p)])
+    assert code == 0
+    theorems = json.loads(out)["theorems"]
+    assert "pair-formula" in [t["name"] for t in theorems]
+    assert all(t["ok"] for t in theorems), theorems
+    assert calls["_kernel_ball_vertices"] == []
 
 
 def test_analyze_identity_projection_scores_every_theorem_ok(tmp_path, capsys):

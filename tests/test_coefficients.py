@@ -969,6 +969,23 @@ def test_factor_inequalities_read_the_upper_side_of_a_bracket(two_state):
     assert not checks["submultiplicative"].ok
 
 
+def test_range_reads_the_lower_side_for_zero_and_the_upper_side_for_one(two_state):
+    # delta_P(T) in [0, 1] is shown by a lower side >= 0 and an upper side <= 1
+    from ergokit import CoefficientResult
+
+    T, P = two_state.T, two_state.P
+
+    def range_holds(value, upper):
+        bracket = CoefficientResult(value, "monte-carlo-lower-bound", None, False, upper)
+        checks = {c.name: c for c in coefficient_inequalities(T, T, P, delta=bracket)}
+        return checks["range"].holds
+
+    assert range_holds(0.56, 0.6)
+    assert range_holds(0.0, 1.0)
+    assert not range_holds(0.56, 1.0 + 1e-6)  # delta <= 1 is not shown
+    assert not range_holds(-1e-6, 0.6)  # delta >= 0 is not shown
+
+
 def test_eigenvalue_bound_on_corpus(small_corpus):
     for inst in small_corpus:
         rep = eigenvalue_bound_check(inst.T, inst.P)

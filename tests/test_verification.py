@@ -283,11 +283,13 @@ def test_shared_audit_raises_the_certificate_error_again():
     assert again.value is first.value
 
 
-@pytest.mark.parametrize("route", ["_type_route", "_exact_from_vertices"])
+@pytest.mark.parametrize("route", ["_type_route", "_exact_from_vertices", "_overlap_form"])
 def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch):
-    # analyze's pair-formula theorem and verify's pair-formula check both
-    # compare the type route (auto) with the vertex route: inflating either
-    # one by 1e-6 must fail the theorem and every case of the check
+    # analyze's pair-formula theorem compares the type route (auto) with the
+    # overlap form, verify's pair-formula check compares it with the vertex
+    # route: a 1e-6 inflation of the type route fails the theorem and every
+    # case of the check, one of the overlap form fails the theorem alone, and
+    # one of the vertex route fails every case of the check alone
     import dataclasses
 
     from ergokit import classify, coefficients, ergodicity_coefficient, verification
@@ -295,12 +297,15 @@ def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch)
     from ergokit.verification import instance_theorems
 
     rng = np.random.default_rng(0)
-    inst = dirichlet_instance(7, rng, "dirichlet-7")
-    corpus = [inst, block_instance([3, 4], rng, "block-7"), dirichlet_instance(3, rng, "d-3")]
+    corpus = [
+        dirichlet_instance(7, rng, "dirichlet-7"),
+        block_instance([3, 4], rng, "block-7"),
+        dirichlet_instance(3, rng, "d-3"),
+    ]
     assert [i.P.variant for i in corpus] == ["rank_one", "block", "rank_one"]
     assert all(i.T.space.is_lattice for i in corpus)
 
-    def pair_formula():
+    def pair_formula(inst):
         verdict, report = classify(inst.T, inst.P)
         delta = ergodicity_coefficient(inst.T, inst.P)
         theorems = instance_theorems(inst.T, inst.P, verdict, report, delta)
@@ -310,17 +315,153 @@ def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch)
         check = dict(verification.CHECKS)["pair-formula"]
         return check(corpus, verification.VerifyContext())
 
-    assert pair_formula()
+    assert all(pair_formula(i) for i in corpus)
     honest = pair_formula_check()
     assert (honest.passed, honest.failed) == (len(corpus), 0)
-    real = getattr(coefficients, route)
+    module = verification if route == "_overlap_form" else coefficients
+    real = getattr(module, route)
+    scale = 1 + 1e-6
 
     def mutant(*args, **kwargs):
         res = real(*args, **kwargs)
-        scale = 1 + 1e-6
+        if route == "_overlap_form":
+            return res * scale
         return dataclasses.replace(res, value=res.value * scale, upper_bound=res.upper_bound * scale)
 
-    monkeypatch.setattr(coefficients, route, mutant)
-    assert not pair_formula()
+    monkeypatch.setattr(module, route, mutant)
+    theorem_dies = route != "_exact_from_vertices"
+    check_dies = route != "_overlap_form"
+    assert [pair_formula(i) for i in corpus] == [not theorem_dies] * len(corpus)
     broken = pair_formula_check()
-    assert (broken.passed, broken.failed) == (0, len(corpus)), broken.messages
+    expected = (0, len(corpus)) if check_dies else (len(corpus), 0)
+    assert (broken.passed, broken.failed) == expected, broken.messages
+
+
+def _random_blocks(n, rng):
+    # 2 to 4 blocks of a random permutation, so the blocks interleave
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(1, 4))), replace=False))
+    perm = rng.permutation(n)
+    edges = [0, *cuts, n]
+    return [sorted(perm[a:b].tolist()) for a, b in zip(edges[:-1], edges[1:])]
+
+
+# the overlap form and the pair route agree within this many units in the
+# last place of 1 (every value here is at most 1); 1.5 was the largest gap
+# seen over 1800 draws at n <= 100
+OVERLAP_ULPS = 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 13, 30, 100])
+def test_overlap_form_matches_the_pair_route(n):
+    from ergokit import ergodicity_coefficient, make_simplex, rank_one_projection
+    from ergokit.corpus import dirichlet_matrix
+    from ergokit.operators import block_projection, explicit_projection
+    from ergokit.verification import _overlap_form
+
+    rng = np.random.default_rng(n)
+    space = make_simplex(n)
+    tol = OVERLAP_ULPS * np.finfo(float).eps
+    for draw in range(12 if n < 30 else 3):
+        A = dirichlet_matrix(n, rng) if draw % 2 else rng.dirichlet(np.full(n, 0.05), n).T
+        rank_one = rank_one_projection(space, rng.dirichlet(np.ones(n)))
+        block = block_projection(space, _random_blocks(n, rng))
+        written = explicit_projection(space, np.asarray(block.matrix))
+        assert written.variant == "block" and sorted(written.blocks) == sorted(block.blocks)
+        for P, groups in ((rank_one, (range(n),)), (block, block.blocks), (written, written.blocks)):
+            pair = ergodicity_coefficient(A, P, space=space)
+            assert pair.method == "pair-formula"
+            assert abs(_overlap_form(A, groups) - pair.value) <= tol, (P.variant, draw)
+
+
+def test_overlap_form_reads_column_sums_off_one():
+    # columns summing to 1 +- VALIDATION_TOL pass the Markov check; the form
+    # (s_i + s_j)/2 - sum min is the half l1 distance for them, where
+    # 1 - sum min is off by the columns' own excess and fails the theorem's 1e-12
+    from ergokit import as_markov, ergodicity_coefficient, make_simplex, rank_one_projection
+    from ergokit.corpus import dirichlet_matrix
+    from ergokit.operators import VALIDATION_TOL
+    from ergokit.verification import _overlap_form
+
+    rng = np.random.default_rng(3)
+    for n, excess in ((3, 0.9), (10, -0.9), (30, 0.9)):
+        space = make_simplex(n)
+        A = dirichlet_matrix(n, rng) * (1 + excess * VALIDATION_TOL)
+        as_markov(A, space)
+        assert np.abs(A.sum(axis=0) - 1).min() > 0.8 * VALIDATION_TOL
+        pair = ergodicity_coefficient(A, rank_one_projection(space, np.full(n, 1 / n))).value
+        assert abs(_overlap_form(A, (range(n),)) - pair) <= OVERLAP_ULPS * np.finfo(float).eps
+        overlaps = np.minimum(A.T[:, None, :], A.T[None, :, :]).sum(axis=2)
+        i, j = np.triu_indices(n, 1)
+        assert abs((1 - overlaps[i, j]).max() - pair) > 1e-12
+
+
+def test_overlap_form_gives_singletons_no_pair():
+    from ergokit.corpus import dirichlet_matrix
+    from ergokit.verification import _overlap_form
+
+    rng = np.random.default_rng(5)
+    A = dirichlet_matrix(6, rng)
+    assert _overlap_form(A, [(k,) for k in range(6)]) == 0.0
+    assert _overlap_form(np.ones((1, 1)), [(0,)]) == 0.0
+    # singletons next to a pair: only the pair counts, and a state in no
+    # group is a singleton too
+    pair = 0.5 * np.abs(A[:, 1] - A[:, 4]).sum()
+    got = _overlap_form(A, [(0,), (1, 4), (2,), (3,), (5,)])
+    assert got == pytest.approx(pair, abs=1e-15)
+    assert _overlap_form(A, [(1, 4)]) == got
+
+
+@pytest.mark.parametrize("mutant", ["types", "_group_pairs"])
+def test_pair_formula_theorem_catches_a_pair_route_that_drops_a_group(mutant, monkeypatch):
+    # the pair route and the vertex route both read P.types and the pair
+    # list of _backend._group_pairs; the overlap form reads P.blocks itself,
+    # so a bug in either that drops the group holding the maximizing pair
+    # fails the theorem
+    from ergokit import _backend, classify, ergodicity_coefficient
+    from ergokit.corpus import block_instance
+    from ergokit.operators import MarkovProjection
+    from ergokit.verification import instance_theorems
+
+    inst = block_instance([3, 4, 2], np.random.default_rng(1), "block-9")
+    honest = ergodicity_coefficient(inst.T, inst.P)
+    assert honest.value > 0
+    top = next(k for k, g in enumerate(inst.P.blocks) if honest.pair[0] in g)
+
+    def drop_top(groups):
+        return groups[:top] + groups[top + 1 :]
+
+    if mutant == "types":
+        monkeypatch.setattr(MarkovProjection, "types", property(lambda P: drop_top(P.blocks)))
+    else:
+        real = _backend._group_pairs
+        monkeypatch.setattr(_backend, "_group_pairs", lambda groups: real(drop_top(groups)))
+    delta = ergodicity_coefficient(inst.T, inst.P)
+    assert delta.value < honest.value
+    assert ergodicity_coefficient(inst.T, inst.P, method="vertices").value == delta.value
+    verdict, report = classify(inst.T, inst.P)
+    theorems = {name: ok for name, ok, _ in instance_theorems(inst.T, inst.P, verdict, report, delta)}
+    assert theorems["pair-formula"] is False
+
+
+@pytest.mark.parametrize("lower_by, upper_by, holds", [
+    (0.0, 0.0, True),  # exact: [delta, delta]
+    (None, 0.0, False),  # [0, delta] does not show norm(T^n (I - P)) <= 2 delta
+    (0.0, 0.1, False),  # [delta, norm(T^n - P) + 0.1] does not show delta <= norm(T^n - P)
+])
+def test_power_norm_chain_reads_each_side_of_a_bracket(lower_by, upper_by, holds, monkeypatch):
+    from ergokit import CoefficientResult, verification
+    from ergokit.corpus import two_state_fixture
+
+    real = verification.ergodicity_coefficient
+
+    def bracket(*args, **kwargs):
+        exact = real(*args, **kwargs)
+        value = 0.0 if lower_by is None else exact.value - lower_by
+        return CoefficientResult(
+            value, "monte-carlo-lower-bound", None, False, exact.upper_bound + upper_by
+        )
+
+    monkeypatch.setattr(verification, "ergodicity_coefficient", bracket)
+    check = dict(verification.CHECKS)["power-norm-chain"]
+    res = check([two_state_fixture()], verification.VerifyContext())
+    assert (res.passed, res.failed) == ((1, 0) if holds else (0, 1)), res.messages
