@@ -5,8 +5,9 @@
 half distance, and ``max_combination_norm`` weighted sums of rows for the
 largest norm, each in the ``norm_rows`` it is given (l1 on a simplex).
 The ratio scan reads Z in blocks of ``_BLOCK_ROWS`` rows, the blocks in
-which ``_unit_samples`` draws and normalizes it; a block is tall enough for
-the column-wise l1 row sums of ``spaces._abs_row_sums``.  The
+which ``_unit_samples`` draws exponentials, signs them and normalizes the
+rows onto the unit l1 sphere; a block is tall enough for the column-wise l1
+row sums of ``spaces._abs_row_sums``.  The
 pair scan reads the cached pair list of its groups (``_group_pairs``; k
 rows in one group take k(k - 1) indices) and gathers the differences of at
 most ``_PAIR_BLOCK_ENTRIES`` entries at a time, with one ``norm_rows`` call
@@ -25,7 +26,9 @@ import functools
 import numpy as np
 
 BACKEND = "python"
-_BLOCK_ROWS = 8192  # Z rows per draw and ratio-scan block; bounds norm_rows' |W| copy
+# Z rows per draw and ratio-scan block; bounds norm_rows' |W| copy.  A
+# multiple of 64, so that a full block's signs take whole raw words
+_BLOCK_ROWS = 8192
 # entries of one gather of the pair scan (2 x step rows of R): 256 KB.  µs
 # per scan of an n x n R at n = 46 / 60 / 100 on a 2-CPU x86 host: 2^13
 # entries 191/294/1191, 2^15 126/204/779, 2^16 121/184/725, 2^17 118/196/1372;

@@ -12,6 +12,7 @@ import itertools
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -795,7 +796,7 @@ def _highs_lower_bound(T, P, samples, seed):
     best_z = D @ Z[idx]
     best_z /= np.abs(best_z).sum()
     E = space.f_coefficients.reshape(1, -1) if P is None else np.asarray(P.matrix)
-    for k in np.argsort(ratios)[::-1][:4]:
+    for k in coefficients._polish_starts(ratios, A @ D, Z):
         z = D @ Z[k]
         z_best = z / np.abs(z).sum()
         val = float(np.abs(A @ z_best).sum())
@@ -862,21 +863,50 @@ def test_lower_bound_on_an_annihilated_kernel(space_kind, two_state, blocky):
     assert low.value <= exact + 1e-12
 
 
-def test_polish_starts_are_the_sorted_top_four(rng):
-    for m in (1, 3, 4, 5, 1000):
-        for _ in range(20):
+def _reference_starts(ratios, TK, Z):
+    """The start rule, row by row: of the START_POOL best kept rows, in ratio
+    order, each row whose sign pattern of TK z (0 read as +1) is new."""
+    order = [k for k in sorted(range(len(ratios)), key=lambda k: -ratios[k]) if ratios[k] >= 0]
+    seen, starts = set(), []
+    for k in order[: coefficients.START_POOL]:
+        s = np.sign(TK @ Z[k])
+        s[s == 0] = 1.0
+        if tuple(s) not in seen and len(starts) < coefficients.POLISH_STARTS:
+            seen.add(tuple(s))
+            starts.append(k)
+    return starts
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_polish_starts_are_the_best_row_of_each_sign_pattern(n, rng):
+    # m = 300 > START_POOL; rank-one TK leaves at most two patterns, so the
+    # pattern count, not the cap, bounds the starts
+    for m in (1, 3, 16, 17, 300):
+        for rank in (1, n):
+            TK = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+            Z = rng.standard_normal((m, n))
             ratios = np.where(rng.random(m) < 0.2, -1.0, rng.random(m))
-            want = np.argsort(ratios)[::-1][:4]
-            want = want[ratios[want] >= 0]  # skipped rows are never starts
-            if len(set(np.sort(ratios)[::-1][:5])) < min(5, m):
-                continue  # the picks are only defined up to ties
-            assert coefficients._polish_starts(ratios).tolist() == want.tolist()
+            starts = coefficients._polish_starts(ratios, TK, Z)
+            assert len(starts) <= coefficients.POLISH_STARTS
+            assert (ratios[starts] >= 0).all()  # a skipped row is never a start
+            assert (np.diff(ratios[starts]) <= 0).all()  # descending ratio order
+            patterns = {tuple(row) for row in Z[starts] @ TK.T >= 0}
+            assert len(patterns) == len(starts)  # no two share a sign pattern
+            assert starts.tolist() == _reference_starts(ratios, TK, Z)
+
+
+def test_polish_starts_read_a_zero_as_plus():
+    # the ascent reads sign 0 as +1, so (0, 1) and (1, 1) take the same step
+    Z = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
+    starts = coefficients._polish_starts(np.array([0.9, 0.8, 0.7]), np.eye(2), Z)
+    assert starts.tolist() == [0, 2]
 
 
 def test_polish_starts_skip_the_rows_the_scan_skipped():
     # a skipped row (ratio -1) is a near annihilated draw: it seeds no ascent
-    assert coefficients._polish_starts(np.array([0.5, -1.0, 0.3])).tolist() == [0, 2]
-    assert coefficients._polish_starts(np.array([-1.0, -1.0])).tolist() == []
+    Z = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    assert coefficients._polish_starts(np.array([0.5, -1.0, 0.3]), np.eye(2), Z).tolist() == [0, 2]
+    assert coefficients._polish_starts(np.array([-1.0, -1.0]), np.eye(2), Z[:2]).tolist() == []
 
 
 def test_two_samples_polish_only_the_kept_draw(two_state, count_calls):
@@ -901,19 +931,62 @@ def test_two_samples_polish_only_the_kept_draw(two_state, count_calls):
 B = _backend._BLOCK_ROWS
 
 
+def _one_shot_draw(seed, samples, dim):
+    """The draw rule in one pass: the signs are the bits of the seed's first
+    ceil(samples * dim / 64) raw words, the magnitudes the exponentials that
+    follow, and each row is divided by its l1 norm."""
+    rng = np.random.default_rng(seed)
+    words = rng.bit_generator.random_raw(-(-samples * dim // 64))
+    E = rng.standard_exponential((samples, dim))
+    negative = np.unpackbits(words.view(np.uint8), count=E.size).reshape(E.shape) == 1
+    Z = np.where(negative, -E, E)
+    l1 = np.abs(Z).sum(axis=1)
+    return Z / np.where(l1 > 0, l1, 1.0)[:, None]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 13])
 def test_blocked_draw_equals_one_shot_draw(dim):
-    # the draw is made and normalized block by block; it keeps the bits of
-    # one (samples, dim) draw normalized in one pass
+    # the draw is made, signed and normalized block by block; it keeps the
+    # bits of one (samples, dim) draw signed and normalized in one pass
     s = make_simplex(dim)
     for samples in (1, B - 1, B, B + 1, 100_000):
         _SAMPLES.clear()
         Z = _unit_samples(s, 17, samples)
-        want = np.random.default_rng(17).standard_normal((samples, dim))
-        l1 = np.abs(want).sum(axis=1)
-        want /= np.where(l1 > 0, l1, 1.0)[:, None]
-        assert Z.tobytes() == want.tobytes(), samples
+        assert Z.tobytes() == _one_shot_draw(17, samples, dim).tobytes(), samples
         assert Z.flags.writeable is False
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 13])
+def test_sample_rows_have_unit_l1_norm(dim):
+    _SAMPLES.clear()
+    Z = _unit_samples(make_simplex(dim), 5, 20_000)
+    # dim quotients, each rounded once, summed with dim - 1 roundings
+    assert np.abs(np.abs(Z).sum(axis=1) - 1.0).max() <= 2 * dim * np.finfo(float).eps
+
+
+def test_sample_signs_are_balanced():
+    # each sign is a fair coin: a share of negatives more than 6 binomial
+    # standard deviations (0.5 / sqrt(N)) from 1/2 has probability < 2e-9
+    _SAMPLES.clear()
+    Z = _unit_samples(make_simplex(10), 23, 100_000)
+    negative = np.signbit(Z)
+    assert abs(negative.mean() - 0.5) <= 6 * 0.5 / np.sqrt(Z.size)
+    assert (np.abs(negative.mean(axis=0) - 0.5) <= 6 * 0.5 / np.sqrt(len(Z))).all()
+
+
+def test_draw_holds_no_temporary_past_two_blocks():
+    # the draw's temporaries (sign words, unpacked bits, row sums) are
+    # per block: a whole-array temporary would double the draw's memory
+    s = make_simplex(10)
+    _SAMPLES.clear()
+    tracemalloc.start()
+    try:
+        Z = _unit_samples(s, 3, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = B * 10 * Z.itemsize
+    assert Z.nbytes <= peak < Z.nbytes + 2 * block
 
 
 def test_five_properties_on_corpus(small_corpus):
