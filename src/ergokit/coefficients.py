@@ -585,7 +585,10 @@ def coefficient_inequalities(
     ``delta``: the caller's ``ergodicity_coefficient(T, P)``, if it holds
     one; ``seed`` seeds the sampling fallback of the other coefficients.
     The factor checks build each rhs from the upper sides of c(T) and c(S),
-    so a Monte-Carlo bracket never fails a true inequality.
+    and difference-lipschitz compares the lower side of |c(T) - c(S)|,
+    max(0, lT - uS, lS - uT) from the brackets [lT, uT] and [lS, uS], with
+    the upper side of c(T-S), so a Monte-Carlo bracket never fails a true
+    inequality.
     """
     space = T.space
     Pm = np.asarray(P.matrix)
@@ -609,16 +612,19 @@ def coefficient_inequalities(
     )
 
     diff = T.matrix - S.matrix
-    # T - T = 0 has coefficient 0 on every route
-    d_diff = (
-        0.0 if S is T else ergodicity_coefficient(diff, P, space=space, seed=seed).value
-    )
+    if S is T:  # T - T = 0 has coefficient 0 on every route
+        d_diff = up_diff = 0.0
+    else:
+        c_diff = ergodicity_coefficient(diff, P, space=space, seed=seed)
+        d_diff, up_diff = c_diff.value, c_diff.upper_bound
     nrm_diff = operator_norm(diff, space)
+    # the least |c(T) - c(S)| can be, over every point of the two brackets
+    low_gap = max(0.0, dT - upS, dS - upT)
     out.append(
         PropertyCheck(
             "difference-lipschitz",
             True,
-            abs(dT - dS) <= d_diff + tol and d_diff <= nrm_diff + tol,
+            low_gap <= up_diff + tol and d_diff <= nrm_diff + tol,
             {"lhs": abs(dT - dS), "mid": d_diff, "rhs": nrm_diff},
         )
     )

@@ -236,18 +236,20 @@ def verify_certificate(
     if phi.shape != (T.space.dim, T.space.dim):
         violations.append("phi_table has the wrong shape")
     else:
-        if phi.min() < -CONE_SLACK:
+        # each test reads "not ok", so that a NaN, which compares False both
+        # ways, fails it
+        if not phi.min() >= -CONE_SLACK:
             violations.append("a corrector phi_x leaves the cone")
         if has_power:
             slack = (Tn + phi.T - cert.tau * Qm).min()
-            if slack < -CONE_SLACK:
+            if not slack >= -CONE_SLACK:
                 violations.append(
                     f"minorization inequality fails at a vertex (worst entry {slack:.3e})"
                 )
         sup_phi = float(phi.sum(axis=1).max())
-        if abs(sup_phi - cert.sup_phi_norm) > 1e-9:
+        if not abs(sup_phi - cert.sup_phi_norm) <= 1e-9:
             violations.append("recorded sup_phi_norm does not match the table")
-        if sup_phi > 0.25 * cert.tau + CONE_SLACK:
+        if not sup_phi <= 0.25 * cert.tau + CONE_SLACK:
             violations.append(
                 f"corrector budget exceeded: sup norm(phi) = {sup_phi:.3e} "
                 f"> tau/4 = {0.25 * cert.tau:.3e}"

@@ -20,12 +20,14 @@ distinction drives the CLI exit codes.
 Canonical form.  Every document this module writes, an instance or a
 structured report, is the text ``json.dumps(doc, indent=2,
 sort_keys=True) + "\n"``: two-space indents, sorted keys, non-ASCII
-characters as ``\\uXXXX`` escapes.  Report floats are shortest-repr
-strings (``repr(float(x))``); instance floats are JSON numbers in the same
-shortest repr.  The instance hash is the first 16 hex digits of the sha256
-of ``serialize_instance``'s UTF-8 bytes; ``json.loads`` and ``json.dumps``
-give that text back unchanged, so the standard library alone recomputes
-the hash from a canonical file.
+characters as ``\\uXXXX`` escapes.  One walk writes both, reading NumPy
+scalars and arrays as the builtins they hold; only its float rule
+differs.  Report floats are shortest-repr strings (``repr(float(x))``);
+instance floats are JSON numbers in the same shortest repr.  The instance
+hash is the first 16 hex digits of the sha256 of ``serialize_instance``'s
+UTF-8 bytes; ``json.loads`` and ``json.dumps`` give that text back
+unchanged, so the standard library alone recomputes the hash from a
+canonical file.
 """
 
 from __future__ import annotations
@@ -275,41 +277,36 @@ def load_instance(path: str) -> ParsedInstance:
 # canonical serialization
 
 _string = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps
 
 
-def _scalar(obj) -> str:
-    if isinstance(obj, str):
+def _encode(obj, indent: str, quote: str) -> str:
+    """``obj`` in canonical form, its nested lines indented past ``indent``.
+
+    ``quote`` is the float rule: ``'"'`` writes each float as its quoted
+    shortest repr (reports), ``""`` as a JSON number (instances).  NumPy
+    scalars and arrays are read as the builtins they hold, complex numbers
+    as ``cnum`` strings, object keys as ``str(key)``, and any other object
+    as ``str(obj)``.  Each flat list of strings or floats is one
+    ``str.join`` in C.
+    """
+    if isinstance(obj, str):  # most report values
         return _string(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _encode(obj, indent: str) -> str:
-    if type(obj) is str:  # most report values
-        return _string(obj)
+    if isinstance(obj, float):  # np.float64 too
+        r = float.__repr__(obj)
+        return quote + r + quote if quote else _NON_FINITE.get(r, r)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        if set(map(type, obj)) != {str}:
+            obj = {str(k): v for k, v in obj.items()}
         inner = indent + "  "
         body = (",\n" + inner).join(
-            [_string(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+            [_string(k) + ": " + _encode(obj[k], inner, quote) for k in sorted(obj)]
         )
         return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, np.ndarray):
+        return _encode(obj.tolist(), indent, quote)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -318,22 +315,43 @@ def _encode(obj, indent: str) -> str:
         kinds = set(map(type, obj))
         if kinds == {str}:
             body = sep.join(map(_string, obj))
-        elif kinds == {float} and all(map(math.isfinite, obj)):
-            body = sep.join(map(float.__repr__, obj))
+        elif kinds == {float} and (quote or all(map(math.isfinite, obj))):
+            body = quote + (quote + sep + quote).join(map(float.__repr__, obj)) + quote
         else:
-            body = sep.join([_encode(v, inner) for v in obj])
+            body = sep.join([_encode(v, inner, quote) for v in obj])
         return "[\n" + inner + body + "\n" + indent + "]"
-    return _scalar(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.floating):
+        return _encode(float(obj), indent, quote)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _string(cnum(obj))
+    return _string(str(obj))
 
 
 def _canonical(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    when every object key is a string.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
-    is set; here each flat list of strings or finite floats is one
-    ``str.join`` in C.  Object keys must be strings.
+    is set; ``_encode`` writes the same text with its flat lists joined in C.
     """
-    return _encode(doc, "") + "\n"
+    return _encode(doc, "", "") + "\n"
+
+
+def dumps_structured(doc: dict) -> str:
+    """A structured report in canonical form, every float a repr string."""
+    return _encode(doc, "", '"') + "\n"
+
+
+def cnum(z) -> str:
+    z = complex(z)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{repr(z.real)}{sign}{repr(abs(z.imag))}j"
 
 
 def _floats_doc(a) -> list:
@@ -381,59 +399,3 @@ def serialize_instance(inst: ParsedInstance) -> str:
 
 def instance_hash(inst: ParsedInstance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# decimal-string helpers for structured reports
-
-
-def fnum(x) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return repr(float(x))
-
-
-def cnum(z) -> str:
-    z = complex(z)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{repr(z.real)}{sign}{repr(abs(z.imag))}j"
-
-
-def _float_strings(rows):
-    """``fnum`` of every float in the nested lists of a float64 array."""
-    if rows and type(rows[0]) is list:
-        return [_float_strings(r) for r in rows]
-    return list(map(float.__repr__, rows))
-
-
-def jsonable(obj):
-    """Recursively coerce a report fragment to JSON-safe builtins.
-
-    Enforces the decimal-string policy on the way: every float (builtin or
-    numpy) becomes its repr string, numpy bools and ints shed their
-    wrappers, arrays become nested lists.
-    """
-    if isinstance(obj, float):  # np.float64 too; the commonest leaf
-        return float.__repr__(obj)
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return fnum(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return cnum(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64:
-            return _float_strings(obj.tolist())
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return str(obj)
-
-
-def dumps_structured(doc: dict) -> str:
-    return _canonical(jsonable(doc))

@@ -727,6 +727,25 @@ def test_structured_output_is_in_canonical_form(tmp_path, capsys):
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
+def test_structured_reports_match_the_two_pass_referee(tmp_path, capsys, monkeypatch):
+    from test_instances import referee_structured
+
+    docs = []
+    real = cli.dumps_structured
+    monkeypatch.setattr(cli, "dumps_structured", lambda doc: docs.append(doc) or real(doc))
+    paths = _fixture_files(tmp_path)
+    two, block = paths["two_state_fixture"], paths["block_fixture"]
+    past_cap = write(tmp_path, "past-cap.json", _past_cap_doc())
+    runs = [["analyze", p] for p in (two, paths["embedded_fixture"], past_cap)]
+    runs += [["doeblin", two], ["doeblin", past_cap], ["tensor", two, block]]
+    runs += [["verify", "--count", "1", "--dims", "2..3"]]
+    for argv in runs:
+        docs.clear()
+        code, out, err = run(capsys, [*argv, "--format", "structured"])
+        assert (code, err, len(docs)) == (0, "", 1), argv
+        assert out == referee_structured(docs[0]), argv
+
+
 def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     p = write(tmp_path, "two.json", TWO_STATE)
     code, out, _ = run(capsys, ["analyze", "--format", "structured", "--seed", "5",

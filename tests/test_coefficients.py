@@ -1059,6 +1059,43 @@ def test_range_reads_the_lower_side_for_zero_and_the_upper_side_for_one(two_stat
     assert not range_holds(-1e-6, 0.6)  # delta >= 0 is not shown
 
 
+def test_difference_lipschitz_reads_the_sound_side_of_each_bracket(two_state, monkeypatch):
+    # |c(T) - c(S)| <= c(T - S) is shown by max(0, lT - uS, lS - uT) against
+    # the upper side of c(T - S); c(T - S) <= ||T - S|| by its lower side
+    from ergokit import CoefficientResult
+
+    T, P = two_state.T, two_state.P
+    # c(T) = 0.6, c(S) = 0.64, c(T - S) = 0.04 and ||T - S|| = 0.06, all exact
+    S = as_markov(0.9 * T.matrix + 0.1 * np.eye(2), T.space)
+    real = coefficients.ergodicity_coefficient
+    diff_bracket = None
+
+    def bracket(low, up):
+        return CoefficientResult(low, "monte-carlo-lower-bound", None, False, up)
+
+    def with_diff_bracket(A, P, **kw):
+        if diff_bracket is not None and isinstance(A, np.ndarray) and np.array_equal(
+            A, T.matrix - S.matrix
+        ):
+            return diff_bracket
+        return real(A, P, **kw)
+
+    monkeypatch.setattr(coefficients, "ergodicity_coefficient", with_diff_bracket)
+
+    def holds(t_side, diff=None):
+        nonlocal diff_bracket
+        diff_bracket = diff
+        checks = {c.name: c for c in coefficient_inequalities(T, S, P, delta=bracket(*t_side))}
+        return checks["difference-lipschitz"].holds
+
+    assert holds((0.6, 0.6))
+    assert holds((0.0, 0.6))  # the lower sides alone read |0.0 - 0.64| > 0.04
+    assert not holds((0.7, 0.8))  # 0.7 - 0.64 > 0.04 on every point of the bracket
+    assert holds((0.6, 0.6), bracket(0.01, 0.05))  # the lower side alone reads 0.04 > 0.01
+    assert not holds((0.6, 0.6), bracket(0.01, 0.03))
+    assert not holds((0.6, 0.6), bracket(0.061, 0.07))  # c(T - S) > ||T - S|| shown
+
+
 def test_eigenvalue_bound_on_corpus(small_corpus):
     for inst in small_corpus:
         rep = eigenvalue_bound_check(inst.T, inst.P)

@@ -173,6 +173,40 @@ def test_audit_takes_a_numpy_integer_n0(two_state):
     assert rep.ok and rep.power.shape == (2, 2)
 
 
+NAN_TABLE_VIOLATIONS = (
+    "a corrector phi_x leaves the cone",
+    "minorization inequality fails at a vertex",
+    "recorded sup_phi_norm does not match the table",
+    "corrector budget exceeded",
+)
+
+
+@pytest.mark.parametrize("how, messages", [
+    ("all-nan-table", NAN_TABLE_VIOLATIONS),
+    ("one-nan-entry", NAN_TABLE_VIOLATIONS),
+    ("nan-record", ("recorded sup_phi_norm does not match the table",)),
+], ids=["all-nan-table", "one-nan-entry", "nan-record"])
+@pytest.mark.parametrize("make", [corpus.two_state_fixture, corpus.block_fixture],
+                         ids=lambda f: f.__name__)
+def test_audit_fails_a_nan_in_the_table_or_the_record(make, how, messages):
+    # a NaN compares False both ways: each test of the audit must fail on it
+    inst = make()
+    cert = certificate_from_convergence(inst.T, inst.P)
+    assert verify_certificate(cert, inst.T, inst.P).ok
+    phi = cert.phi_table.copy()
+    if how == "all-nan-table":
+        forged = dataclasses.replace(cert, phi_table=np.full_like(phi, np.nan))
+    elif how == "one-nan-entry":
+        phi[0, -1] = np.nan
+        forged = dataclasses.replace(cert, phi_table=phi)
+    else:
+        forged = dataclasses.replace(cert, sup_phi_norm=float("nan"))
+    rep = verify_certificate(forged, inst.T, inst.P)
+    assert not rep.ok
+    assert len(rep.violations) == len(messages)
+    assert all(v.startswith(m) for v, m in zip(rep.violations, messages)), rep.violations
+
+
 def test_search_two_state(two_state):
     out = search_certificates(two_state.T, two_state.P, n0_cap=40)
     assert not out.exhausted_minorization

@@ -28,9 +28,7 @@ from ergokit.instances import (
     _number,
     cnum,
     dumps_structured,
-    fnum,
     instance_document,
-    jsonable,
 )
 
 TWO_STATE_DOC = {
@@ -239,9 +237,9 @@ def test_instance_document_includes_sub():
     assert "sub_projection" in out
 
 
-def test_fnum_round_trips():
+def test_structured_floats_round_trip():
     for x in (0.1, 1 / 3, 1e-300, 123456.789, float(np.float64(0.6) ** 40)):
-        assert float(fnum(x)) == x
+        assert float(json.loads(dumps_structured({"x": x}))["x"]) == x
 
 
 def test_cnum_formats_signs():
@@ -249,7 +247,7 @@ def test_cnum_formats_signs():
     assert cnum(complex(-1.0, 2.0)) == "-1.0+2.0j"
 
 
-def test_jsonable_sanitizes_numpy_scalars():
+def test_structured_writer_reads_numpy_scalars():
     doc = {
         "a": np.float64(0.5),
         "b": np.bool_(True),
@@ -258,14 +256,13 @@ def test_jsonable_sanitizes_numpy_scalars():
         "e": complex(1, 1),
         "f": {1: "one"},
     }
-    out = jsonable(doc)
+    out = json.loads(dumps_structured(doc))
     assert out["a"] == "0.5"
     assert out["b"] is True
     assert out["c"] == 3
     assert out["d"] == [["1.5", "2.5"]]
     assert out["e"] == "1.0+1.0j"
     assert out["f"] == {"1": "one"}
-    json.dumps(out)  # must be plain-json clean
 
 
 def test_dumps_structured_deterministic():
@@ -479,10 +476,106 @@ def test_instance_hash_is_recomputed_by_the_standard_library():
         assert instance_hash(inst) == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def test_jsonable_float_arrays_read_as_fnum():
+def test_structured_float_arrays_read_as_repr_strings():
     a = np.array([[0.1, -0.0, 5e-324], [np.nan, np.inf, 1 / 3]])
-    want = [[fnum(v) for v in row] for row in a]
-    assert jsonable(a) == want
-    assert jsonable(a[0]) == want[0]
-    assert jsonable(np.zeros((2, 0))) == [[], []]
-    assert jsonable(np.array([1, 2])) == [1, 2]
+    want = [[repr(float(v)) for v in row] for row in a]
+
+    def written(x):
+        return json.loads(dumps_structured({"x": x}))["x"]
+
+    assert written(a) == want
+    assert written(a[0]) == want[0]
+    assert written(np.zeros((2, 0))) == [[], []]
+    assert written(np.array([1, 2])) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the referee: the two-pass report writer that ``_encode`` replaced.  It
+# first converts a whole report to builtins, every float a repr string, and
+# then writes the copy with the standard library.
+
+
+def _referee_jsonable(obj):
+    if isinstance(obj, float):
+        return float.__repr__(obj)
+    if obj is None or isinstance(obj, (str, bool)):
+        return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return repr(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return cnum(obj)
+    if isinstance(obj, np.ndarray):
+        return [_referee_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _referee_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_referee_jsonable(v) for v in obj]
+    return str(obj)
+
+
+def referee_structured(doc) -> str:
+    """What ``dumps_structured`` wrote before it walked a report once."""
+    return json.dumps(_referee_jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _arrays(dtype, elements):
+    return st.integers(0, 3).flatmap(lambda rows: st.one_of(
+        st.lists(elements, min_size=rows, max_size=rows),
+        st.integers(0, 3).flatmap(lambda cols: st.lists(
+            st.lists(elements, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)),
+    )).map(lambda entries: np.array(entries, dtype=dtype))
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+FLOAT32S = st.floats(width=32, allow_nan=True, allow_infinity=True)
+COMPLEXES = st.complex_numbers(allow_nan=True, allow_infinity=True)
+NUMPY_LEAVES = st.one_of(
+    FLOATS.map(np.float64), FLOAT32S.map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_), COMPLEXES.map(np.complex128),
+    COMPLEXES, st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    _arrays(np.float64, FLOATS), _arrays(np.float32, FLOAT32S),
+    _arrays(np.int64, st.integers(-(2**63), 2**63 - 1)), _arrays(bool, st.booleans()),
+    _arrays(np.complex128, COMPLEXES),
+)
+REPORT_FRAGMENTS = st.recursive(
+    JSON_SCALARS | FLAT_LISTS | NUMPY_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(
+        st.text(max_size=4) | st.integers(-3, 3) | st.booleans() | st.none(), inner,
+        max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_FRAGMENTS)
+def test_report_writer_matches_the_two_pass_referee(doc):
+    assert dumps_structured(doc) == referee_structured(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"empty": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.array([], dtype=int)]},
+    {"f32": np.float32(0.1), "f32s": np.array([0.1, np.nan], dtype=np.float32),
+     "f32-list": [np.float32(0.1), np.float32(-np.inf)]},
+    {"ints": [np.int8(-1), np.uint64(2**64 - 1)], "bools": np.array([[True], [False]])},
+    {1: "one", "1": "string one", 2.5: None, None: (), True: np.complex64(1 - 2j)},
+    (np.float64(np.nan), np.inf, -np.inf, float("nan"), "nan", [np.nan, 0.5]),
+    {"mixed": [1.5, np.float64(2.5)], "np": [np.float64(-0.0), np.float64(np.inf)]},
+], ids=["empty-arrays", "float32", "ints-and-bools", "non-string-keys", "non-finite",
+        "mixed-floats"])
+def test_report_writer_edge_cases_match_the_referee(doc):
+    assert dumps_structured(doc) == referee_structured(doc)
+
+
+def test_instance_writer_reads_numpy_values_as_json_numbers():
+    doc = {"a": np.float64(0.5), "b": [np.float64(np.nan), np.inf], "c": np.array([[1, 2]]),
+           "d": np.float32(0.25), "e": np.bool_(False)}
+    plain = {"a": 0.5, "b": [float("nan"), float("inf")], "c": [[1, 2]], "d": 0.25, "e": False}
+    assert _canonical(doc) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
