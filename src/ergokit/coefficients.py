@@ -24,9 +24,10 @@ candidate from the null vector of 2 to rank P + 1 type columns
 (``_type_circuits``).  A P with cross-type candidates, an explicit P
 with more types than its rank, prints "type-formula"; every other P,
 rank-one and block P among them, "pair-formula".  Embedded spaces take
-the vertex route for rank-one P and the identity.  A Monte-Carlo bracket
-is left for any other P on an embedded space and for a P past
-CANDIDATE_BUDGET;
+the vertex route for rank-one P and the identity, on linf for rank-one P
+in closed form (``_linf_ker_f_route``, its float and witness).  A
+Monte-Carlo bracket is left for any other P on an embedded space and for
+a P past CANDIDATE_BUDGET;
 ``method="vertices"`` forces the enumeration, the cross-checks' reference.
 The ratio scan (every space), the pair scan and the combination scan
 (simplex only) are ``_backend`` kernels that read a ``norm_rows``.  The
@@ -53,7 +54,7 @@ from scipy.optimize import linprog
 from . import _backend
 from .errors import DimensionTooLargeError, PreconditionError, UnsupportedSpaceError
 from .operators import MarkovOperator, MarkovProjection, commutes, operator_norm
-from .spaces import StateSpace, _abs_row_sums, _frozen, same_space
+from .spaces import StateSpace, _abs_row_sums, _abs_row_sums_in_order, _frozen, same_space
 
 KERNEL_TOL = 1e-10
 # the most cross-type candidates (``_type_circuits``) the exact route builds
@@ -101,9 +102,11 @@ def _ker_f_projection(space: StateSpace) -> MarkovProjection:
     """x -> f(x) b0 for the first base vertex b0, a rank-one P with ker P = ker f.
 
     f(b0) = 1 makes it an exact Markov idempotent, so it is built without
-    the checks of ``rank_one_projection``."""
+    the checks of ``rank_one_projection``.  Its matrix is built once per
+    space; the cache holds the matrix, not a projection, because a
+    projection holds its space, which would keep the weak key alive."""
     b0 = space.base_vertices[0]
-    matrix = _frozen(np.outer(b0, space.f_coefficients))
+    matrix = _cached(_KER_F, space, lambda: _frozen(np.outer(b0, space.f_coefficients)))
     return MarkovProjection(matrix, space, "rank_one", y=b0)
 
 
@@ -148,9 +151,11 @@ def _pair_diff_vertices(space: StateSpace, groups) -> np.ndarray:
 
 
 # per-projection caches (kernel vertices, or per space for ker f; cross-type
-# candidates); weak keys, so an entry lives exactly as long as its key
+# candidates) and the per-space ker f matrix; weak keys, so an entry lives
+# exactly as long as its key
 _KERNEL_VERTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _CIRCUITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_KER_F: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _CACHE_LOCK = threading.Lock()
 
 
@@ -238,7 +243,9 @@ def kernel_ball_vertices(
     DimensionTooLargeError.  On an embedded space rank-one P has the closed
     form {0} x inner ball and the identity has no vertex (ker P = {0}); any
     other P there has no exact route (UnsupportedSpaceError), and callers
-    fall back to bounds.
+    fall back to bounds.  On linf the 2^m rows are the reference that
+    ``ergodicity_coefficient``'s closed form is tested against; ``auto``
+    builds them only under ``method="vertices"``.
 
     The result is a shared read-only array: it is built once per P, or once
     per space for ker f (P = None and every rank-one P), and later calls
@@ -280,12 +287,60 @@ def _kernel_ball_vertices(P: MarkovProjection, space: StateSpace) -> np.ndarray:
 
 
 def _exact_from_vertices(A, V, space, method) -> CoefficientResult:
+    """The largest image norm over the kernel-ball vertices V, one product.
+
+    The witness is the first maximizing row of V.  The reference route:
+    ``method="vertices"`` everywhere, and ``auto`` on embedded l1 and for
+    the identity; ``_linf_ker_f_route`` gives its float and witness in
+    closed form on ker f of embedded linf."""
     if len(V) == 0:  # ker P = {0}: the sup over no x is 0
         return CoefficientResult(0.0, method, None, True, 0.0)
     vals = space.norm_rows(V @ A.T)
     i = int(np.argmax(vals))
     v = float(vals[i])
     return CoefficientResult(v, method, V[i].copy(), True, v)
+
+
+def _linf_ker_f_route(A) -> CoefficientResult:
+    """The vertex route on ker f of embedded linf, without its 2^m vertices.
+
+    The vertices are (0, w), w in {-1, 1}^m, and image coordinate i of
+    (0, w) is sum_{j >= 1} A_ij w_j, which the vertex route's BLAS product
+    adds left to right (the bit-for-bit tests hold it to that).  Rounding
+    is monotone, so |fl(s + t)| <= fl(|s| + |t|): no sign pattern of row i
+    beats the aligned sum of |A_ij| added in that order, and the value is
+    the largest such row sum, the vertex route's float for a finite A.  Its
+    witness is the vertex route's too, the first maximizing row of the
+    lex-sorted vertices: w is built coordinate by coordinate, keeping
+    w_k = -1 while some row can still reach the value with its remaining
+    terms aligned to its partial sum.
+    """
+    sums = _abs_row_sums_in_order(A[:, 1:])
+    v = float(sums.max())
+    # (partial sum, row) of each row that can still reach v, in Python floats
+    live = [(0.0, r) for r in A[sums == v, 1:].tolist()]
+    w = [0.0]
+    for k in range(A.shape[1] - 1):
+        for sign in (-1.0, 1.0):
+            nxt = []
+            for s, r in live:
+                t = s + sign * r[k]
+                # a step that keeps |partial| at its aligned value keeps the reach
+                if abs(t) == abs(s) + abs(r[k]) or _aligned_sum(t, r, k + 1) == v:
+                    nxt.append((t, r))
+            if nxt:
+                break
+        w.append(sign)
+        live = nxt
+    return CoefficientResult(v, "kernel-vertex-enumeration", np.array(w), True, v)
+
+
+def _aligned_sum(s: float, row: list, start: int) -> float:
+    """|s| plus |row[j]| for j >= start, added left to right."""
+    s = abs(s)
+    for t in row[start:]:
+        s += abs(t)
+    return s
 
 
 def _type_route(A, P, space) -> CoefficientResult:
@@ -335,11 +390,13 @@ def ergodicity_coefficient(
     arbitrary operators, which property checks on differences need).
     method: "auto" or "vertices".  "auto" takes the exact route: on the
     simplex, for every P, the scans of ``_type_route`` over P's types; on
-    an embedded space the vertex route.  Where neither is exact (an
-    explicit P on an embedded space other than the identity, or past
-    CANDIDATE_BUDGET) it gets a Monte-Carlo bracket.  "vertices" is the enumeration reference the
-    cross-checks compare "auto" against; it raises where no vertex set can
-    be built.
+    an embedded space the vertex route, which for rank-one P (ker f) on
+    linf is read off T in closed form (``_linf_ker_f_route``: the vertex
+    route's value, witness and method string, with no vertex set built).
+    Where neither is exact (an explicit P on an embedded space other than
+    the identity, or past CANDIDATE_BUDGET) it gets a Monte-Carlo bracket.
+    "vertices" is the enumeration reference the cross-checks compare
+    "auto" against; it raises where no vertex set can be built.
     P = None is ker f (the classical coefficient), and P = identity
     (ker P = {0}: on the simplex n one-state types, no candidate) gives 0
     on every exact route.  The bracket's lower side samples 100_000 directions
@@ -351,6 +408,8 @@ def ergodicity_coefficient(
     try:
         if method == "auto" and space.is_lattice:
             return _type_route(A, P, space)
+        if method == "auto" and space.inner_ball == "linf" and P.variant == "rank_one":
+            return _linf_ker_f_route(A)
         V = kernel_ball_vertices(P, space)
     except (DimensionTooLargeError, UnsupportedSpaceError):
         if method == "vertices":

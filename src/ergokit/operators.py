@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import StateSpace, _frozen, same_space
+from .spaces import StateSpace, _abs_row_sums_in_order, _frozen, same_space
 
 VALIDATION_TOL = 1e-10
 # explicit_projection counts two columns as equal, and an entry as zero,
@@ -111,10 +111,22 @@ def operator_norm(matrix: np.ndarray, space: StateSpace) -> float:
 
     Its vertices are the base vertices and their negatives, and the norm is
     even, so the maximum over the base vertices' images is the maximum over
-    the whole ball.
+    the whole ball.  On the simplex the images of the base vertices e_j are
+    the columns of M, read as the rows of a contiguous M.T: the largest
+    column l1 sum.  On embedded linf the ball is the linf ball of R^(m+1),
+    so the norm is the largest absolute row sum (Horn & Johnson, Matrix
+    Analysis, 2nd ed., 5.6), each row added left to right: the order in
+    which the product with the 2^m base vertices accumulates the image of
+    its sign-aligned vertex, so for a finite M it is the float that the
+    vertex maximum gives.  Embedded l1 takes the product with its 2m base
+    vertices.
     """
-    images = space.base_vertices @ np.asarray(matrix, dtype=float).T
-    return float(space.norm_rows(images).max())
+    M = np.asarray(matrix, dtype=float)
+    if space.is_lattice:
+        return float(space.norm_rows(np.ascontiguousarray(M.T)).max())
+    if space.inner_ball == "linf":
+        return float(_abs_row_sums_in_order(M).max())
+    return float(space.norm_rows(space.base_vertices @ M.T).max())
 
 
 @dataclass(frozen=True, eq=False)

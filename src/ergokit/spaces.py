@@ -66,6 +66,16 @@ def _abs_row_sums(W: np.ndarray) -> np.ndarray:
     return s
 
 
+def _abs_row_sums_in_order(W: np.ndarray) -> np.ndarray:
+    """Row sums of |W|, each row added left to right over its columns.
+
+    That is the order in which a matrix product accumulates a vertex row of
+    +-1 entries against a row of W, which NumPy's pairwise ``sum`` does not
+    keep; ``accumulate`` adds strictly in order.
+    """
+    return np.add.accumulate(np.abs(W), axis=1)[:, -1]
+
+
 def _abs_row_max(V: np.ndarray) -> np.ndarray:
     """``np.abs(V).max(axis=1)``, bit for bit, without a reduce call per row.
 

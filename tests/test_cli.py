@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergokit import __version__, block_projection, cli, corpus, make_simplex, parse_instance
+from ergokit import (
+    __version__,
+    block_projection,
+    cli,
+    corpus,
+    ergodicity_coefficient,
+    make_simplex,
+    parse_instance,
+)
 from ergokit.instances import ParsedInstance, instance_document, serialize_instance
 
 TWO_STATE = {
@@ -289,6 +297,34 @@ def _linf_doc(m):
         "operator": np.eye(n).tolist(),
         "projection": {"type": "rank_one", "y": [1.0] + [0.0] * m},
     }
+
+
+def test_analyze_at_the_linf_cap_is_ok_and_matches_the_vertices(tmp_path, capsys):
+    # m = 16, the largest linf ball: (alpha, x) -> (alpha, alpha c + A x) with
+    # P onto its fixed point; every theorem holds, and both printed
+    # coefficients are the vertex route's result over the 2^16 vertices
+    m = 16
+    rng = np.random.default_rng(16)
+    A = rng.uniform(-1.0, 1.0, (m, m))
+    A *= 0.5 / np.abs(A).sum(axis=1).max()
+    c = rng.uniform(-1.0, 1.0, m)
+    c *= 0.4 / np.abs(c).max()
+    T = np.eye(m + 1)
+    T[1:, 0], T[1:, 1:] = c, A
+    y = [1.0] + np.linalg.solve(np.eye(m) - A, c).tolist()
+    doc = {**_linf_doc(m), "operator": T.tolist(), "projection": {"type": "rank_one", "y": y}}
+    code, out, err = run(capsys, ["analyze", "--format", "structured",
+                                  write(tmp_path, "cap.json", doc)])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert [t["name"] for t in rep["theorems"] if t["ok"] is not True] == []
+    inst = parse_instance(json.dumps(doc))
+    for name, P in (("classical", None), ("kernel", inst.projection)):
+        want = ergodicity_coefficient(inst.operator, P, method="vertices")
+        got = rep["coefficients"][name]
+        assert (got["value"], got["upper_bound"]) == (repr(want.value), repr(want.upper_bound))
+        assert (got["method"], got["certified_exact"]) == (want.method, want.certified_exact)
+        assert got["witness"] == [repr(x) for x in want.witness.tolist()]
 
 
 def test_linf_inner_dim_cap_is_a_parse_error(tmp_path, capsys):

@@ -169,6 +169,25 @@ def test_ker_f_projection_is_the_rank_one_projection_onto_base_vertex_0(space):
     want = rank_one_projection(space, b0)
     assert np.asarray(P.matrix).tobytes() == np.asarray(want.matrix).tobytes()
     assert np.asarray(P.y).tobytes() == np.asarray(want.y).tobytes()
+    # the matrix is built once per space, read-only
+    again = coefficients._ker_f_projection(space)
+    assert again.matrix is P.matrix and again.space is space
+    assert not P.matrix.flags.writeable
+
+
+def test_ker_f_matrix_dies_with_its_space():
+    # the cache holds the matrix, which does not reach the space, so the
+    # space is freed by reference counting alone, and its entry with it
+    s = make_simplex(5)
+    M = weakref.ref(coefficients._ker_f_projection(s).matrix)
+    ergodicity_coefficient(np.eye(5), None, space=s)
+    by_space = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
+        assert by_space() is None and M() is None
+    finally:
+        gc.enable()
 
 
 def test_ker_f_on_one_state_is_the_empty_kernel():
@@ -628,6 +647,65 @@ def test_embedded_pair_route_matches_the_vertices(rng):
     b, i, j = _backend.max_pair_half_l1(B @ M.T, (tuple(range(len(B))),), s.norm_rows)
     assert b == pytest.approx(a.value, abs=1e-12)
     assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b, abs=1e-12)
+
+
+def _linf_referee_inputs(m, rng):
+    """Matrices on embedded linf m whose ker f coefficient the closed form
+    must read as the vertex route does: random, with exact zeros (a zero row
+    among them) and all zero, two maximal rows that tie, integer entries,
+    magnitudes spanning e^-40 to e^40 (the small terms are absorbed), and
+    the normalized powers of T - P that ``gelfand_trail`` scans."""
+    n, s = m + 1, make_embedded(m, "linf")
+    out = [rng.standard_normal((n, n))]
+    Z = rng.standard_normal((n, n))
+    Z[rng.random((n, n)) < 0.5] = 0.0
+    Z[rng.integers(n)] = 0.0
+    out += [Z, np.zeros((n, n))]
+    for _ in range(2):  # row j: row i with flipped signs, the same aligned sum
+        tie = rng.uniform(-0.5, 0.5, (n, n))
+        i, j = rng.choice(n, 2, replace=False)
+        tie[i, 1:] *= 2.0
+        tie[j] = tie[i] * rng.choice((-1.0, 1.0), n)
+        out.append(tie)
+    out.append(rng.integers(-3, 4, (n, n)).astype(float))
+    out += [rng.standard_normal((n, n)) * np.exp(rng.uniform(-40, 40, (n, n)))
+            for _ in range(4)]
+    A = rng.uniform(-1.0, 1.0, (m, m))
+    A *= 0.5 / np.abs(A).sum(axis=1).max()
+    c = rng.uniform(-1.0, 1.0, m)
+    c *= 0.4 / np.abs(c).max()
+    T = np.eye(n)
+    T[1:, 0], T[1:, 1:] = c, A
+    y = np.concatenate([[1.0], np.linalg.solve(np.eye(m) - A, c)])
+    E = T - np.outer(y, np.eye(n)[0])
+    Y = E.copy()
+    for _ in range(6):  # the scan of spectral._scaled_power_logs
+        out.append(Y)
+        Y = E @ (Y / ergodicity_coefficient(Y, None, space=s).value)
+    return out, rank_one_projection(s, y)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_linf_ker_f_closed_form_equals_the_vertices_bit_for_bit(m, rng):
+    # auto on ker f of embedded linf reads its value and witness off A; the
+    # vertex route is the reference, every field of the result bit for bit
+    s = make_embedded(m, "linf")
+    mats, P = _linf_referee_inputs(m, rng)
+    for A in mats:
+        for proj in (None, P):
+            want = ergodicity_coefficient(A, proj, space=s, method="vertices")
+            got = ergodicity_coefficient(A, proj, space=s)
+            assert (got.value, got.method, got.certified_exact, got.upper_bound) == (
+                want.value, want.method, want.certified_exact, want.upper_bound)
+            assert got.witness.tobytes() == want.witness.tobytes()
+            assert got.pair is None
+
+
+def test_linf_ker_f_builds_no_vertex_set(count_calls, rng):
+    s = make_embedded(12, "linf")
+    calls = count_calls("kernel_ball_vertices")
+    ergodicity_coefficient(rng.standard_normal((13, 13)), None, space=s)
+    assert calls["kernel_ball_vertices"] == []
 
 
 ROUTE_DIMS = (1, 2, 3, 7, 10, 13, 30, 60, 100)

@@ -136,8 +136,10 @@ def simplex_markov(space, rng):
         lambda rng: embedded_markov(20, "l1", rng),
         lambda rng: embedded_markov(6, "linf", rng),
         lambda rng: embedded_markov(12, "linf", rng),
+        lambda rng: embedded_markov(14, "linf", rng),
     ],
-    ids=["simplex-2", "simplex-9", "simplex-30", "simplex-12", "l1-20", "linf-6", "linf-12"],
+    ids=["simplex-2", "simplex-9", "simplex-30", "simplex-12", "l1-20", "linf-6", "linf-12",
+         "linf-14"],
 )
 def test_operator_norm_equals_ball_vertex_loop_bit_for_bit(make_case, rng):
     for _ in range(3):
