@@ -8,20 +8,19 @@ The ratio scan reads Z in blocks of ``_BLOCK_ROWS`` rows, the blocks in
 which ``_unit_samples`` draws exponentials, signs them and normalizes the
 rows onto the unit l1 sphere; a block is tall enough for the column-wise l1
 row sums of ``spaces._abs_row_sums``.  The
-pair scan reads the cached pair list of its groups (``_group_pairs``; k
-rows in one group take k(k - 1) indices) and gathers the differences of at
-most ``_PAIR_BLOCK_ENTRIES`` entries at a time, with one ``norm_rows`` call
-per gather.  It takes any ``norm_rows``, but the package runs it on the
-simplex only, over the types of P (one group of every state for rank-one
-P, the blocks for block P); the combination scan reads the cross-type
-candidates of an explicit P there, in gathers of the same bound.
+pair scan reads the pair list it is given (built by ``_group_pairs``; k
+rows in one group take k(k - 1) indices), which ``coefficients`` keeps in
+the memo of the space (rank-one P) or of P, and gathers the differences of
+at most ``_PAIR_BLOCK_ENTRIES`` entries at a time, with one ``norm_rows``
+call per gather.  It takes any ``norm_rows``, but the package runs it on
+the simplex only, over the types of P (one group of every state for
+rank-one P, the blocks for block P); the combination scan reads the
+cross-type candidates of an explicit P there, in gathers of the same bound.
 ``BACKEND`` is always "python".  The kernels keep a module of their own
 because the benchmark tracer rebinds them by module name.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -60,8 +59,7 @@ def mc_max_ratio(TK, K, Z, norm_rows, min_den=1e-300):
     return float(ratios[idx]), idx, ratios
 
 
-@functools.lru_cache(maxsize=128)
-def _group_pairs(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _group_pairs(groups) -> np.ndarray:
     """The pairs inside each group, J in row 0 and I in row 1, read-only.
 
     Groups in their order, each group's pairs (g[a], g[b]), a < b, in row
@@ -76,27 +74,26 @@ def _group_pairs(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return JI
 
 
-def max_pair_half_l1(R, groups, norm_rows):
+def max_pair_half_l1(R, pairs, norm_rows):
     """Max of half norm_rows(R_i - R_j) over the pairs (i, j) inside each group.
 
-    ``groups`` is a tuple of tuples of row indices: one group of every row,
-    ``((0, 1, ..., k - 1),)``, for a rank-one projection, its blocks for a
-    block projection; a group g's pairs are (g[a], g[b]), a < b.  Returns
-    (value, i, j), ties to the earlier group and within a group to its first
-    pair in row order of its members; (0.0, -1, -1) when no group has two
-    rows.  The pairs are read ``step`` at a time, so that one gather of
-    2 x step rows of R holds at most ``_PAIR_BLOCK_ENTRIES`` entries (every
-    pair of an n x n R with n <= 32 fits in one); a gather is one indexing
-    call and one ``norm_rows`` call.  Halving after the max is exact, so the
+    ``pairs`` is the ``_group_pairs`` list of the groups of row indices: one
+    group of every row, ``((0, 1, ..., k - 1),)``, for a rank-one projection,
+    its blocks for a block projection; a group g's pairs are (g[a], g[b]),
+    a < b.  Returns (value, i, j), ties to the earlier group and within a
+    group to its first pair in row order of its members; (0.0, -1, -1) when
+    no group has two rows.  The pairs are read ``step`` at a time, so that
+    one gather of 2 x step rows of R holds at most ``_PAIR_BLOCK_ENTRIES``
+    entries (every pair of an n x n R with n <= 32 fits in one); a gather is
+    one indexing call and one ``norm_rows`` call.  Halving after the max is exact, so the
     value is the float that a row-by-row scan gives.  A NaN distance ends
     the scan as NaN at its pair, as an argmax over all pairs takes it.
     """
     R = np.asarray(R)
-    JI = _group_pairs(groups)
     step = max(1, _PAIR_BLOCK_ENTRIES // (2 * max(1, R.shape[1])))
     best, at = -1.0, None
-    for start in range(0, JI.shape[1], step):
-        cols = JI[:, start : start + step]
+    for start in range(0, pairs.shape[1], step):
+        cols = pairs[:, start : start + step]
         X = R.take(cols, axis=0)  # X[0] holds the rows R_j, X[1] the rows R_i
         D = X[0]
         D -= X[1]

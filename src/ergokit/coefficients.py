@@ -41,7 +41,6 @@ every exact route returns from its empty candidate set.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 import threading
@@ -54,7 +53,7 @@ from scipy.optimize import linprog
 from . import _backend
 from .errors import DimensionTooLargeError, PreconditionError, UnsupportedSpaceError
 from .operators import MarkovOperator, MarkovProjection, commutes, operator_norm
-from .spaces import StateSpace, _abs_row_sums, _abs_row_sums_in_order, _frozen, same_space
+from .spaces import StateSpace, _abs_row_sums, _abs_row_sums_in_order, _cached, _frozen, same_space
 
 KERNEL_TOL = 1e-10
 # the most cross-type candidates (``_type_circuits``) the exact route builds
@@ -102,11 +101,11 @@ def _ker_f_projection(space: StateSpace) -> MarkovProjection:
     """x -> f(x) b0 for the first base vertex b0, a rank-one P with ker P = ker f.
 
     f(b0) = 1 makes it an exact Markov idempotent, so it is built without
-    the checks of ``rank_one_projection``.  Its matrix is built once per
-    space; the cache holds the matrix, not a projection, because a
-    projection holds its space, which would keep the weak key alive."""
+    the checks of ``rank_one_projection``.  Its matrix is built once, in the
+    space's ``_memo``; a projection there would hold its space, a cycle that
+    only the collector frees, so each call wraps the matrix in a new one."""
     b0 = space.base_vertices[0]
-    matrix = _cached(_KER_F, space, lambda: _frozen(np.outer(b0, space.f_coefficients)))
+    matrix = _cached(space, "ker_f", lambda: _frozen(np.outer(b0, space.f_coefficients)))
     return MarkovProjection(matrix, space, "rank_one", y=b0)
 
 
@@ -140,34 +139,24 @@ def _lex_rows(V: np.ndarray) -> np.ndarray:
     return V[order]
 
 
-def _pair_diff_vertices(space: StateSpace, groups) -> np.ndarray:
-    """Rows (b_i - b_j)/2 over the pairs of ``_backend._group_pairs``, both ways."""
-    J, I = _backend._group_pairs(groups)
+def _pairs(P: MarkovProjection, space: StateSpace) -> np.ndarray:
+    """The ``_backend._group_pairs`` list of P's types, built once, in the
+    memo of the space for rank-one P (ker f) and of P for any other P."""
+    owner = space if P.variant == "rank_one" else P
+    pairs = owner._memo.get("pairs")  # the pair route's per-call read: one lookup
+    if pairs is None:
+        pairs = _cached(owner, "pairs", lambda: _backend._group_pairs(P.types))
+    return pairs
+
+
+def _pair_diff_vertices(space: StateSpace, pairs: np.ndarray) -> np.ndarray:
+    """Rows (b_i - b_j)/2 over a ``_backend._group_pairs`` list, both ways."""
+    J, I = pairs
     first, second = np.concatenate((I, J)), np.concatenate((J, I))
     B = space.base_vertices
     out = B[first] - B[second]
     out *= 0.5
     return out
-
-
-# per-projection caches (kernel vertices, or per space for ker f; cross-type
-# candidates) and the per-space ker f matrix; weak keys, so an entry lives
-# exactly as long as its key
-_KERNEL_VERTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_CIRCUITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_KER_F: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_CACHE_LOCK = threading.Lock()
-
-
-def _cached(cache: weakref.WeakKeyDictionary, key, build):
-    """cache[key], from ``build()`` on a miss; the first value stored wins."""
-    with _CACHE_LOCK:
-        got = cache.get(key)
-    if got is None:
-        got = build()
-        with _CACHE_LOCK:
-            got = cache.setdefault(key, got)
-    return got
 
 
 def _type_circuits(P: MarkovProjection) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -185,11 +174,11 @@ def _type_circuits(P: MarkovProjection) -> tuple[tuple[np.ndarray, np.ndarray], 
     its member choices by a type that drops out.  Rank-one and block P have
     independent type columns.  The member choices are counted before any
     array is built; past CANDIDATE_BUDGET, DimensionTooLargeError.  Built
-    once per P.
+    once per P, in its ``_memo``.
     """
     if P.structured:
         return ()
-    return _cached(_CIRCUITS, P, lambda: _circuits(P))
+    return _cached(P, "circuits", lambda: _circuits(P))
 
 
 def _circuits(P: MarkovProjection):
@@ -248,22 +237,22 @@ def kernel_ball_vertices(
     builds them only under ``method="vertices"``.
 
     The result is a shared read-only array: it is built once per P, or once
-    per space for ker f (P = None and every rank-one P), and later calls
-    return the same object until that P or space is garbage-collected.
+    per space for ker f (P = None and every rank-one P), in its ``_memo``,
+    and later calls return the same object until it is garbage-collected.
     """
     if space is None:
         if P is None:
             raise ValueError("need a space when P is None")
         space = P.space
     P = _on_space(P, space)
-    key = space if P.variant == "rank_one" else P
-    return _cached(_KERNEL_VERTICES, key, lambda: _kernel_ball_vertices(P, space))
+    owner = space if P.variant == "rank_one" else P
+    return _cached(owner, "kernel_vertices", lambda: _kernel_ball_vertices(P, space))
 
 
 def _kernel_ball_vertices(P: MarkovProjection, space: StateSpace) -> np.ndarray:
     n = space.dim
     if space.is_lattice:
-        V = _pair_diff_vertices(space, P.types)
+        V = _pair_diff_vertices(space, _pairs(P, space))
         for members, coefs in _type_circuits(P):
             Z = np.zeros((len(members), n))
             np.put_along_axis(Z, members, coefs, axis=1)
@@ -360,7 +349,7 @@ def _type_route(A, P, space) -> CoefficientResult:
     """
     circuits = _type_circuits(P)
     images = A.T  # row i = T e_i, the image of base vertex i
-    best, bi, bj = _backend.max_pair_half_l1(images, P.types, space.norm_rows)
+    best, bi, bj = _backend.max_pair_half_l1(images, _pairs(P, space), space.norm_rows)
     w = None
     if bi >= 0:
         w = np.zeros(space.dim)  # (e_i - e_j)/2, entry by entry
@@ -520,7 +509,9 @@ def _polish_starts(ratios: np.ndarray, TK: np.ndarray, Z: np.ndarray) -> np.ndar
 
 
 # the last sample draw, weakly keyed on the space it was drawn for: at most
-# one draw is held, and it is freed with its space or before the next draw
+# one draw is held, and it is freed with its space or before the next draw.
+# Not in the space's _memo, which would hold one draw per live space: 216
+# parsed spaces of dims 2..10 at 100 000 samples each are about 1 GB
 _SAMPLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _SAMPLES_LOCK = threading.Lock()
 # the byte of a float64 that holds its sign bit, as the top bit

@@ -7,18 +7,18 @@ into K, which for a polytopal base reduces to checking every base vertex.
 Validation failure is a first-class result (a report of which vertex
 escapes and by how much), not an exception, so callers can surface it.
 
-All values are immutable after validation and every function is pure.
+All values are immutable after validation, apart from a projection's
+``_memo`` of data derived from it, and every function is pure.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import StateSpace, _abs_row_sums_in_order, _frozen, same_space
+from .spaces import StateSpace, _abs_row_sums_in_order, _cached, _frozen, same_space
 
 VALIDATION_TOL = 1e-10
 # explicit_projection counts two columns as equal, and an entry as zero,
@@ -141,6 +141,9 @@ class MarkovProjection:
     one of the forms is built as that variant (``explicit_projection``).
     On the simplex every variant has ``types``, the groups of states whose
     columns of P are equal, from which the exact coefficient is computed.
+    ``_memo`` holds what is derived from P once (``spaces._cached``): an
+    explicit P's types, and the pair list, cross-type candidates and
+    kernel-ball vertices of every P that is not rank-one.
     """
 
     matrix: np.ndarray
@@ -149,6 +152,7 @@ class MarkovProjection:
     y: np.ndarray | None = None
     blocks: tuple[tuple[int, ...], ...] | None = None
     anchors: tuple[np.ndarray, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def structured(self) -> bool:
@@ -159,21 +163,16 @@ class MarkovProjection:
     def types(self) -> tuple[tuple[int, ...], ...]:
         """The groups of states with equal columns of P, on the simplex.
 
-        One group of every state for rank-one P (one shared object per n,
-        so that caches keyed on it compare by identity) and the blocks for
-        block P; for an explicit P the groups of ``_column_types``, in order
-        of their first member, found once per projection (by
-        ``explicit_projection`` when it builds P).
+        One group of every state for rank-one P and the blocks for block P;
+        for an explicit P the groups of ``_column_types``, in order of their
+        first member, found once per projection and kept in its ``_memo``
+        (``explicit_projection`` puts there the groups it found building P).
         """
         if self.variant == "block":
             return self.blocks
         if self.variant == "rank_one":
-            return _all_states(self.space.dim)
-        types = self.__dict__.get("_types")
-        if types is None:
-            types = _column_types(np.asarray(self.matrix))
-            object.__setattr__(self, "_types", types)
-        return types
+            return (tuple(range(self.space.dim)),)
+        return _cached(self, "types", lambda: _column_types(np.asarray(self.matrix)))
 
     def rank(self) -> int:
         # trace of an idempotent is its rank
@@ -181,11 +180,6 @@ class MarkovProjection:
 
     def __repr__(self) -> str:
         return f"MarkovProjection(variant={self.variant!r}, dim={self.space.dim})"
-
-
-@functools.lru_cache(maxsize=128)
-def _all_states(n: int) -> tuple[tuple[int, ...], ...]:
-    return (tuple(range(n)),)
 
 
 def _check_projection(matrix: np.ndarray, space: StateSpace, tol: float) -> None:
@@ -284,7 +278,7 @@ def explicit_projection(space: StateSpace, matrix: np.ndarray) -> MarkovProjecti
         pass  # e.g. an anchor entry in [-1e-9, -1e-10): block_projection's bound
     P = MarkovProjection(_frozen(matrix), space, "explicit")
     if types:  # the groups P.types would find again
-        object.__setattr__(P, "_types", types)
+        P._memo["types"] = types
     return P
 
 

@@ -14,13 +14,17 @@ vertices of K; two polytopal instances are supported, both of them
 
 Only polytopal instances are supported: every exact coefficient
 computation in this package reduces to a finite maximum over vertex sets.
-All values are immutable after construction and every operation is a pure
-function, so spaces can be shared freely across threads.
+A space's fields are immutable after construction and every operation is a
+pure function, so spaces can be shared freely across threads.  The one
+mutable part is ``_memo``, the data that ``coefficients`` derives once from
+a space and keeps on it (the ker f matrix; for rank-one projections the
+kernel-ball vertices and the pair list); it is filled by atomic dict calls,
+lives exactly as long as the space and takes no part in comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +103,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _cached(owner, name: str, build):
+    """owner._memo[name], from ``build()`` on a miss; the first value stored wins.
+
+    A dict's get and setdefault are atomic, so no lock is taken: threads
+    that miss at once may each build, but all of them return the one value
+    that was stored first."""
+    got = owner._memo.get(name)
+    if got is None:
+        got = owner._memo.setdefault(name, build())
+    return got
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """A finite-dimensional base-norm space with explicit vertex data.
@@ -115,6 +131,7 @@ class StateSpace:
     base_vertices: np.ndarray
     inner_ball: str | None = None
     inner_dim: int | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_lattice(self) -> bool:

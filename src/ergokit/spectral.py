@@ -189,8 +189,11 @@ def classify(
     residual-radius tests r(T - P) < 1.  Disagreements beyond tolerance
     are flagged via ``consistent``, never reconciled silently.  ``delta``,
     the caller's ``ergodicity_coefficient(T, P)``, is read as the scan's
-    n = 1 term in place of a second computation.
+    n = 1 term in place of a second computation.  A max_power below 1 is a
+    ValueError.
     """
+    if max_power < 1:
+        raise ValueError(f"max_power must be >= 1, got {max_power}")
     space = T.space
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)
@@ -370,8 +373,12 @@ class GelfandTrail:
     def multiplicativity(self, N: int | None = None) -> MultiplicativityReport:
         """d_n = d_1^n for n <= N (default: all) iff d_1 = r(T - P); both
         sides are read independently, each within 1e-8, and ``agree`` says
-        whether they match."""
+        whether they match.  No power to read (N < 1, or an empty trail) is
+        a ValueError."""
         ds = self.coefficients[:N]
+        if not ds or N is not None and N < 1:
+            raise ValueError(f"multiplicativity needs N >= 1 powers, got N={N} "
+                             f"on a trail of {len(self.coefficients)}")
         d1, r = ds[0], self.residual_radius
         left = abs(d1 - r) <= 1e-8
         worst = max(abs(dn - d1**n) for n, dn in enumerate(ds, start=1))
@@ -454,7 +461,10 @@ def multiplicativity_test(
 
     Reads ``gelfand_trail(T, P, N)``, so it needs TP = PT = P and raises
     PreconditionError otherwise; see ``GelfandTrail.multiplicativity``.
+    N below 1 is a ValueError.
     """
+    if N < 1:
+        raise ValueError(f"multiplicativity needs N >= 1 powers, got N={N}")
     return gelfand_trail(T, P, N).multiplicativity()
 
 

@@ -115,23 +115,26 @@ class VerifyContext:
 
 
 # per-instance results several checks read; an N = 20 trail starts with the N = 10
-# one, and the audit raises again any error the certificate raised
+# one, the audit raises again any error the certificate raised, and the Markov
+# check raises ValidationError to every reader of a non-Markov operator
 _SHARED = {
+    "markov": lambda ctx, i: _require_markov(i),
+    "delta": lambda ctx, i: ergodicity_coefficient(i.T, i.P),
     "trail": lambda ctx, i: gelfand_trail(
         i.T, i.P, N=20 if i.expect_uniform else 10, classification=ctx.shared("classify", i)
     ),
     "certificate": lambda ctx, i: certificate_from_convergence(i.T, i.P, n0_cap=N0_CAP),
     "audit": lambda ctx, i: verify_certificate(ctx.shared("certificate", i), i.T, i.P),
     "search": lambda ctx, i: search_certificates(i.T, i.P, n0_cap=NEGATIVE_CAP),
-    "classify": lambda ctx, i: classify(i.T, i.P),
+    "classify": lambda ctx, i: classify(i.T, i.P, delta=ctx.shared("delta", i)),
 }
 
 
 # The checks whose cases run on the thread pool.  Their cases are BLAS-bound
 # (Monte-Carlo products, certificate power scans and audits), which release
 # the GIL; the other checks are Python-bound and would contend for it.  On a
-# 2-CPU VM, pooling all 14 checks cut verify-corpus ops_per_s by 16-18%, and
-# pooling none by 23-26%.
+# 2-CPU VM (verify-corpus, seed 7, 4 alternating 20 s pairs against this set),
+# pooling all 14 checks cut ops_per_s by 12-23%, and pooling none by 6-10%.
 _POOLED = frozenset({"mc-lower-bound", "doeblin-equivalence", "overlap-soundness"})
 
 
@@ -216,9 +219,9 @@ def _lattice(instances) -> list:
 
 @_check("coefficient-properties")
 def _check_coefficient_properties(ctx, inst):
-    _require_markov(inst)
+    ctx.shared("markov", inst)
     S = inst.S if inst.S is not None else inst.T
-    checks = coefficient_inequalities(inst.T, S, inst.P, tol=TOL)
+    checks = coefficient_inequalities(inst.T, S, inst.P, tol=TOL, delta=ctx.shared("delta", inst))
     return "; ".join(f"{chk.name}: {chk.details}" for chk in checks if not chk.ok)
 
 
@@ -231,7 +234,7 @@ def _check_pair_formula(ctx, inst):
     if ann > 1e-10:
         return f"kernel vertex not annihilated ({ann:.2e})"
     a = ergodicity_coefficient(inst.T, inst.P, method="vertices").value
-    b = ergodicity_coefficient(inst.T, inst.P).value  # auto: the pair route here
+    b = ctx.shared("delta", inst).value  # auto: the pair route here
     if abs(a - b) > 1e-12:
         return f"vertex {a!r} vs pair {b!r}"
     return None
@@ -241,8 +244,8 @@ def _check_pair_formula(ctx, inst):
 @_check("mc-lower-bound", cases=lambda instances: list(enumerate(instances)))
 def _check_mc_lower_bound(ctx, case):
     k, inst = case
-    _require_markov(inst)
-    exact = ergodicity_coefficient(inst.T, inst.P).value
+    ctx.shared("markov", inst)
+    exact = ctx.shared("delta", inst).value
     low = coefficient_lower_bound(inst.T, inst.P, samples=ctx.samples, seed=1000 + k).value
     if low > exact + 1e-12:
         return f"lower bound {low} exceeds exact {exact}"
@@ -257,7 +260,8 @@ def _check_mc_lower_bound(ctx, case):
 ])
 def _check_eigenvalue_bound(ctx, case):
     inst, op = case
-    rep = eigenvalue_bound_check(op, inst.P, tol=TOL)
+    delta = ctx.shared("delta", inst) if op is inst.T else None
+    rep = eigenvalue_bound_check(op, inst.P, tol=TOL, delta=delta)
     return None if rep.ok else f"excess {rep.max_excess:.2e}"
 
 
@@ -310,12 +314,13 @@ def _check_multiplicativity(ctx, inst):
 def _check_power_norm_chain(ctx, inst):
     # norm(T^n (I-P)) <= 2 delta_P(T^n) <= 2 norm(T^n - P), power by power: the
     # lower side of delta_P(T^n) shows the first, its upper side the second
-    _require_markov(inst)
+    ctx.shared("markov", inst)
     Pm = np.asarray(inst.P.matrix)
     eye = np.eye(inst.T.space.dim)
     for n, Tn in powers(np.asarray(inst.T.matrix), 15):
         gap = operator_norm(Tn @ (eye - Pm), inst.T.space)
-        delta = ergodicity_coefficient(Tn, inst.P, space=inst.T.space)
+        delta = (ctx.shared("delta", inst) if n == 1
+                 else ergodicity_coefficient(Tn, inst.P, space=inst.T.space))
         resid = operator_norm(Tn - Pm, inst.T.space)
         if gap > 2 * delta.value + TOL or delta.upper_bound > resid + TOL:
             return f"chain broken at n={n}"
@@ -558,7 +563,10 @@ def run_verification(
     ``corrupt`` names a check whose instance stream gets a contract-breaking
     entry appended; the named check must then fail, which is how the test
     hook distinguishes a working harness from one that cannot detect faults.
+    An empty ``dims`` is a ValueError.
     """
+    if not dims:
+        raise ValueError("dims must name at least one dimension")
     if corrupt is not None and corrupt not in _POISON:
         raise ValueError(
             f"unknown check {corrupt!r}; expected one of {', '.join(CHECK_NAMES)}"

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from ergokit import BACKEND, _backend, coefficients, make_embedded, make_simplex
+from ergokit._backend import _group_pairs
 
 
 def _all_states(k):
     """The one group of every row, the type of a rank-one P on k states."""
     return (tuple(range(k)),)
+
+
+def _all_pairs(k):
+    """The pair list of ``_all_states(k)``, as the pair scan reads it."""
+    return _group_pairs(_all_states(k))
 
 
 def test_backend_is_numpy():
@@ -115,15 +121,15 @@ def test_mc_ratio_blocks_cover_every_row(rows, rng):
 
 def test_max_pair_half_l1_single_row():
     norm_rows = make_simplex(4).norm_rows
-    assert _backend.max_pair_half_l1(np.ones((1, 4)), _all_states(1), norm_rows) == (0.0, -1, -1)
+    assert _backend.max_pair_half_l1(np.ones((1, 4)), _all_pairs(1), norm_rows) == (0.0, -1, -1)
 
 
 def test_max_pair_half_l1_reads_the_given_norm():
     # (1, 1, 1) - (1, -1, -1) = (0, 2, 2): half of it has norm 1 under the
     # embedded linf norm max(|alpha|, max|x|), and 2 under l1
     R = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
-    assert _backend.max_pair_half_l1(R, _all_states(2), make_embedded(2, "linf").norm_rows) == (1.0, 0, 1)
-    assert _backend.max_pair_half_l1(R, _all_states(2), make_simplex(3).norm_rows) == (2.0, 0, 1)
+    assert _backend.max_pair_half_l1(R, _all_pairs(2), make_embedded(2, "linf").norm_rows) == (1.0, 0, 1)
+    assert _backend.max_pair_half_l1(R, _all_pairs(2), make_simplex(3).norm_rows) == (2.0, 0, 1)
 
 
 def _row_by_row_pairs(R, norm_rows):
@@ -145,7 +151,7 @@ def test_pair_scan_equals_the_row_by_row_scan(k, cols, rng):
     spaces = [make_simplex(cols)] + ([make_embedded(cols - 1, "linf")] if cols <= 13 else [])
     for s in spaces:
         want = _row_by_row_pairs(R, s.norm_rows)
-        got = _backend.max_pair_half_l1(R, _all_states(k), s.norm_rows)
+        got = _backend.max_pair_half_l1(R, _all_pairs(k), s.norm_rows)
         assert got[1:] == want[1:] and got[0].hex() == want[0].hex(), (k, cols, s)
 
 
@@ -154,7 +160,7 @@ def test_pair_scan_equals_the_row_by_row_scan(k, cols, rng):
 def test_pair_blocks_are_the_upper_triangle_in_row_order(k, cols):
     # the one group's pairs, read in the scan's gathers of 2 x step rows of
     # a k x cols R and laid end to end, are np.triu_indices(k, 1), read-only
-    JI = _backend._group_pairs(_all_states(k))
+    JI = _group_pairs(_all_states(k))
     assert not JI.flags.writeable
     step = _backend._PAIR_BLOCK_ENTRIES // (2 * cols)
     blocks = [JI[:, s : s + step] for s in range(0, JI.shape[1], step)]
@@ -182,8 +188,8 @@ def test_pair_scan_tie_across_a_block_boundary_goes_to_the_first_pair():
     R[k - 1, 0] = 1.0
     R[[u, u + 1], 0] = -1.0
     l1 = make_simplex(k).norm_rows
-    assert _backend.max_pair_half_l1(R, _all_states(k), l1) == (1.0, u, k - 1)
-    assert _backend.max_pair_half_l1(R[::-1].copy(), _all_states(k), l1) == (1.0, 0, k - 1 - u - 1)
+    assert _backend.max_pair_half_l1(R, _all_pairs(k), l1) == (1.0, u, k - 1)
+    assert _backend.max_pair_half_l1(R[::-1].copy(), _all_pairs(k), l1) == (1.0, 0, k - 1 - u - 1)
 
 
 def test_pair_scan_finds_a_maximum_in_the_last_block():
@@ -191,7 +197,7 @@ def test_pair_scan_finds_a_maximum_in_the_last_block():
     k, _, R = _pair_scan_case()
     R[k - 2, 0], R[k - 1, 0] = -1.0, 1.0
     R[0, 0] = 0.25  # earlier pairs reach 1.25, not 2
-    assert _backend.max_pair_half_l1(R, _all_states(k), make_simplex(k).norm_rows) == (1.0, k - 2, k - 1)
+    assert _backend.max_pair_half_l1(R, _all_pairs(k), make_simplex(k).norm_rows) == (1.0, k - 2, k - 1)
 
 
 def _group_scan_reference(R, groups, norm_rows):
@@ -212,7 +218,8 @@ def _group_scan_reference(R, groups, norm_rows):
 def test_group_scan_is_a_scan_per_group(groups, rng):
     R = rng.standard_normal((13, 13))
     l1 = make_simplex(13).norm_rows
-    assert _backend.max_pair_half_l1(R, groups, l1) == _group_scan_reference(R, groups, l1)
+    want = _group_scan_reference(R, groups, l1)
+    assert _backend.max_pair_half_l1(R, _group_pairs(groups), l1) == want
 
 
 def test_group_scan_ties_go_to_the_earlier_group_across_blocks():
@@ -224,15 +231,16 @@ def test_group_scan_ties_go_to_the_earlier_group_across_blocks():
     R = np.zeros((k, k))
     R[[28, 58], 0], R[[29, 59], 0] = -1.0, 1.0
     l1 = make_simplex(k).norm_rows
-    assert _backend.max_pair_half_l1(R, groups, l1) == (1.0, 28, 29)
-    assert _backend.max_pair_half_l1(R, groups[::-1], l1) == (1.0, 58, 59)
+    assert _backend.max_pair_half_l1(R, _group_pairs(groups), l1) == (1.0, 28, 29)
+    assert _backend.max_pair_half_l1(R, _group_pairs(groups[::-1]), l1) == (1.0, 58, 59)
     R[59, 0] = 1.5  # the larger pair now lies in the last gather
-    assert _backend.max_pair_half_l1(R, groups, l1) == (1.25, 58, 59)
+    assert _backend.max_pair_half_l1(R, _group_pairs(groups), l1) == (1.25, 58, 59)
 
 
 def test_group_scan_without_pairs():
     l1 = make_simplex(3).norm_rows
-    assert _backend.max_pair_half_l1(np.eye(3), ((0,), (1,), (2,)), l1) == (0.0, -1, -1)
+    singletons = _group_pairs(((0,), (1,), (2,)))
+    assert _backend.max_pair_half_l1(np.eye(3), singletons, l1) == (0.0, -1, -1)
 
 
 def test_pair_scan_keeps_a_nan_distance():
@@ -242,7 +250,8 @@ def test_pair_scan_keeps_a_nan_distance():
     R[40, 3] = np.nan
     R[0, 0] = 5.0
     l1 = make_simplex(60).norm_rows
-    value, i, j = _backend.max_pair_half_l1(R, _all_states(60), l1)
+    value, i, j = _backend.max_pair_half_l1(R, _all_pairs(60), l1)
     assert np.isnan(value) and (i, j) == (0, 40)
-    value, i, j = _backend.max_pair_half_l1(R, (tuple(range(30)), tuple(range(30, 60))), l1)
+    halves = _group_pairs((tuple(range(30)), tuple(range(30, 60))))
+    value, i, j = _backend.max_pair_half_l1(R, halves, l1)
     assert np.isnan(value) and (i, j) == (30, 40)

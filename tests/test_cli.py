@@ -299,32 +299,42 @@ def _linf_doc(m):
     }
 
 
-def test_analyze_at_the_linf_cap_is_ok_and_matches_the_vertices(tmp_path, capsys):
-    # m = 16, the largest linf ball: (alpha, x) -> (alpha, alpha c + A x) with
-    # P onto its fixed point; every theorem holds, and both printed
-    # coefficients are the vertex route's result over the 2^16 vertices
+def _linf_cap_doc(seed, row_sum, affine):
+    # m = 16: T = diag(1, A), rows of A scaled to l1 sums of at most row_sum,
+    # with P onto e0; affine adds alpha c to the inner part, with P onto its
+    # fixed point
     m = 16
-    rng = np.random.default_rng(16)
+    rng = np.random.default_rng(seed)
     A = rng.uniform(-1.0, 1.0, (m, m))
-    A *= 0.5 / np.abs(A).sum(axis=1).max()
-    c = rng.uniform(-1.0, 1.0, m)
-    c *= 0.4 / np.abs(c).max()
+    A *= row_sum / np.abs(A).sum(axis=1).max()
     T = np.eye(m + 1)
-    T[1:, 0], T[1:, 1:] = c, A
-    y = [1.0] + np.linalg.solve(np.eye(m) - A, c).tolist()
-    doc = {**_linf_doc(m), "operator": T.tolist(), "projection": {"type": "rank_one", "y": y}}
-    code, out, err = run(capsys, ["analyze", "--format", "structured",
-                                  write(tmp_path, "cap.json", doc)])
-    assert (code, err) == (0, "")
-    rep = json.loads(out)
-    assert [t["name"] for t in rep["theorems"] if t["ok"] is not True] == []
-    inst = parse_instance(json.dumps(doc))
-    for name, P in (("classical", None), ("kernel", inst.projection)):
-        want = ergodicity_coefficient(inst.operator, P, method="vertices")
-        got = rep["coefficients"][name]
-        assert (got["value"], got["upper_bound"]) == (repr(want.value), repr(want.upper_bound))
-        assert (got["method"], got["certified_exact"]) == (want.method, want.certified_exact)
-        assert got["witness"] == [repr(x) for x in want.witness.tolist()]
+    T[1:, 1:] = A
+    y = [1.0] + [0.0] * m
+    if affine:
+        c = rng.uniform(-1.0, 1.0, m)
+        c *= 0.4 / np.abs(c).max()
+        T[1:, 0] = c
+        y = [1.0] + np.linalg.solve(np.eye(m) - A, c).tolist()
+    return {**_linf_doc(m), "operator": T.tolist(), "projection": {"type": "rank_one", "y": y}}
+
+
+def test_analyze_at_the_linf_cap_is_ok_and_matches_the_vertices(tmp_path, capsys):
+    # m = 16, the largest linf ball, (alpha, x) -> (alpha, alpha c + A x) and
+    # diag(1, A): every theorem holds, and both printed coefficients are the
+    # vertex route's result over the 2^16 vertices
+    for doc in (_linf_cap_doc(16, 0.5, True), _linf_cap_doc(0, 0.9, False)):
+        code, out, err = run(capsys, ["analyze", "--format", "structured",
+                                      write(tmp_path, "cap.json", doc)])
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert [t["name"] for t in rep["theorems"] if t["ok"] is not True] == []
+        inst = parse_instance(json.dumps(doc))
+        for name, P in (("classical", None), ("kernel", inst.projection)):
+            want = ergodicity_coefficient(inst.operator, P, method="vertices")
+            got = rep["coefficients"][name]
+            assert (got["value"], got["upper_bound"]) == (repr(want.value), repr(want.upper_bound))
+            assert (got["method"], got["certified_exact"]) == (want.method, want.certified_exact)
+            assert got["witness"] == [repr(x) for x in want.witness.tolist()]
 
 
 def test_linf_inner_dim_cap_is_a_parse_error(tmp_path, capsys):

@@ -41,6 +41,7 @@ from ergokit import (
     rank_one_projection,
 )
 from ergokit import _backend, coefficients
+from ergokit._backend import _group_pairs
 from ergokit.coefficients import _SAMPLES, _unit_samples
 from ergokit.corpus import (
     block_fixture,
@@ -608,7 +609,7 @@ def test_pair_route_on_explicit_rank_one_embedded():
     E = explicit_projection(s, np.asarray(R.matrix))
     assert E.variant == "rank_one"
     a = ergodicity_coefficient(T, E, method="vertices")
-    every = (tuple(range(len(s.base_vertices))),)
+    every = _group_pairs((tuple(range(len(s.base_vertices))),))
     b, _, _ = _backend.max_pair_half_l1(s.base_vertices @ T.matrix.T, every, s.norm_rows)
     assert a.certified_exact
     assert b == pytest.approx(a.value, abs=1e-12)
@@ -644,7 +645,7 @@ def test_embedded_pair_route_matches_the_vertices(rng):
     P = rank_one_projection(s, np.eye(m + 1)[0])
     a = ergodicity_coefficient(T, P, method="vertices")
     B = s.base_vertices
-    b, i, j = _backend.max_pair_half_l1(B @ M.T, (tuple(range(len(B))),), s.norm_rows)
+    b, i, j = _backend.max_pair_half_l1(B @ M.T, _group_pairs((tuple(range(len(B))),)), s.norm_rows)
     assert b == pytest.approx(a.value, abs=1e-12)
     assert 0.5 * s.norm(M @ (B[i] - B[j])) == pytest.approx(b, abs=1e-12)
 

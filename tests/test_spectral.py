@@ -19,6 +19,7 @@ from ergokit import (
     multiplicativity_test,
     rank_one_projection,
     rate_profile,
+    run_verification,
     spectral_radius,
     spectral_report,
     spectrum_shift_check,
@@ -252,6 +253,24 @@ def test_multiplicativity_both_false():
     assert not rep.powers_multiplicative
     assert rep.agree
     assert rep.worst_power_gap > 1e-4
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda i, trails: classify(i.T, i.P, max_power=0), "max_power"),
+    (lambda i, trails: multiplicativity_test(i.T, i.P, N=0), "N"),
+    (lambda i, trails: trails[0].multiplicativity(), "N"),
+    (lambda i, trails: trails[3].multiplicativity(N=0), "N"),
+    (lambda i, trails: run_verification(dims=()), "dims"),
+], ids=["classify", "multiplicativity_test", "empty-trail", "trail-at-N-0", "run_verification"])
+def test_an_empty_range_is_refused_before_any_work(call, argument, two_state, count_calls):
+    # an empty range of powers or dimensions is a ValueError that names its
+    # argument, raised before a spectrum or a corpus is built; the trail of
+    # N = 0 holds no power
+    trails = {N: gelfand_trail(two_state.T, two_state.P, N=N) for N in (0, 3)}
+    calls = count_calls("eigenvalues", "build_corpus")
+    with pytest.raises(ValueError, match=rf"\b{argument}\b"):
+        call(two_state, trails)
+    assert calls == {"eigenvalues": [], "build_corpus": []}
 
 
 def test_multiplicativity_agrees_on_corpus(small_corpus):

@@ -1,5 +1,7 @@
 """Self-check battery: every named check runs, and corruption is caught."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,16 +173,16 @@ def test_pool_is_sized_from_the_cpus_this_process_may_use(
 
 
 def test_checks_share_each_instance_result(count_calls):
-    # the trail, the convergence certificate, the negative search and the
-    # classification are each computed once per instance and run; every
-    # spectrum comes from the classification, and the overlap check reads the
-    # shared audit's power and coefficient
+    # the trail, the convergence certificate, the negative search, the
+    # classification, delta_P(T) and the Markov check are each computed once
+    # per instance and run; every spectrum comes from the classification, and
+    # the overlap check reads the shared audit's power and coefficient
     from ergokit.corpus import build_corpus, recorded_nonmultiplicative_instance
     from ergokit.operators import membership
 
     calls = count_calls(
         "gelfand_trail", "certificate_from_convergence", "search_certificates", "classify",
-        "eigenvalues", "overlap_certificate",
+        "eigenvalues", "overlap_certificate", "ergodicity_coefficient", "markov_violations",
     )
     results = run_verification(count=1, dims=(2, 3, 4), samples=2000)
     assert all(r.ok for r in results)
@@ -202,6 +204,18 @@ def test_checks_share_each_instance_result(count_calls):
     assert per_instance(calls["certificate_from_convergence"]) == (uniform,) * 2
     assert per_instance(calls["gelfand_trail"]) == (members,) * 2
     assert per_instance(calls["classify"]) == (len(corpus),) * 2
+    # delta_P(T) at "auto" on the run's own (T, P), which classify was called on
+    own = {(id(args[0]), id(args[1])) for _, args, _ in calls["classify"]}
+    deltas = [
+        (caller, args, kwargs) for caller, args, kwargs in calls["ergodicity_coefficient"]
+        if (id(args[0]), id(args[1] if len(args) > 1 else None)) in own and "method" not in kwargs
+    ]
+    assert per_instance(deltas) == (len(corpus),) * 2
+    validations = [
+        (args[0], args[1]) for caller, args, _ in calls["markov_violations"]
+        if caller == "_require_markov"
+    ]
+    assert len(validations) == len({A.tobytes() for A, _ in validations}) == len(corpus)
     # T and T - P per instance, and the product chain of each tensor pair
     assert len(calls["eigenvalues"]) == 2 * len(corpus) + tensor_pairs
     assert calls["overlap_certificate"] == []
@@ -423,7 +437,9 @@ def test_pair_formula_theorem_catches_a_pair_route_that_drops_a_group(mutant, mo
     from ergokit.verification import instance_theorems
 
     inst = block_instance([3, 4, 2], np.random.default_rng(1), "block-9")
-    honest = ergodicity_coefficient(inst.T, inst.P)
+    # the honest value comes from a twin of P with a memo of its own, so that
+    # inst.P builds its pair list and vertices under the mutant
+    honest = ergodicity_coefficient(inst.T, dataclasses.replace(inst.P))
     assert honest.value > 0
     top = next(k for k, g in enumerate(inst.P.blocks) if honest.pair[0] in g)
 
@@ -474,3 +490,65 @@ def test_mc_lower_bound_is_tight_on_the_dims_2_to_10_corpus():
     results = run_verification(seed=0, dims=range(2, 11), count=6)
     mc = next(r for r in results if r.name == "mc-lower-bound")
     assert (mc.passed, mc.failed) == (59, 0), mc.messages
+
+
+def _mc_scaled_up(real):
+    def lower_bound(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, value=res.value * 1.001)
+    return lower_bound
+
+
+def _radius_of_T(real):
+    def report(T, P):
+        rep = real(T, P)
+        return dataclasses.replace(rep, residual_radius=float(np.abs(rep.spectrum_T).max()))
+    return report
+
+
+def _powers_one_ahead(real):
+    def powers(A, N):  # (n, A^(n + 1)) for n = 1..N
+        for n, An in real(A, N + 1):
+            if n > 1:
+                yield n - 1, An
+    return powers
+
+
+def _powers_one_behind(real):
+    def powers(A, N):  # (n, A^(n - 1)) for n = 1..N
+        yield 1, np.eye(len(A))
+        for n, An in real(A, N - 1):
+            yield n + 1, An
+    return powers
+
+
+def _n0_one_early(real):
+    def certificate(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        return dataclasses.replace(cert, n0=cert.n0 - 1)
+    return certificate
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("coefficient_lower_bound", _mc_scaled_up),
+    ("spectral_report", _radius_of_T),
+    ("powers", _powers_one_ahead),
+    ("powers", _powers_one_behind),
+    ("certificate_from_convergence", _n0_one_early),
+], ids=["mc-lower-side-x1.001", "radius-off-eig-T", "powers-one-ahead", "powers-one-behind",
+        "n0-one-early"])
+def test_verify_at_the_defaults_kills_each_code_mutant(name, mutant, monkeypatch):
+    # the mutant replaces every binding of the function in the package (a
+    # from-import copies it into each module that uses it); an honest run
+    # passes every check, so any failed check is the mutant's doing
+    import sys
+
+    mods = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "ergokit"]
+    real = next(getattr(m, name) for m in mods
+                if getattr(getattr(m, name, None), "__module__", None) == m.__name__)
+    fake = mutant(real)
+    for mod in mods:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, fake)
+    failed = [r.name for r in run_verification() if not r.ok]
+    assert failed, f"{name} mutant survived verify at the defaults"
