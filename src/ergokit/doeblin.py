@@ -89,6 +89,11 @@ def _require_simplex(space) -> None:
         )
 
 
+def _require_n0_cap(n0_cap: int) -> None:
+    if n0_cap < 1:
+        raise ValueError(f"the power scan needs n0_cap >= 1, got n0_cap={n0_cap}")
+
+
 def _require_membership(T: MarkovOperator, P: MarkovProjection) -> None:
     ok, fd, cd = membership(T, P)
     if not ok:
@@ -306,8 +311,9 @@ def certificate_from_convergence(
     T^n0 x - Px.
     Only membership TP = PT = P is checked up front: for a member, the stop
     norm(T^n0 - P) <= 1/4 gives norm(T^(k n0) - P) <= 4^-k, so reaching it
-    witnesses uniform ergodicity.
+    witnesses uniform ergodicity.  n0_cap below 1 is a ValueError.
     """
+    _require_n0_cap(n0_cap)
     _require_simplex(T.space)
     _require_membership(T, P)
     Pm = np.asarray(P.matrix)
@@ -379,8 +385,10 @@ def search_certificates(
     reaches tau = 1 no later power can beat it, since ties go to the
     smaller n0, so later chunks solve lambda only.  delta_P(T^n0) is
     computed for the winning powers alone, the only ones an outcome prints;
-    ``seed`` seeds its sampling fallback, past the exact routes.
+    ``seed`` seeds its sampling fallback, past the exact routes.  n0_cap
+    below 1 is a ValueError.
     """
+    _require_n0_cap(n0_cap)
     _require_simplex(T.space)
     _require_membership(T, P)
     if Q_candidates is None:

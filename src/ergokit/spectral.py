@@ -373,12 +373,14 @@ class GelfandTrail:
     def multiplicativity(self, N: int | None = None) -> MultiplicativityReport:
         """d_n = d_1^n for n <= N (default: all) iff d_1 = r(T - P); both
         sides are read independently, each within 1e-8, and ``agree`` says
-        whether they match.  No power to read (N < 1, or an empty trail) is
-        a ValueError."""
+        whether they match.  N outside 1..len(trail) (an empty trail
+        included) is a ValueError."""
+        held = len(self.coefficients)
+        N = held if N is None else N
+        if not 1 <= N <= held:
+            raise ValueError(f"multiplicativity needs 1 <= N <= {held}, the powers "
+                             f"this trail holds, got N={N}")
         ds = self.coefficients[:N]
-        if not ds or N is not None and N < 1:
-            raise ValueError(f"multiplicativity needs N >= 1 powers, got N={N} "
-                             f"on a trail of {len(self.coefficients)}")
         d1, r = ds[0], self.residual_radius
         left = abs(d1 - r) <= 1e-8
         worst = max(abs(dn - d1**n) for n, dn in enumerate(ds, start=1))
@@ -399,7 +401,10 @@ def gelfand_trail(
     Membership TP = PT = P makes the normalized product equal T^n - P,
     which agrees with T^n on ker P, so it is also the precondition here
     (PreconditionError otherwise).  ``classification`` as in ``best_rate``.
+    N below 1 is a ValueError.
     """
+    if N < 1:
+        raise ValueError(f"gelfand_trail needs N >= 1 powers, got N={N}")
     verdict, report = classification or classify(T, P)
     fd, cd = verdict.fixes_defect, verdict.commute_defect
     if not verdict.member:
@@ -537,8 +542,10 @@ def rate_profile(
     prefactor fitted to them against r(T - P).  For a non-member r(T - P)
     is no rate of T^n - P (the product identity is unavailable), so the
     norms come from direct powers of T and no prefactor is fitted.
-    ``classification`` as in ``best_rate``.
+    ``classification`` as in ``best_rate``.  N below 1 is a ValueError.
     """
+    if N < 1:
+        raise ValueError(f"rate_profile needs N >= 1 powers, got N={N}")
     verdict, report = classification or classify(T, P)
     A = np.asarray(T.matrix)
     Pm = np.asarray(P.matrix)

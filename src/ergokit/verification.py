@@ -11,8 +11,9 @@ ErgokitError raised for a case fails that case alone, so
 
 Each check validates its hypotheses before trusting any conclusion: the
 operator must pass Markov validation, commutation-based results insist on
-small membership defects, and kernel vertices are re-tested against the
-projection.  That discipline is also what makes the ``corrupt`` hook work:
+small membership defects, and the pair formula is refereed over the groups
+of equal columns of the projection's own matrix, not over its declared
+variant.  That discipline is also what makes the ``corrupt`` hook work:
 corrupting a named check appends an instance that silently violates the
 generator contract (an unvalidated operator, a mislabeled projection, a
 non-mixing chain promised to be ergodic), and a healthy suite must catch
@@ -35,7 +36,6 @@ from .coefficients import (
     coefficient_lower_bound,
     eigenvalue_bound_check,
     ergodicity_coefficient,
-    kernel_ball_vertices,
 )
 from .corpus import (
     Instance,
@@ -55,6 +55,7 @@ from .errors import ErgokitError, PreconditionError, ValidationError
 from .operators import (
     MarkovOperator,
     MarkovProjection,
+    _column_types,
     markov_violations,
     operator_norm,
     rank_one_projection,
@@ -229,15 +230,8 @@ def _check_coefficient_properties(ctx, inst):
     i for i in _lattice(instances) if i.P.structured
 ])
 def _check_pair_formula(ctx, inst):
-    V = kernel_ball_vertices(inst.P, inst.T.space)
-    ann = float(np.abs(V @ np.asarray(inst.P.matrix).T).max()) if len(V) else 0.0
-    if ann > 1e-10:
-        return f"kernel vertex not annihilated ({ann:.2e})"
-    a = ergodicity_coefficient(inst.T, inst.P, method="vertices").value
-    b = ctx.shared("delta", inst).value  # auto: the pair route here
-    if abs(a - b) > 1e-12:
-        return f"vertex {a!r} vs pair {b!r}"
-    return None
+    ok, a, b = _pair_formula(inst.T, inst.P, ctx.shared("delta", inst))
+    return None if ok else f"pair {a!r} vs overlap {b!r}"
 
 
 # a case is (k, instance): the k-th instance samples with seed 1000 + k
@@ -398,11 +392,11 @@ def _overlap_form(A: np.ndarray, groups) -> float:
     Matrices and Markov Chains, 2006, ch. 3).  It holds for any real columns,
     not only columns summing to 1, and it shares no arithmetic with the pair
     route's norms of differences, so each referees the other.  ``groups``
-    holds index sequences; a state in no group, as a group of one state, has
-    no pair, and with no pair the value is 0.0.  Rows i are read in blocks
-    against the columns j > i, each block's np.minimum at most
-    ``_OVERLAP_BLOCK_ENTRIES`` entries: O(n^3) work.  A NaN overlap is
-    returned as NaN.
+    holds index sequences (``_pair_formula`` passes P's equal-column groups);
+    a state in no group has no pair, and with no pair the value is 0.0.
+    Rows i are read in blocks against the columns j > i, each block's
+    np.minimum at most ``_OVERLAP_BLOCK_ENTRIES`` entries: O(n^3) work.  A
+    NaN overlap is returned as NaN.
     """
     C = np.asarray(A).T  # row i = A e_i
     n = len(C)
@@ -426,6 +420,14 @@ def _overlap_form(A: np.ndarray, groups) -> float:
     return best
 
 
+def _pair_formula(T, P, delta) -> tuple[bool, float, float]:
+    """The one pair-formula referee of analyze and verify: whether ``delta``
+    is the overlap form over the equal-column groups of P's own matrix (never
+    ``P.types`` or the route's pair list) within 1e-12, with both values."""
+    b = _overlap_form(np.asarray(T.matrix), _column_types(np.asarray(P.matrix)))
+    return abs(delta.value - b) <= 1e-12, delta.value, b
+
+
 def instance_theorems(
     T: MarkovOperator, P: MarkovProjection, verdict: ErgodicityVerdict,
     report: SpectralReport, delta: CoefficientResult, tol: float = 1e-9, *, seed: int = 0,
@@ -436,21 +438,17 @@ def instance_theorems(
     (``delta``), the ones its report prints, and reads membership off the verdict's
     two defects.  Expectation-free: the classification entry judges internal clause
     agreement, not a generator promise, so it applies to arbitrary input.  For
-    rank-one and block P on the simplex the pair-formula entry compares ``delta``
-    with ``_overlap_form``, within 1e-12.  ``seed`` seeds the sampling fallback of
-    the other coefficients, those of T(I - P) and T².
+    rank-one and block P on the simplex the pair-formula entry is verify's
+    ``_pair_formula`` referee.  ``seed`` seeds the sampling fallback of the
+    other coefficients, those of T(I - P) and T².
     """
     out: list[tuple[str, bool, str]] = []
-    space = T.space
     for chk in coefficient_inequalities(T, T, P, tol=tol, delta=delta, seed=seed):
         detail = chk.details if chk.applicable else f"not applicable: {chk.details}"
         out.append((f"coefficient-{chk.name}", chk.ok, detail))
-    if P.structured and space.is_lattice:
-        # the pair route, which auto takes for structured P here, against the
-        # overlap form over P's own groups (not its types)
-        groups = P.blocks if P.variant == "block" else (range(space.dim),)
-        a, b = delta.value, _overlap_form(np.asarray(T.matrix), groups)
-        out.append(("pair-formula", abs(a - b) <= 1e-12, f"gap {abs(a - b):.2e}"))
+    if P.structured and T.space.is_lattice:
+        ok, a, b = _pair_formula(T, P, delta)
+        out.append(("pair-formula", ok, f"gap {abs(a - b):.2e}"))
     try:
         rep = eigenvalue_bound_check(T, P, tol=tol, delta=delta)
         out.append(("eigenvalue-bound", rep.ok, f"max excess {rep.max_excess:.2e}"))

@@ -235,13 +235,22 @@ def test_verify_check_without_cases_is_vacuous_not_failed(capsys):
     assert [name for name, c in checks.items() if "vacuous" in c] == ["tensor-bound"]
 
 
-def test_verify_default_dims_run_tensor_pairs(capsys):
-    code, out, _ = run(capsys, ["verify", "--count", "1", "--samples", "2000",
-                                "--format", "structured"])
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--count", "1", "--samples", "2000"],
+    ["--dims", "2..10", "--count", "2"],
+], ids=["defaults", "count-1-samples-2000", "dims-2-10-count-2"])
+def test_verify_runs_every_check_at_the_usual_flags(flags, capsys):
+    # an honest run passes every check, and none is vacuous at the usual
+    # flags: each case filter (pair-formula's structured P, tensor-bound's
+    # adjacent uniform pairs of dim <= 6, the lattice and uniform filters)
+    # keeps some case of the corpus
+    code, out, _ = run(capsys, ["verify", *flags, "--format", "structured"])
     assert code == 0
-    tensor = next(c for c in json.loads(out)["checks"] if c["name"] == "tensor-bound")
-    assert tensor["passed"] > 0
-    assert "vacuous" not in tensor
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 14
+    for check in checks:
+        assert check["ok"] and check["passed"] > 0 and "vacuous" not in check, check
 
 
 @pytest.mark.parametrize("dims", ["2,3,4,5,6", "7"])

@@ -7,10 +7,12 @@ import pytest
 
 from ergokit import (
     EigenSolverError,
+    GelfandTrail,
     PreconditionError,
     as_markov,
     best_rate,
     block_projection,
+    certificate_from_convergence,
     classify,
     ergodicity_coefficient,
     explicit_projection,
@@ -20,6 +22,7 @@ from ergokit import (
     rank_one_projection,
     rate_profile,
     run_verification,
+    search_certificates,
     spectral_radius,
     spectral_report,
     spectrum_shift_check,
@@ -256,21 +259,29 @@ def test_multiplicativity_both_false():
 
 
 @pytest.mark.parametrize("call, argument", [
-    (lambda i, trails: classify(i.T, i.P, max_power=0), "max_power"),
-    (lambda i, trails: multiplicativity_test(i.T, i.P, N=0), "N"),
-    (lambda i, trails: trails[0].multiplicativity(), "N"),
-    (lambda i, trails: trails[3].multiplicativity(N=0), "N"),
-    (lambda i, trails: run_verification(dims=()), "dims"),
-], ids=["classify", "multiplicativity_test", "empty-trail", "trail-at-N-0", "run_verification"])
+    (lambda i, trail: classify(i.T, i.P, max_power=0), "max_power"),
+    (lambda i, trail: multiplicativity_test(i.T, i.P, N=0), "N"),
+    (lambda i, trail: GelfandTrail((), (), trail.residual_radius, True).multiplicativity(), "N"),
+    (lambda i, trail: trail.multiplicativity(N=0), "N"),
+    (lambda i, trail: trail.multiplicativity(N=20), "N"),
+    (lambda i, trail: gelfand_trail(i.T, i.P, N=0), "N"),
+    (lambda i, trail: gelfand_trail(i.T, i.P, N=-3), "N"),
+    (lambda i, trail: rate_profile(i.T, i.P, N=0), "N"),
+    (lambda i, trail: certificate_from_convergence(i.T, i.P, n0_cap=0), "n0_cap"),
+    (lambda i, trail: search_certificates(i.T, i.P, n0_cap=0), "n0_cap"),
+    (lambda i, trail: run_verification(dims=()), "dims"),
+], ids=["classify", "multiplicativity_test", "empty-trail", "trail-at-N-0", "trail-past-its-end",
+        "gelfand_trail", "gelfand_trail-at-N-minus-3", "rate_profile",
+        "certificate_from_convergence", "search_certificates", "run_verification"])
 def test_an_empty_range_is_refused_before_any_work(call, argument, two_state, count_calls):
-    # an empty range of powers or dimensions is a ValueError that names its
-    # argument, raised before a spectrum or a corpus is built; the trail of
-    # N = 0 holds no power
-    trails = {N: gelfand_trail(two_state.T, two_state.P, N=N) for N in (0, 3)}
-    calls = count_calls("eigenvalues", "build_corpus")
+    # an empty range of powers or dimensions, or more powers than a trail
+    # holds, is a ValueError that names its argument, raised before a
+    # spectrum, a power, a membership test or a corpus is built
+    trail = gelfand_trail(two_state.T, two_state.P, N=3)
+    calls = count_calls("eigenvalues", "powers", "membership", "build_corpus")
     with pytest.raises(ValueError, match=rf"\b{argument}\b"):
-        call(two_state, trails)
-    assert calls == {"eigenvalues": [], "build_corpus": []}
+        call(two_state, trail)
+    assert calls == {"eigenvalues": [], "powers": [], "membership": [], "build_corpus": []}
 
 
 def test_multiplicativity_agrees_on_corpus(small_corpus):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ergokit import CHECK_NAMES, run_verification
+from ergokit import CHECK_NAMES, run_verification, spectral_radius
 
 
 def test_all_checks_pass_on_small_corpus():
@@ -299,11 +299,10 @@ def test_shared_audit_raises_the_certificate_error_again():
 
 @pytest.mark.parametrize("route", ["_type_route", "_exact_from_vertices", "_overlap_form"])
 def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch):
-    # analyze's pair-formula theorem compares the type route (auto) with the
-    # overlap form, verify's pair-formula check compares it with the vertex
-    # route: a 1e-6 inflation of the type route fails the theorem and every
-    # case of the check, one of the overlap form fails the theorem alone, and
-    # one of the vertex route fails every case of the check alone
+    # analyze's pair-formula theorem and verify's pair-formula check run one
+    # referee, the type route (auto) against the overlap form: a 1e-6
+    # inflation of either fails the theorem and every case of the check, and
+    # one of the vertex route, which neither harness runs, fails neither
     import dataclasses
 
     from ergokit import classify, coefficients, ergodicity_coefficient, verification
@@ -343,11 +342,10 @@ def test_pair_formula_theorem_kills_a_mutant_of_either_route(route, monkeypatch)
         return dataclasses.replace(res, value=res.value * scale, upper_bound=res.upper_bound * scale)
 
     monkeypatch.setattr(module, route, mutant)
-    theorem_dies = route != "_exact_from_vertices"
-    check_dies = route != "_overlap_form"
-    assert [pair_formula(i) for i in corpus] == [not theorem_dies] * len(corpus)
+    dies = route != "_exact_from_vertices"
+    assert [pair_formula(i) for i in corpus] == [not dies] * len(corpus)
     broken = pair_formula_check()
-    expected = (0, len(corpus)) if check_dies else (len(corpus), 0)
+    expected = (0, len(corpus)) if dies else (len(corpus), 0)
     assert (broken.passed, broken.failed) == expected, broken.messages
 
 
@@ -428,10 +426,11 @@ def test_overlap_form_gives_singletons_no_pair():
 @pytest.mark.parametrize("mutant", ["types", "_group_pairs"])
 def test_pair_formula_theorem_catches_a_pair_route_that_drops_a_group(mutant, monkeypatch):
     # the pair route and the vertex route both read P.types and the pair
-    # list of _backend._group_pairs; the overlap form reads P.blocks itself,
-    # so a bug in either that drops the group holding the maximizing pair
-    # fails the theorem
-    from ergokit import _backend, classify, ergodicity_coefficient
+    # list of _backend._group_pairs; the referee's overlap form reads the
+    # equal-column groups of P's matrix itself, so a bug in either that drops
+    # the group holding the maximizing pair fails analyze's theorem and
+    # verify's check alike
+    from ergokit import _backend, classify, ergodicity_coefficient, verification
     from ergokit.corpus import block_instance
     from ergokit.operators import MarkovProjection
     from ergokit.verification import instance_theorems
@@ -457,6 +456,8 @@ def test_pair_formula_theorem_catches_a_pair_route_that_drops_a_group(mutant, mo
     verdict, report = classify(inst.T, inst.P)
     theorems = {name: ok for name, ok, _ in instance_theorems(inst.T, inst.P, verdict, report, delta)}
     assert theorems["pair-formula"] is False
+    check = dict(verification.CHECKS)["pair-formula"]([inst], verification.VerifyContext())
+    assert (check.passed, check.failed) == (0, 1), check.messages
 
 
 @pytest.mark.parametrize("lower_by, upper_by, holds", [
@@ -486,10 +487,13 @@ def test_power_norm_chain_reads_each_side_of_a_bracket(lower_by, upper_by, holds
 def test_mc_lower_bound_is_tight_on_the_dims_2_to_10_corpus():
     # four top-ratio polish starts ended at local optima on 3 of these 59
     # cases (slacks 8e-3 to 2.4e-2); starts with distinct sign patterns
-    # reach the exact value within the check's 1e-4 bound on every case
+    # reach the exact value within the check's 1e-4 bound on every case; the
+    # other 13 checks pass on this corpus too (verify --dims 2..10 --count 6)
     results = run_verification(seed=0, dims=range(2, 11), count=6)
     mc = next(r for r in results if r.name == "mc-lower-bound")
     assert (mc.passed, mc.failed) == (59, 0), mc.messages
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    assert all(r.ok for r in results), [(r.name, r.messages) for r in results if not r.ok]
 
 
 def _mc_scaled_up(real):
@@ -529,18 +533,35 @@ def _n0_one_early(real):
     return certificate
 
 
-@pytest.mark.parametrize("name, mutant", [
-    ("coefficient_lower_bound", _mc_scaled_up),
-    ("spectral_report", _radius_of_T),
-    ("powers", _powers_one_ahead),
-    ("powers", _powers_one_behind),
-    ("certificate_from_convergence", _n0_one_early),
+def _skip_last_group(real):
+    def group_pairs(groups):  # the pair list of every group but the last
+        return real(groups[:-1])
+    return group_pairs
+
+
+def _tensor_crosswise(real):
+    def bound(S, Q, T, P, tol=1e-9, **kwargs):  # subtracts P (x) Q, not Q (x) P
+        rep = real(S, Q, T, P, tol, **kwargs)
+        lhs = spectral_radius(np.kron(S.matrix, T.matrix) - np.kron(P.matrix, Q.matrix))
+        return dataclasses.replace(rep, lhs=lhs, ok=lhs <= rep.rhs + tol)
+    return bound
+
+
+@pytest.mark.parametrize("name, mutant, killer", [
+    ("coefficient_lower_bound", _mc_scaled_up, "mc-lower-bound"),
+    ("spectral_report", _radius_of_T, "classification-equivalence"),
+    ("powers", _powers_one_ahead, "power-norm-chain"),
+    ("powers", _powers_one_behind, "power-norm-chain"),
+    ("certificate_from_convergence", _n0_one_early, "certificate-audit"),
+    ("_group_pairs", _skip_last_group, "pair-formula"),
+    ("tensor_rate_bound", _tensor_crosswise, "tensor-bound"),
 ], ids=["mc-lower-side-x1.001", "radius-off-eig-T", "powers-one-ahead", "powers-one-behind",
-        "n0-one-early"])
-def test_verify_at_the_defaults_kills_each_code_mutant(name, mutant, monkeypatch):
+        "n0-one-early", "pair-route-skips-last-group", "tensor-crosswise"])
+def test_verify_at_the_defaults_kills_each_code_mutant(name, mutant, killer, monkeypatch):
     # the mutant replaces every binding of the function in the package (a
     # from-import copies it into each module that uses it); an honest run
-    # passes every check, so any failed check is the mutant's doing
+    # passes every check (test_cli.py's test_verify_runs_every_check_at_the_usual_flags),
+    # so any failed check is the mutant's doing, and ``killer`` is one that must fail
     import sys
 
     mods = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "ergokit"]
@@ -551,4 +572,4 @@ def test_verify_at_the_defaults_kills_each_code_mutant(name, mutant, monkeypatch
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, fake)
     failed = [r.name for r in run_verification() if not r.ok]
-    assert failed, f"{name} mutant survived verify at the defaults"
+    assert killer in failed, f"{name} mutant survived {killer} at the defaults: {failed}"
